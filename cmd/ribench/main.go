@@ -1,13 +1,12 @@
 // Command ribench regenerates the tables and figures of the paper's
 // experimental evaluation (§6) on the reproduction's own substrate, plus
 // the RI-tree-vs-HINT main-memory comparison (experiment id "hint":
-// RI-tree against the PR-1 HINT baseline and the optimized HINT), the
-// HINT optimization-level ablation (experiment id "hintopt": unsorted
-// buckets vs sorted subdivisions vs the flat cache-conscious layout vs
-// the comparison-free geometry), the unified-interface comparison
-// (experiment id "collections": every registered access method loaded and
-// queried through the same collection code path the public DB/Collection
-// API uses), and the persisted-domain-index reopen lifecycle (experiment
+// RI-tree against the never-compacted HINT baseline and the optimized
+// HINT), the HINT storage-form ablation (experiment id "hintopt": sorted
+// subdivisions vs the flat cache-conscious layout), the unified-interface
+// comparison (experiment id "collections": every registered access method
+// loaded and queried through the same collection code path the public
+// DB/Collection API uses), and the persisted-domain-index reopen lifecycle (experiment
 // id "reopen": catalog auto-attach cost per indextype on a file-backed
 // database).
 //

@@ -29,7 +29,9 @@
 // Reopening a persisted database (risql -db f.pages on an existing file)
 // re-attaches every domain index recorded in the catalog before the first
 // prompt: ritree indexes reopen their hidden relations (verified against
-// the base table), hint indexes rebuild from the heap. A definition whose
+// the base table), hint indexes adopt their persisted snapshot and replay
+// the heap tail written since (rebuilding only without a trustworthy
+// snapshot). A definition whose
 // indextype cannot be attached aborts the session rather than silently
 // serving DML without index maintenance.
 //

@@ -73,8 +73,13 @@ type Collection struct {
 	name   string
 	method string
 	tab    *rel.Table
-	ci     sqldb.CustomIndex
+	ci     sqldb.Index
 }
+
+// reader binds the access method to the live database for one synchronous
+// read. Caller holds the DB lock (read or write), which keeps writers out
+// for the Reader's life.
+func (c *Collection) reader() (sqldb.Reader, error) { return c.ci.Reader(c.db.rdb) }
 
 // Name returns the collection name.
 func (c *Collection) Name() string { return c.name }
@@ -115,11 +120,6 @@ func (c *Collection) checkInsert(iv Interval) error {
 	if !iv.Valid() && iv.Upper != Infinity && iv.Upper != NowMarker {
 		return fmt.Errorf("ritree: invalid interval %v", iv)
 	}
-	if iv.Upper == NowMarker {
-		if _, ok := c.ci.(sqldb.NowKeeper); !ok {
-			return fmt.Errorf("ritree: access method %q does not support now-relative intervals (§4.6); use a collection with the ritree method", c.method)
-		}
-	}
 	return nil
 }
 
@@ -140,7 +140,7 @@ func (c *Collection) InsertInfinite(lower, id int64) error {
 }
 
 // InsertNow registers the now-relative interval [lower, now] under id
-// (§4.6). Only access methods implementing the now capability accept it.
+// (§4.6). Access methods without a now clock (hint) refuse the row.
 func (c *Collection) InsertNow(lower, id int64) error {
 	return c.Insert(Interval{Lower: lower, Upper: NowMarker}, id)
 }
@@ -173,10 +173,10 @@ type IntervalRow struct {
 }
 
 // InsertMany registers every row in one batch: one engine lock, one heap
-// append per row, and one bulk maintenance pass per domain index (the
-// BulkMaintainer capability — the RI-tree rebuilds its composite indexes
-// tightly packed, HINT compacts once), instead of paying the statement
-// overhead row by row. Like Insert, the whole batch is validated first;
+// append per row, and one maintenance pass per domain index (Index.Apply
+// — the RI-tree bulk-loads a batch that outgrows the tree, HINT publishes
+// one generation per shard), instead of paying the statement overhead row
+// by row. Like Insert, the whole batch is validated first;
 // a refused batch leaves the collection unchanged.
 func (c *Collection) InsertMany(rows []IntervalRow) error {
 	if len(rows) == 0 {
@@ -221,8 +221,12 @@ func (c *Collection) Delete(iv Interval, id int64) (bool, error) {
 			return false, err
 		}
 	case iv.Valid():
+		rd, err := c.reader()
+		if err != nil {
+			return false, err
+		}
 		row := make([]int64, 3)
-		err := c.ci.Scan(opIntersects, []int64{iv.Lower, iv.Upper}, func(rid rel.RowID) bool {
+		err = rd.Scan(opIntersects, []int64{iv.Lower, iv.Upper}, func(rid rel.RowID) bool {
 			if c.tab.GetRawInto(rid, row) != nil {
 				return true
 			}
@@ -250,8 +254,12 @@ const (
 // the access method, mapping row ids to the base relation. Caller holds
 // the DB lock (read or write).
 func (c *Collection) intersectingFuncLocked(q Interval, fn func(id int64) bool) error {
+	rd, err := c.reader()
+	if err != nil {
+		return err
+	}
 	row := make([]int64, 3)
-	return c.ci.Scan(opIntersects, []int64{q.Lower, q.Upper}, func(rid rel.RowID) bool {
+	return rd.Scan(opIntersects, []int64{q.Lower, q.Upper}, func(rid rel.RowID) bool {
 		if c.tab.GetRawInto(rid, row) != nil {
 			return true
 		}
@@ -271,12 +279,13 @@ func (c *Collection) queryRelationFuncLocked(r Relation, q Interval, fn func(id 
 	if !ok {
 		return nil
 	}
-	now := int64(0)
-	if nk, isNow := c.ci.(sqldb.NowKeeper); isNow {
-		now = nk.Now()
+	rd, err := c.reader()
+	if err != nil {
+		return err
 	}
+	now, _ := rd.Now()
 	row := make([]int64, 3)
-	return c.ci.Scan(opIntersects, []int64{region.Lower, region.Upper}, func(rid rel.RowID) bool {
+	return rd.Scan(opIntersects, []int64{region.Lower, region.Upper}, func(rid rel.RowID) bool {
 		if c.tab.GetRawInto(rid, row) != nil {
 			return true
 		}
@@ -314,18 +323,17 @@ func (c *Collection) Intersecting(q Interval) ([]int64, error) {
 }
 
 // CountIntersecting returns the number of intervals intersecting q. It
-// counts index hits directly, with no base-relation lookups; access
-// methods with a parallel counting path (sqldb.OperatorCounter — the
-// sharded HINT fans one goroutine per shard) are counted through it.
+// counts index hits directly, with no base-relation lookups, through the
+// access method's counting path (the sharded HINT fans one goroutine per
+// shard).
 func (c *Collection) CountIntersecting(q Interval) (int64, error) {
 	c.db.mu.RLock()
 	defer c.db.mu.RUnlock()
-	if oc, ok := c.ci.(sqldb.OperatorCounter); ok {
-		return oc.ScanCount(opIntersects, []int64{q.Lower, q.Upper})
+	rd, err := c.reader()
+	if err != nil {
+		return 0, err
 	}
-	var n int64
-	err := c.ci.Scan(opIntersects, []int64{q.Lower, q.Upper}, func(rel.RowID) bool { n++; return true })
-	return n, err
+	return rd.Count(opIntersects, []int64{q.Lower, q.Upper})
 }
 
 // Stab returns the ids of all intervals containing the point p, ascending.
@@ -350,26 +358,21 @@ func (c *Collection) Query(r Relation, q Interval) ([]int64, error) {
 // SetNow sets the evaluation time for now-relative intervals (§4.6) on
 // access methods that keep one (ritree); others return an error.
 func (c *Collection) SetNow(now int64) error {
-	nk, ok := c.ci.(sqldb.NowKeeper)
-	if !ok {
-		return fmt.Errorf("ritree: access method %q has no now-relative clock", c.method)
-	}
 	c.db.mu.Lock()
 	defer c.db.mu.Unlock()
-	nk.SetNow(now)
-	return nil
+	return c.db.eng.SetIndexNow(c.ci.Name(), now)
 }
 
 // Now returns the evaluation time for now-relative intervals, or false if
 // the access method keeps none.
 func (c *Collection) Now() (int64, bool) {
-	nk, ok := c.ci.(sqldb.NowKeeper)
-	if !ok {
-		return 0, false
-	}
 	c.db.mu.RLock()
 	defer c.db.mu.RUnlock()
-	return nk.Now(), true
+	rd, err := c.reader()
+	if err != nil {
+		return 0, false
+	}
+	return rd.Now()
 }
 
 // scanStatement translates a streaming Query into the SQL statement and

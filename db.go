@@ -30,9 +30,9 @@ import (
 //
 // Collections persist in the relational catalog: reopening a file-backed
 // DB re-attaches every collection's access method before the first
-// statement (ritree reopens and verifies its relations, hint rebuilds
-// from the heap), so a database closed with two collections serves both
-// after Open.
+// statement (ritree reopens and verifies its relations, hint adopts its
+// persisted snapshot and replays the heap tail written since), so a
+// database closed with two collections serves both after Open.
 //
 // All methods are safe for concurrent use. Streaming Query cursors (and
 // Collection.Scan) read from pinned page-store snapshots and hold no

@@ -147,8 +147,8 @@ func TestDBCollectionsMatchBruteForceAllMethods(t *testing.T) {
 func TestDBReopenServesAllCollections(t *testing.T) {
 	// Acceptance: a DB with two collections on different access methods
 	// survives close-and-reopen — ritree reopens its persisted relations,
-	// hint rebuilds from the heap — and both keep answering and accepting
-	// DML.
+	// hint adopts its snapshot or rebuilds from the heap — and both keep
+	// answering and accepting DML.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "multi.db")
 	db, err := Open(path)

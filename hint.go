@@ -42,8 +42,7 @@ func WithHINTBits(bits int) HINTOption {
 }
 
 // WithHINTLevels sets m, the depth of the domain-bisection hierarchy
-// (default 10). Setting it equal to the domain bits enables the
-// comparison-free variant.
+// (default 10, at most the domain bits).
 func WithHINTLevels(m int) HINTOption {
 	return func(o *hint.Options) { o.Levels = m }
 }
@@ -156,10 +155,6 @@ func (h *HINT) Shards() int { return h.s.Shards() }
 // Optimized reports whether every shard has its flat cache-conscious
 // storage built — the state after BulkLoad or Optimize.
 func (h *HINT) Optimized() bool { return h.s.Optimized() }
-
-// ComparisonFree reports whether the index runs the comparison-free
-// variant (levels == domain bits).
-func (h *HINT) ComparisonFree() bool { return h.s.ComparisonFree() }
 
 // Clear drops every stored interval, keeping the configuration.
 func (h *HINT) Clear() { h.s.Clear() }

@@ -222,13 +222,13 @@ func TestHINTShardedAndOptimized(t *testing.T) {
 	}
 }
 
-func TestHINTComparisonFreeOption(t *testing.T) {
+func TestHINTLevelsOption(t *testing.T) {
 	idx, err := NewHINT(WithHINTBits(12), WithHINTLevels(12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !idx.ComparisonFree() {
-		t.Fatal("levels == bits should be comparison-free")
+	if idx.Levels() != 12 {
+		t.Fatalf("levels = %d, want 12 (levels == bits is a legal geometry)", idx.Levels())
 	}
 	if _, err := NewHINT(WithHINTBits(4), WithHINTLevels(9)); err == nil {
 		t.Fatal("levels > bits accepted")

@@ -249,22 +249,18 @@ type hintAM struct {
 // subdivisions, flat cache-conscious storage). Its page store stays
 // empty — zero physical I/O per query is the point of the regime — but is
 // provided so Measure's accounting works uniformly.
-func NewHINT(c Config) (AM, error) {
-	return NewHINTOpts(c, hint.Options{}, true, "HINT")
-}
+func NewHINT(c Config) (AM, error) { return newHINT(c, true, "HINT") }
 
-// NewHINTBaseline builds HINT in its unoptimized PR-1 form: unsorted
-// per-partition buckets loaded incrementally and scanned linearly — the
-// reference point the hint/hintopt experiments measure speedups against.
-func NewHINTBaseline(c Config) (AM, error) {
-	return NewHINTOpts(c, hint.Options{NoSort: true}, false, "HINT-base")
-}
+// NewHINTBaseline builds HINT without its flat layout: sorted
+// per-partition buckets loaded incrementally and never compacted — the
+// reference point the hint/hintopt experiments measure the flat layout's
+// speedup against.
+func NewHINTBaseline(c Config) (AM, error) { return newHINT(c, false, "HINT-base") }
 
-// NewHINTOpts builds a HINT access method with explicit core options.
-// With optimize set, Load bulk loads into the flat cache-conscious
-// layout; otherwise it inserts incrementally and leaves the dynamic
-// per-partition buckets in place.
-func NewHINTOpts(c Config, opts hint.Options, optimize bool, name string) (AM, error) {
+// newHINT builds a HINT access method. With optimize set, Load bulk loads
+// into the flat cache-conscious layout; otherwise it inserts
+// incrementally and leaves the sorted per-partition overlay in place.
+func newHINT(c Config, optimize bool, name string) (AM, error) {
 	st, err := pagestore.New(pagestore.NewMemBackend(), pagestore.Options{
 		PageSize:  c.PageSize,
 		CacheSize: c.CacheSize,
@@ -272,7 +268,7 @@ func NewHINTOpts(c Config, opts hint.Options, optimize bool, name string) (AM, e
 	if err != nil {
 		return nil, err
 	}
-	ix, err := hint.New(opts)
+	ix, err := hint.New(hint.Options{})
 	if err != nil {
 		return nil, err
 	}

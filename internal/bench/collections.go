@@ -8,7 +8,6 @@ import (
 	"ritree/internal/interval"
 	"ritree/internal/obs"
 	"ritree/internal/pagestore"
-	"ritree/internal/rel"
 	"ritree/internal/ritree"
 	"ritree/internal/sqldb"
 	"ritree/internal/workload"
@@ -17,7 +16,7 @@ import (
 // The "collections" experiment drives every registered access method
 // through the unified collection interface — one base relation plus one
 // access-method domain index per collection, loaded and queried through
-// the same code path (sqldb.Engine.BulkInsert + CustomIndex.Scan) the
+// the same code path (sqldb.Engine.BulkInsert + a live sqldb.Reader) the
 // public ritree.DB API uses. Where the other experiments benchmark each
 // access method through its native API, this one measures what a user of
 // the uniform API actually gets, including the engine's maintenance and
@@ -27,7 +26,7 @@ import (
 type collectionAM struct {
 	st     *pagestore.Store
 	eng    *sqldb.Engine
-	ci     sqldb.CustomIndex
+	ci     sqldb.Index
 	reg    *obs.Registry
 	name   string
 	method string
@@ -82,14 +81,14 @@ func (a *collectionAM) Load(ivs []interval.Interval, ids []int64) error {
 }
 
 func (a *collectionAM) QueryCount(q interval.Interval) (int64, error) {
-	// Like Collection.CountIntersecting: prefer the access method's
-	// counting capability (parallel per-shard fan-out on hint_sharded).
-	if oc, ok := a.ci.(sqldb.OperatorCounter); ok {
-		return oc.ScanCount("intersects", []int64{q.Lower, q.Upper})
+	// Like Collection.CountIntersecting: the access method's counting
+	// path (parallel per-shard fan-out on hint_sharded) over a Reader
+	// bound to the live database — nothing writes during the measurement.
+	rd, err := a.ci.Reader(a.eng.DB())
+	if err != nil {
+		return 0, err
 	}
-	var n int64
-	err := a.ci.Scan("intersects", []int64{q.Lower, q.Upper}, func(rel.RowID) bool { n++; return true })
-	return n, err
+	return rd.Count("intersects", []int64{q.Lower, q.Upper})
 }
 
 func (a *collectionAM) Entries() int64          { return 0 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"ritree/internal/hint"
 	"ritree/internal/interval"
 	"ritree/internal/ritree"
 	"ritree/internal/workload"
@@ -450,8 +449,8 @@ func ratio(a, b float64) float64 {
 // paper's disk-relational winner) against HINT (Christodoulou, Bouros,
 // Mamoulis — SIGMOD 2022, PAPERS.md), a main-memory hierarchical
 // domain-partitioning index, on the default uniform workload D1(100k,2k).
-// HINT appears twice — the PR-1 baseline (unsorted buckets, linear
-// scans) and the optimized form (sorted subdivisions, flat
+// HINT appears twice — the baseline (sorted overlay buckets, never
+// compacted) and the optimized form (sorted subdivisions, flat
 // cache-conscious storage) — so both the regime gap and the
 // optimization gap stay on record. The regimes differ — the RI-tree
 // pays buffer-cache traversals, HINT scans in-memory partition arrays —
@@ -465,7 +464,7 @@ func HintComparison(c Config) (*Table, error) {
 		Header: []string{"sel%", "ms RI", "ms HINT-base", "ms HINT",
 			"q/s RI", "q/s HINT", "IO HINT", "x vs RI", "x vs base"},
 		Notes: []string{
-			"expected shape: optimized HINT throughput >= 5x the RI-tree's and >= the PR-1",
+			"expected shape: optimized HINT throughput >= 5x the RI-tree's and >= the overlay",
 			"baseline's at every selectivity (the HINT paper reports one order of magnitude",
 			"over tree-based indexes); HINT performs zero physical I/O — main-memory regime",
 		},
@@ -516,27 +515,25 @@ func HintComparison(c Config) (*Table, error) {
 	return t, nil
 }
 
-// HintAblation isolates the HINT §4 optimization levels on D1(100k,2k):
-// the PR-1 baseline (unsorted buckets, linear scans with per-entry
-// comparisons), sorted subdivisions (binary-searched prefix/suffix
-// emission, still per-partition slices), the flat cache-conscious layout
-// (one contiguous array + offset table per level and subdivision class,
-// empty-partition bitmaps), and the comparison-free configuration
-// (Levels == Bits) on top of the flat layout.
+// HintAblation isolates the two storage forms HINT keeps on D1(100k,2k):
+// sorted subdivisions (binary-searched prefix/suffix emission, still
+// per-partition slices — the overlay incremental inserts land in) and the
+// flat cache-conscious layout (one contiguous array + offset table per
+// level and subdivision class, empty-partition bitmaps). BENCH_3 holds
+// the last numbers of the two forms this ablation used to carry and the
+// code no longer does: unsorted buckets (no faster to build, slower to
+// scan) and the comparison-free geometry as a special case (12-30x slower
+// than flat at m = 20, with 5.6x the entries).
 func HintAblation(c Config) (*Table, error) {
 	c = c.WithDefaults()
 	t := &Table{
 		ID:    "hintopt",
-		Title: "ablation: HINT optimization levels (HINT paper §4), D1(100k,2k) uniform",
+		Title: "ablation: HINT storage forms (HINT paper §4), D1(100k,2k) uniform",
 		Header: []string{"variant", "ms 0.5%", "q/s 0.5%", "ms 2.0%", "q/s 2.0%",
 			"entries", "flat entries"},
 		Notes: []string{
-			"expected shape: sorted subdivisions at or above the unsorted baseline, the flat",
-			"layout clearly above both (fewer cache misses); the comparison-free geometry",
-			"(levels == bits = 20) eliminates endpoint comparisons but pays for it in",
-			"replication and per-query partition visits — m = 20 sits far beyond the HINT",
-			"paper's m sweet spot (7-16, their Figure 10), so it records the trade-off,",
-			"not a win, at these selectivities",
+			"expected shape: the flat layout clearly above the sorted overlay (fewer cache",
+			"misses), at the same number of entries",
 		},
 	}
 	n := c.scaled(100000)
@@ -546,17 +543,14 @@ func HintAblation(c Config) (*Table, error) {
 
 	variants := []struct {
 		name     string
-		opts     hint.Options
 		optimize bool
 	}{
-		{"unsorted (PR-1 baseline)", hint.Options{NoSort: true}, false},
-		{"sorted subdivisions", hint.Options{}, false},
-		{"flat (Optimize)", hint.Options{}, true},
-		{"flat + cmp-free (m=20)", hint.Options{Bits: 20, Levels: 20}, true},
+		{"sorted subdivisions", false},
+		{"flat (Optimize)", true},
 	}
 	var ams []AM
 	for _, v := range variants {
-		am, err := NewHINTOpts(c, v.opts, v.optimize, v.name)
+		am, err := newHINT(c, v.optimize, v.name)
 		if err != nil {
 			return nil, err
 		}

@@ -17,14 +17,16 @@ import (
 )
 
 // Reopen measures the session-reopen lifecycle of persisted domain
-// indexes: a file-backed database gets a table with both a ritree and a
-// hint domain index, is closed, and each new session re-attaches the
-// catalog-recorded definitions. The interesting asymmetry is the attach
-// cost — the RI-tree's relations persist in the page store, so attaching
-// is O(1) catalog work plus the staleness verification, while the
-// main-memory HINT rebuilds from the heap with an O(n) scan. A final
-// cycle runs Engine.AttachCatalogIndexes (the path cmd/risql takes on
-// -db reopen) and cross-checks an INTERSECTS query against brute force.
+// indexes: file-backed databases get a table with a ritree domain index,
+// a hint one, or both, are closed, and a new session re-attaches the
+// catalog-recorded definitions through Engine.AttachCatalogIndexes (the
+// path cmd/risql takes on -db reopen). The interesting asymmetry is the
+// attach cost — the RI-tree's relations persist in the page store, so
+// attaching is O(1) catalog work plus the staleness verification, while
+// the main-memory HINT, closed here without a persisted snapshot,
+// rebuilds from the heap with an O(n) scan (reopenSnapshotSection
+// measures the snapshot path). The last cycle cross-checks an INTERSECTS
+// query against brute force.
 func Reopen(c Config) (*Table, error) {
 	c = c.WithDefaults()
 	t := &Table{
@@ -33,67 +35,69 @@ func Reopen(c Config) (*Table, error) {
 		Header: []string{"phase", "ms", "phys reads", "log reads"},
 		Notes: []string{
 			"ritree attach reopens the persisted hidden relations and verifies them against the",
-			"base table's row count (O(1)); hint attach rebuilds from the heap (O(n) scan);",
-			"AttachCatalogIndexes is what risql -db runs before the first prompt",
+			"base table's row count (O(1)); hint attach without a snapshot rebuilds from the heap",
+			"(O(n) scan); AttachCatalogIndexes is what risql -db runs before the first prompt",
 		},
 	}
 	n := c.scaled(20000)
 	spec := workload.Spec{Kind: workload.D1, N: n, D: 2000}
 	ivs := workload.Generate(spec, c.Seed)
 
-	f, err := os.CreateTemp("", "ribench-reopen-*.pages")
-	if err != nil {
-		return nil, err
-	}
-	path := f.Name()
-	f.Close()
-	defer os.Remove(path)
-
-	openStore := func() (*pagestore.Store, error) {
+	openStore := func(path string) (*pagestore.Store, error) {
 		be, err := pagestore.OpenFileBackend(path, c.PageSize)
 		if err != nil {
 			return nil, err
 		}
 		return pagestore.New(be, pagestore.Options{PageSize: c.PageSize, CacheSize: c.CacheSize})
 	}
+	newSession := func(db *rel.DB) *sqldb.Engine {
+		eng := sqldb.NewEngine(db)
+		ritree.RegisterIndexType(eng)
+		hint.RegisterIndexType(eng)
+		return eng
+	}
 
-	// Build phase: one session creates the table, both domain indexes, and
-	// loads the data through SQL, so every insert maintains both indexes.
-	st, err := openStore()
-	if err != nil {
-		return nil, err
-	}
-	db, err := rel.CreateDB(st)
-	if err != nil {
-		return nil, err
-	}
-	eng := sqldb.NewEngine(db)
-	ritree.RegisterIndexType(eng)
-	hint.RegisterIndexType(eng)
-	c.logf("  reopen: loading %d intervals under ritree+hint domain indexes...", n)
-	if _, err := eng.Exec("CREATE TABLE iv (lo int, hi int, id int)", nil); err != nil {
-		return nil, err
-	}
-	if _, err := eng.Exec("CREATE INDEX iv_rit ON iv (lo, hi) INDEXTYPE IS ritree", nil); err != nil {
-		return nil, err
-	}
-	if _, err := eng.Exec("CREATE INDEX iv_mm ON iv (lo, hi) INDEXTYPE IS hint", nil); err != nil {
-		return nil, err
-	}
-	for i, iv := range ivs {
-		_, err := eng.Exec("INSERT INTO iv VALUES (:lo, :hi, :id)",
-			map[string]interface{}{"lo": iv.Lower, "hi": iv.Upper, "id": int64(i)})
+	// cycle builds one database — the table, the given domain indexes
+	// (name → indextype), the data loaded through SQL so every insert
+	// maintains them — closes it, and measures a cold session's attach.
+	cycle := func(label string, indexes [][2]string) (*rel.DB, *sqldb.Engine, error) {
+		f, err := os.CreateTemp("", "ribench-reopen-*.pages")
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-	}
-	if err := db.Close(); err != nil {
-		return nil, err
-	}
+		path := f.Name()
+		f.Close()
+		defer os.Remove(path)
+		st, err := openStore(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		db, err := rel.CreateDB(st)
+		if err != nil {
+			return nil, nil, err
+		}
+		eng := newSession(db)
+		c.logf("  reopen: loading %d intervals for %s...", n, label)
+		if _, err := eng.Exec("CREATE TABLE iv (lo int, hi int, id int)", nil); err != nil {
+			return nil, nil, err
+		}
+		for _, ix := range indexes {
+			if _, err := eng.Exec("CREATE INDEX "+ix[0]+" ON iv (lo, hi) INDEXTYPE IS "+ix[1], nil); err != nil {
+				return nil, nil, err
+			}
+		}
+		for i, iv := range ivs {
+			_, err := eng.Exec("INSERT INTO iv VALUES (:lo, :hi, :id)",
+				map[string]interface{}{"lo": iv.Lower, "hi": iv.Upper, "id": int64(i)})
+			if err != nil {
+				return nil, nil, err
+			}
+		}
+		if err := db.Close(); err != nil {
+			return nil, nil, err
+		}
 
-	// Measured reopen cycles: each starts from a cold store.
-	attachCycle := func(label string, attach func(e *sqldb.Engine, db2 *rel.DB) error) (*rel.DB, *sqldb.Engine, error) {
-		st2, err := openStore()
+		st2, err := openStore(path)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -101,12 +105,10 @@ func Reopen(c Config) (*Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		e2 := sqldb.NewEngine(db2)
-		ritree.RegisterIndexType(e2)
-		hint.RegisterIndexType(e2)
+		e2 := newSession(db2)
 		st2.ResetStats()
 		t0 := time.Now()
-		if err := attach(e2, db2); err != nil {
+		if err := e2.AttachCatalogIndexes(); err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", label, err)
 		}
 		elapsed := time.Since(t0)
@@ -115,28 +117,23 @@ func Reopen(c Config) (*Table, error) {
 		return db2, e2, nil
 	}
 
-	db2, _, err := attachCycle("ritree attach (persisted tree)", func(e *sqldb.Engine, _ *rel.DB) error {
-		return ritree.AttachIndexType(e, "iv_rit", "iv", []string{"lo", "hi"})
-	})
-	if err != nil {
-		return nil, err
+	for _, one := range []struct {
+		label string
+		index [2]string
+	}{
+		{"ritree attach (persisted tree)", [2]string{"iv_rit", ritree.IndexTypeName}},
+		{"hint attach (heap rebuild)", [2]string{"iv_mm", hint.IndexTypeName}},
+	} {
+		db2, _, err := cycle(one.label, [][2]string{one.index})
+		if err != nil {
+			return nil, err
+		}
+		if err := db2.Close(); err != nil {
+			return nil, err
+		}
 	}
-	if err := db2.Close(); err != nil {
-		return nil, err
-	}
-	db2, _, err = attachCycle("hint attach (heap rebuild)", func(e *sqldb.Engine, _ *rel.DB) error {
-		return hint.AttachIndexType(e, "iv_mm", "iv", []string{"lo", "hi"})
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := db2.Close(); err != nil {
-		return nil, err
-	}
-	var e2 *sqldb.Engine
-	db2, e2, err = attachCycle("AttachCatalogIndexes (both)", func(e *sqldb.Engine, _ *rel.DB) error {
-		return e.AttachCatalogIndexes()
-	})
+	db2, e2, err := cycle("AttachCatalogIndexes (both)",
+		[][2]string{{"iv_rit", ritree.IndexTypeName}, {"iv_mm", hint.IndexTypeName}})
 	if err != nil {
 		return nil, err
 	}

@@ -5,10 +5,10 @@ package hint
 //
 //	go test -bench . -benchmem ./internal/hint
 //
-// Query benchmarks cover the three optimization levels the ribench
-// hintopt ablation records at full scale — unsorted baseline buckets,
-// sorted subdivisions, and the flat cache-conscious layout — plus the
-// comparison-free geometry and the sharded concurrent read path.
+// Query benchmarks cover the two storage forms the ribench hintopt
+// ablation records at full scale — sorted subdivisions and the flat
+// cache-conscious layout — plus the Levels == Bits geometry and the
+// sharded concurrent read path.
 
 import (
 	"math/rand"
@@ -93,10 +93,6 @@ func runQueryBench(b *testing.B, x *Index) {
 	}
 }
 
-func BenchmarkQueryUnsortedBaseline(b *testing.B) {
-	runQueryBench(b, benchIndex(b, Options{NoSort: true}, false))
-}
-
 func BenchmarkQuerySorted(b *testing.B) {
 	runQueryBench(b, benchIndex(b, Options{}, false))
 }
@@ -105,7 +101,7 @@ func BenchmarkQueryFlat(b *testing.B) {
 	runQueryBench(b, benchIndex(b, Options{}, true))
 }
 
-func BenchmarkQueryFlatCmpFree(b *testing.B) {
+func BenchmarkQueryFlatLevelsEqualBits(b *testing.B) {
 	runQueryBench(b, benchIndex(b, Options{Bits: 20, Levels: 20}, true))
 }
 

@@ -79,7 +79,7 @@ func (x *Index) Optimize() {
 					continue
 				}
 				for c := 0; c < numSubs; c++ {
-					if !x.noSort && c != cRAft && len(p.subs[c]) > 1 {
+					if c != cRAft && len(p.subs[c]) > 1 {
 						// Sorting writes; privatize the bucket first.
 						op := x.ownPart(l, int64(i))
 						sortSegment(*x.ownBucket(op, c), c)
@@ -156,7 +156,7 @@ func (x *Index) optimizeLevel(l int, out *flatLevel) bool {
 			fs.cnt[i] = n
 			if n > 0 {
 				words[i>>6] |= 1 << uint(i&63)
-				if !x.noSort && c != cRAft {
+				if c != cRAft {
 					sortSegment(fs.ents[fs.off[i]:], c)
 				}
 			}

@@ -40,10 +40,11 @@
 //     Optimize folds in. Per-level bitmaps of nonempty partitions let
 //     queries skip dead partitions without touching their memory.
 //
-//   - Comparison-free evaluation: when Levels == Bits the bottom level
-//     has granularity one, every decomposition is exact, and queries
-//     whose endpoints lie in the domain perform no endpoint comparisons
-//     at all — the paper's "comparison-free" HINT variant.
+//   - Alignment shortcuts: whenever a query endpoint falls on a
+//     partition boundary the comparisons on that side are skipped. With
+//     Levels == Bits the bottom level has granularity one, so that holds
+//     for every in-domain query there (the paper's "comparison-free"
+//     geometry, served by the same general test).
 //
 // The index is fully dynamic: Insert and Delete are incremental, so HINT
 // can serve as a live secondary index (see indextype.go for its
@@ -85,19 +86,12 @@ type Options struct {
 	// paper's data space.
 	Bits int
 	// Levels is m, the bottom level of the hierarchy: level l in [0, m]
-	// holds 2^l partitions. Levels == Bits enables the comparison-free
-	// variant. Default 10.
+	// holds 2^l partitions. Default 10.
 	Levels int
 	// Shards requests a concurrently usable index of that many
 	// independently locked shards; it is consumed by NewSharded only.
 	// New rejects Shards > 1 — a bare Index has no locking to shard.
 	Shards int
-	// NoSort keeps every subdivision in insertion order and scans it
-	// linearly with per-entry comparisons — the unoptimized baseline
-	// layout, retained as an ablation knob (ribench -exp hintopt)
-	// so the sorted-subdivision speedup stays measurable. Production
-	// configurations leave it false.
-	NoSort bool
 }
 
 // entry is one stored copy of an interval: true endpoints plus the id.
@@ -159,12 +153,10 @@ type part struct {
 // concurrent use; wrap it in a lock or use Sharded (the top-level
 // ritree.HINT API does).
 type Index struct {
-	bits    int
-	m       int
-	shift   uint // Bits - Levels: log2 of the bottom-level granularity
-	cmpFree bool // granularity 1: comparison-free evaluation
-	max     int64
-	noSort  bool
+	bits  int
+	m     int
+	shift uint // Bits - Levels: log2 of the bottom-level granularity
+	max   int64
 
 	// levels[l][i] is the dynamic overlay of partition i of level l, nil
 	// until first touched.
@@ -214,12 +206,10 @@ func New(opts Options) (*Index, error) {
 		return nil, fmt.Errorf("hint: Shards = %d on a bare Index; use NewSharded", opts.Shards)
 	}
 	x := &Index{
-		bits:    opts.Bits,
-		m:       opts.Levels,
-		shift:   uint(opts.Bits - opts.Levels),
-		cmpFree: opts.Levels == opts.Bits,
-		max:     1<<uint(opts.Bits) - 1,
-		noSort:  opts.NoSort,
+		bits:  opts.Bits,
+		m:     opts.Levels,
+		shift: uint(opts.Bits - opts.Levels),
+		max:   1<<uint(opts.Bits) - 1,
 	}
 	x.levels = make([][]*part, x.m+1)
 	x.nonempty = make([][]uint64, x.m+1)
@@ -235,9 +225,6 @@ func New(opts Options) (*Index, error) {
 // Name identifies the index and its configuration (used by the
 // cross-check matrix and benchmark tables).
 func (x *Index) Name() string {
-	if x.cmpFree {
-		return fmt.Sprintf("HINT(m=%d,bits=%d,cmp-free)", x.m, x.bits)
-	}
 	return fmt.Sprintf("HINT(m=%d,bits=%d)", x.m, x.bits)
 }
 
@@ -246,10 +233,6 @@ func (x *Index) Levels() int { return x.m }
 
 // Bits returns the domain width in bits.
 func (x *Index) Bits() int { return x.bits }
-
-// ComparisonFree reports whether the index runs the comparison-free
-// variant (Levels == Bits).
-func (x *Index) ComparisonFree() bool { return x.cmpFree }
 
 // DomainMax returns the largest admissible interval start, 2^Bits-1.
 func (x *Index) DomainMax() int64 { return x.max }
@@ -358,7 +341,7 @@ func insertSorted(b *[]entry, c int, e entry) {
 // first.
 func (x *Index) findInBucket(s []entry, c int, e entry) int {
 	from, to := 0, len(s)
-	if !x.noSort && !x.bulk && c != cRAft {
+	if !x.bulk && c != cRAft {
 		k := classKey(c, e)
 		from = sort.Search(len(s), func(j int) bool { return classKey(c, s[j]) >= k })
 		to = from + sort.Search(len(s)-from, func(j int) bool { return classKey(c, s[from+j]) > k })
@@ -396,7 +379,7 @@ func (x *Index) Insert(iv interval.Interval, id int64) error {
 		p := x.ownPart(l, idx)
 		c := classOf(orig, in)
 		b := x.ownBucket(p, c)
-		if x.bulk || x.noSort || c == cRAft {
+		if x.bulk || c == cRAft {
 			*b = append(*b, e)
 		} else {
 			insertSorted(b, c, e)

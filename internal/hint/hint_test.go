@@ -127,18 +127,16 @@ func adversarialQuery(rng *rand.Rand, max int64) interval.Interval {
 // TestRandomizedCrossCheck is the property test: mixed insert/delete
 // workloads with adversarial interval shapes, cross-checking intersection
 // and stabbing results against a brute-force scan after every batch, over
-// several index geometries including the comparison-free one and the
-// unsorted ablation layout. Periodic Optimize calls move entries into the
+// several index geometries including Levels == Bits. Periodic Optimize calls move entries into the
 // flat storage mid-workload, so deletes and queries exercise every mix of
 // flat segments and dynamic overlay.
 func TestRandomizedCrossCheck(t *testing.T) {
 	configs := []Options{
 		{},                     // defaults: bits 20, m 10
-		{Bits: 14, Levels: 14}, // comparison-free
+		{Bits: 14, Levels: 14}, // bottom-level granularity one
 		{Bits: 14, Levels: 1},  // degenerate two-partition bottom
 		{Bits: 20, Levels: 16},
 		{Bits: 10, Levels: 4},
-		{Bits: 14, Levels: 6, NoSort: true}, // ablation: unsorted linear scans
 	}
 	for ci, opts := range configs {
 		x, err := New(opts)
@@ -487,12 +485,8 @@ func TestOptionsValidation(t *testing.T) {
 	if x.Bits() != DefaultBits || x.Levels() != DefaultLevels {
 		t.Fatalf("defaults: bits=%d levels=%d", x.Bits(), x.Levels())
 	}
-	if x.ComparisonFree() {
-		t.Fatal("default config claims comparison-free")
-	}
-	cf, _ := New(Options{Bits: 12, Levels: 12})
-	if !cf.ComparisonFree() {
-		t.Fatal("Levels == Bits not comparison-free")
+	if _, err := New(Options{Bits: 12, Levels: 12}); err != nil {
+		t.Fatalf("Levels == Bits rejected: %v", err)
 	}
 }
 
@@ -536,8 +530,8 @@ func TestEntriesAccounting(t *testing.T) {
 	}
 }
 
-func TestComparisonFreeMatchesDefault(t *testing.T) {
-	// The same workload through a comparison-free geometry and a coarse
+func TestLevelsEqualBitsMatchesDefault(t *testing.T) {
+	// The same workload through the Levels == Bits geometry and a coarse
 	// geometry must agree query-for-query.
 	a, _ := New(Options{Bits: 13, Levels: 13})
 	b, _ := New(Options{Bits: 13, Levels: 5})
@@ -557,7 +551,7 @@ func TestComparisonFreeMatchesDefault(t *testing.T) {
 		ra, _ := a.Intersecting(q)
 		rb, _ := b.Intersecting(q)
 		if !sortedEqual(ra, rb) {
-			t.Fatalf("query %v: cmp-free %d ids vs coarse %d ids", q, len(ra), len(rb))
+			t.Fatalf("query %v: fine %d ids vs coarse %d ids", q, len(ra), len(rb))
 		}
 	}
 }

@@ -31,11 +31,11 @@ import (
 // the in-memory index is rebuilt from the base table with a wider one.
 // Unlike the RI-tree's hidden relations, HINT's storage lives outside the
 // page store — it is a main-memory access method — so a session over a
-// reopened database re-attaches it by rebuilding from the base table.
-// Custom-index definitions persist in the relational catalog, so
-// sqldb.Engine.AttachCatalogIndexes performs that rebuild automatically on
-// reopen; embedding callers managing definitions themselves can still use
-// AttachIndexType directly.
+// reopened database re-attaches it by adopting the snapshot the last
+// Persist wrote (see snapshot.go) and replaying the heap tail written
+// since; only a missing or doubtful snapshot falls back to rebuilding
+// from the base table. Custom-index definitions persist in the relational
+// catalog, so sqldb.Engine.AttachCatalogIndexes does that on reopen.
 
 // OperatorIntersects is the SQL operator name served by the indextype:
 // INTERSECTS(lowerCol, upperCol, :qlo, :qhi).
@@ -79,11 +79,8 @@ func DefaultIndexShards() int {
 const maxAbsBound = int64(1) << 59
 
 // RegisterIndexType makes "INDEXTYPE IS hint" available on the engine.
-// Create and attach share one implementation: HINT is main-memory, so
-// both build the index by scanning the base table — exactly the rebuild
-// strategy its package docs prescribe for reopened databases.
 func RegisterIndexType(e *sqldb.Engine) {
-	registerIndexType(e, IndexTypeName, 1)
+	e.RegisterIndexType(IndexTypeName, handler{shards: 1})
 }
 
 // RegisterShardedIndexType makes "INDEXTYPE IS hint_sharded" available on
@@ -94,23 +91,27 @@ func RegisterShardedIndexType(e *sqldb.Engine, shards int) {
 	if shards <= 0 {
 		shards = DefaultIndexShards()
 	}
-	registerIndexType(e, ShardedIndexTypeName, shards)
+	e.RegisterIndexType(ShardedIndexTypeName, handler{shards: shards})
 }
 
-func registerIndexType(e *sqldb.Engine, name string, shards int) {
-	build := func(eng *sqldb.Engine, indexName, table string, cols []string, params map[string]string) (sqldb.CustomIndex, error) {
-		return newIndexType(eng, indexName, table, cols, shards, params)
-	}
-	e.RegisterIndexType(name, sqldb.IndexTypeFuncs{
-		Create: build,
-		Attach: build,
-		// The only persisted storage is the snapshot blob; dropping an
-		// unattached definition just releases that (DeleteBlob tolerates a
-		// missing one).
-		DropStorage: func(e *sqldb.Engine, indexName, table string, cols []string) error {
-			return e.DB().DeleteBlob(snapshotBlobName(indexName))
-		},
-	})
+// handler implements sqldb.IndexType for hint and hint_sharded. Create
+// and Attach share one implementation: both adopt a trustworthy snapshot
+// when there is one (a fresh CREATE INDEX finds none) and otherwise build
+// the index by scanning the base table.
+type handler struct{ shards int }
+
+func (h handler) Create(e *sqldb.Engine, indexName, table string, cols []string, params map[string]string) (sqldb.Index, error) {
+	return newIndexType(e, indexName, table, cols, h.shards, params)
+}
+
+func (h handler) Attach(e *sqldb.Engine, indexName, table string, cols []string, params map[string]string) (sqldb.Index, error) {
+	return h.Create(e, indexName, table, cols, params)
+}
+
+// DropStorage releases the only persisted storage, the snapshot blob
+// (DeleteBlob tolerates a missing one).
+func (handler) DropStorage(e *sqldb.Engine, indexName, _ string, _ []string) error {
+	return e.DB().DeleteBlob(snapshotBlobName(indexName))
 }
 
 // snapshotBlobName is the rel blob key under which an index's persisted
@@ -161,19 +162,6 @@ func parseHintParams(params map[string]string) (hintParams, error) {
 	return hp, nil
 }
 
-// AttachIndexType rebuilds a hint domain index for a new session over an
-// existing database. HINT is main-memory: nothing persists in the page
-// store, so attaching re-scans the base table. Most callers should prefer
-// sqldb.Engine.AttachCatalogIndexes, which re-attaches every persisted
-// definition.
-func AttachIndexType(e *sqldb.Engine, indexName, table string, cols []string) error {
-	ci, err := newIndexType(e, indexName, table, cols, 1, nil)
-	if err != nil {
-		return err
-	}
-	return e.AttachCustomIndex(ci)
-}
-
 type indexType struct {
 	name   string
 	table  string
@@ -185,10 +173,10 @@ type indexType struct {
 	tab    *rel.Table
 	rdb    *rel.DB // owning database: snapshot blobs live here
 	// mu protects the (off, ix) pair across trigger maintenance and
-	// geometry rebuilds. Scans take it only long enough to grab the pair
-	// (see view) and then run lock-free over the Sharded index's
-	// atomically published generations — an open cursor never blocks a
-	// concurrent insert or delete, not even a rebuild.
+	// geometry rebuilds. Readers take it only long enough to freeze the
+	// pair (see Reader) and then run lock-free over the Sharded index's
+	// immutable generations — an open cursor never blocks a concurrent
+	// insert or delete, not even a rebuild.
 	mu  sync.RWMutex
 	off int64 // indexed value = column value - off
 	ix  *Sharded
@@ -204,7 +192,7 @@ type indexType struct {
 	snapPend snapTally
 }
 
-func newIndexType(e *sqldb.Engine, indexName, table string, cols []string, shards int, params map[string]string) (*indexType, error) {
+func newIndexType(e *sqldb.Engine, indexName, table string, cols []string, shards int, params map[string]string) (sqldb.Index, error) {
 	if len(cols) != 2 {
 		return nil, fmt.Errorf("hint indextype needs exactly (lower, upper) columns, got %d", len(cols))
 	}
@@ -310,9 +298,9 @@ func (x *indexType) fits(lo int64) bool {
 
 // rebuild re-derives the geometry from the base table and reloads the
 // in-memory index into its optimized flat layout. Called at CREATE
-// INDEX / attach time and whenever a new row falls outside the current
-// domain; callers hold the write lock (or the index is not yet
-// published).
+// INDEX time, at attach time when no snapshot can be trusted, and
+// whenever a new row falls outside the current domain; callers hold the
+// write lock (or the index is not yet published).
 func (x *indexType) rebuild() error {
 	var lows, highs []int64
 	var rids []rel.RowID
@@ -444,12 +432,10 @@ func (ix *indexType) tryLoadSnapshot() bool {
 func (ix *indexType) replayTail(s *Sharded, info snapshotInfo) (int64, error) {
 	type iv struct{ lo, hi int64 }
 	snap := make(map[int64]iv, info.tableRows)
-	if !s.ScanStartOrdered(func(lo, hi, id int64) bool {
+	s.ScanStartOrdered(func(lo, hi, id int64) bool {
 		snap[id] = iv{lo, hi}
 		return true
-	}) {
-		return 0, fmt.Errorf("hint: snapshot layout is not scannable")
-	}
+	})
 	if int64(len(snap)) != info.tableRows {
 		return 0, fmt.Errorf("hint: snapshot indexes %d rows, stamp says %d", len(snap), info.tableRows)
 	}
@@ -500,13 +486,13 @@ func (ix *indexType) replayTail(s *Sharded, info snapshotInfo) (int64, error) {
 	return int64(len(newIDs)), nil
 }
 
-// PersistSnapshot implements sqldb.SnapshotPersister: fold the overlay
-// into the flat layout and write it as a rel blob, stamped with the base
-// table's current row count and content checksum. An index whose layout
-// is not representable (a level left in overlay form by the
-// int32-overflow guard) deletes any existing snapshot instead — a stamp
-// must never outlive the bytes it vouches for.
-func (ix *indexType) PersistSnapshot() error {
+// Persist implements sqldb.Index: fold the overlay into the flat layout
+// and write it as a rel blob, stamped with the base table's current row
+// count and content checksum. An index whose layout is not representable
+// (a level left in overlay form by the int32-overflow guard) deletes any
+// existing snapshot instead — a stamp must never outlive the bytes it
+// vouches for.
+func (ix *indexType) Persist() error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.ix.Optimize()
@@ -521,7 +507,7 @@ func (ix *indexType) PersistSnapshot() error {
 	return nil
 }
 
-// BindMetrics implements sqldb.MetricsBinder: the engine calls it with
+// BindMetrics implements sqldb.Index: the engine calls it with
 // the DB's registry and an "index.<name>" prefix when the index is
 // created or re-attached, wiring the HINT query-shape counters into the
 // same family as the executor and page-store metrics. The binding
@@ -541,96 +527,82 @@ func (ix *indexType) BindMetrics(reg *obs.Registry, prefix string) {
 	ix.snapPend = snapTally{}
 }
 
-// Name implements sqldb.CustomIndex.
+// Name implements sqldb.Index.
 func (ix *indexType) Name() string { return ix.name }
 
-// Table implements sqldb.CustomIndex.
+// Table implements sqldb.Index.
 func (ix *indexType) Table() string { return ix.table }
 
-// Columns implements sqldb.CustomIndex.
+// Columns implements sqldb.Index.
 func (ix *indexType) Columns() []string { return append([]string(nil), ix.cols...) }
 
-// HasOperator implements sqldb.CustomIndex.
+// HasOperator implements sqldb.Index.
 func (ix *indexType) HasOperator(op string) bool {
 	op = strings.ToLower(op)
 	return op == OperatorIntersects || op == OperatorContainsPoint
 }
 
-// OnInsert implements sqldb.CustomIndex: index maintenance by trigger.
-// A row outside the current domain triggers a rebuild with a wider
-// geometry; the rebuild scans the base table, which already holds the new
-// row, so nothing further is inserted in that case. Rows inside the
-// domain go to the index's dynamic overlay; once the overlay outgrows
-// the flat storage the index is re-optimized, so sustained DML keeps the
-// amortized cost O(log n) compactions over the index's lifetime while
-// queries keep scanning mostly flat memory.
-func (ix *indexType) OnInsert(row []int64, rid rel.RowID) error {
-	lo, hi := row[ix.loPos], row[ix.hiPos]
-	if err := checkRow(lo, hi); err != nil {
-		return err
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if !ix.fits(lo) {
-		return ix.rebuild()
-	}
-	if err := ix.ix.Insert(ix.shiftIv(lo, hi), int64(rid)); err != nil {
-		return err
-	}
-	if over := ix.ix.OverlayEntries(); over > 1024 && over > ix.ix.FlatEntries() {
-		ix.ix.Optimize()
-	}
-	return nil
+// HasOrdered implements sqldb.Index: the flat layout keeps every
+// original-class segment sorted by start.
+func (ix *indexType) HasOrdered() bool { return true }
+
+// SetNow implements sqldb.Index: HINT keeps no §4.6 clock.
+func (ix *indexType) SetNow(int64) error {
+	return fmt.Errorf("hint indextype: no now-relative clock; use the ritree indextype")
 }
 
-// OnBulkInsert implements sqldb.BulkMaintainer. The whole batch is
-// validated before anything mutates (so a refused batch leaves the index
-// untouched and the engine can roll the heap back cleanly); a batch that
-// fits the current geometry goes through Sharded.BulkInsert — one
-// copy-on-write generation per touched shard for the whole batch — and
-// is compacted once, so repeated chunked loads stay O(batch +
-// compaction), not a heap rescan per chunk. A batch that widens the
-// domain rebuilds from the heap (which already holds the new rows) with
-// a wider geometry in one pass.
-func (ix *indexType) OnBulkInsert(rows [][]int64, rids []rel.RowID) error {
-	for _, row := range rows {
-		if err := checkRow(row[ix.loPos], row[ix.hiPos]); err != nil {
+// Apply implements sqldb.Index: index maintenance by trigger. The whole
+// batch is validated before anything mutates, so a refused batch — a
+// now-relative row, say — leaves the index untouched. Inserted rows
+// outside the current domain trigger a rebuild with a wider geometry; the
+// rebuild scans the base table, which already holds them, so nothing
+// further is inserted in that case. Rows inside the domain go to the
+// index's sorted overlay, one copy-on-write generation per touched shard
+// for the whole batch. Once the overlay outgrows the flat storage the
+// index is re-flattened, so sustained DML — single rows are batches of
+// one — pays O(log n) compactions over the index's lifetime while queries
+// keep scanning mostly flat memory, and a load that outgrows the flat
+// storage ends flat.
+func (ix *indexType) Apply(ins, del []sqldb.Entry) error {
+	for _, en := range ins {
+		if err := checkRow(en.Row[ix.loPos], en.Row[ix.hiPos]); err != nil {
 			return err
 		}
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	for _, row := range rows {
-		if !ix.fits(row[ix.loPos]) {
-			return ix.rebuild()
+	fit := true
+	for _, en := range ins {
+		fit = fit && ix.fits(en.Row[ix.loPos])
+	}
+	if !fit {
+		if err := ix.rebuild(); err != nil {
+			return err
+		}
+	} else if len(ins) > 0 {
+		ivs := make([]interval.Interval, len(ins))
+		ids := make([]int64, len(ins))
+		for i, en := range ins {
+			ivs[i] = ix.shiftIv(en.Row[ix.loPos], en.Row[ix.hiPos])
+			ids[i] = int64(en.RID)
+		}
+		if err := ix.ix.BulkInsert(ivs, ids); err != nil {
+			return err
 		}
 	}
-	ivs := make([]interval.Interval, len(rows))
-	ids := make([]int64, len(rows))
-	for i, row := range rows {
-		ivs[i] = ix.shiftIv(row[ix.loPos], row[ix.hiPos])
-		ids[i] = int64(rids[i])
+	for _, en := range del {
+		lo, hi := en.Row[ix.loPos], en.Row[ix.hiPos]
+		if checkRow(lo, hi) != nil || !ix.fits(lo) {
+			continue // never indexed under this geometry
+		}
+		if _, err := ix.ix.Delete(ix.shiftIv(lo, hi), int64(en.RID)); err != nil {
+			return err
+		}
 	}
-	if err := ix.ix.BulkInsert(ivs, ids); err != nil {
-		return err
+	if over := ix.ix.OverlayEntries(); over > 1024 && over > ix.ix.FlatEntries() {
+		ix.ix.Optimize()
 	}
-	ix.ix.Optimize()
 	return nil
-}
-
-// OnDelete implements sqldb.CustomIndex.
-func (ix *indexType) OnDelete(row []int64, rid rel.RowID) error {
-	lo, hi := row[ix.loPos], row[ix.hiPos]
-	if checkRow(lo, hi) != nil {
-		return nil // never indexed under this geometry
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if !ix.fits(lo) {
-		return nil
-	}
-	_, err := ix.ix.Delete(ix.shiftIv(lo, hi), int64(rid))
-	return err
 }
 
 // parseOpBounds resolves an operator invocation into query bounds.
@@ -655,169 +627,100 @@ func parseOpBounds(op string, args []int64) (qlo, qhi int64, err error) {
 	return qlo, qhi, nil
 }
 
-// view grabs the (off, ix) pair under a brief read lock. The returned
-// Sharded index serves scans lock-free over its published generations,
-// so holding the pair across a long cursor never blocks writers; a
-// geometry rebuild mid-scan swaps ix.ix wholesale and the scan simply
-// finishes on the index it started with.
-func (ix *indexType) view() (int64, *Sharded) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.off, ix.ix
+// reader is the index bound to one relational state: the geometry offset
+// and the shards' generations frozen when the Reader was made — those are
+// immutable, so the reader keeps answering from them while the live index
+// moves on, even across a geometry rebuild, which swaps ix.ix wholesale —
+// plus the base table of the bound state for far-tail verification.
+type reader struct {
+	off   int64
+	six   *Sharded
+	tab   *rel.Table
+	hiPos int
 }
 
-// Scan implements sqldb.CustomIndex: the operator dispatch. Query bounds
-// are shifted like row bounds; bounds beyond the saturation range match
-// exactly the rows a linear scan would (starts are exact within ±2^59,
-// fartail uppers collapse together above every admissible start). The
-// callback contract makes this path sequential across shards; the
-// counting path (ScanCount) fans out in parallel instead.
-func (ix *indexType) Scan(op string, args []int64, fn func(rid rel.RowID) bool) error {
+// Reader implements sqldb.Index. The (off, generations) pair is consistent
+// with db because the call runs with writers excluded.
+func (ix *indexType) Reader(db *rel.DB) (sqldb.Reader, error) {
+	tab, err := db.Table(ix.table)
+	if err != nil {
+		return nil, err
+	}
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return &reader{off: ix.off, six: ix.ix.freeze(), tab: tab, hiPos: ix.hiPos}, nil
+}
+
+// query resolves an operator invocation into the query interval in index
+// coordinates (bounds are shifted like row bounds) and its true start.
+// A start beyond the saturation range (qlo > maxAbsBound) is the far
+// tail: saturated stored ends cannot be ordered against it in index
+// coordinates. Every indexed start is within ±2^59, so the only possible
+// matches are rows whose end saturated (true end beyond 2^59) — the
+// shifted scan finds exactly those — and each must be verified against
+// the base row's true endpoint, keeping the operator exact.
+func (r *reader) query(op string, args []int64) (q interval.Interval, qlo int64, err error) {
 	qlo, qhi, err := parseOpBounds(op, args)
+	return interval.New(sat(qlo)-r.off, sat(qhi)-r.off), qlo, err
+}
+
+// Scan implements sqldb.Reader: the operator dispatch. Bounds beyond the
+// saturation range match exactly the rows a linear scan would (starts are
+// exact within ±2^59, far-tail uppers collapse together above every
+// admissible start). The callback contract makes this path sequential
+// across shards; Count fans out in parallel instead.
+func (r *reader) Scan(op string, args []int64, fn func(rid rel.RowID) bool) error {
+	q, qlo, err := r.query(op, args)
 	if err != nil {
 		return err
 	}
-	off, six := ix.view()
-	q := interval.New(sat(qlo)-off, sat(qhi)-off)
-	if qlo > maxAbsBound {
-		// Far-tail query start: saturated stored ends cannot be ordered
-		// against it in index coordinates. Every indexed start is within
-		// ±2^59, so the only possible matches are rows whose end saturated
-		// (true end beyond 2^59) — the shifted scan below finds exactly
-		// those — and each is verified against the base row's true
-		// endpoint, keeping the operator exact where the legacy path
-		// errored out (the unified Querier contract requires an answer).
-		row := make([]int64, ix.tab.Schema().NumCols())
-		return six.IntersectingFunc(q, func(id int64) bool {
-			if ix.tab.GetRawInto(rel.RowID(id), row) != nil {
-				return true
-			}
-			if row[ix.hiPos] >= qlo {
-				return fn(rel.RowID(id))
-			}
-			return true
-		})
+	if qlo <= maxAbsBound {
+		return r.six.IntersectingFunc(q, func(id int64) bool { return fn(rel.RowID(id)) })
 	}
-	return six.IntersectingFunc(q, func(id int64) bool {
+	// Per-invocation buffer — one Reader may serve several cursors at once.
+	row := make([]int64, r.tab.Schema().NumCols())
+	return r.six.IntersectingFunc(q, func(id int64) bool {
+		if r.tab.GetRawInto(rel.RowID(id), row) != nil || row[r.hiPos] < qlo {
+			return true
+		}
 		return fn(rel.RowID(id))
 	})
 }
 
-// SnapshotScan implements sqldb.SnapshotScanner: an operator scan bound
-// to the committed state the engine is snapshotting. The in-memory HINT
-// is frozen by capturing each shard's published COW generation — those
-// are immutable, so the returned scan keeps answering from them while
-// the live index moves on — and the far-tail verification reads row
-// endpoints from the shadow (snapshot) base table instead of the live
-// heap. The geometry pair (off, generations) is consistent because the
-// capture runs under the engine's statement lock at a committed boundary.
-func (ix *indexType) SnapshotScan(shadow *rel.DB) (sqldb.ScanFunc, error) {
-	stab, err := shadow.Table(ix.table)
-	if err != nil {
-		return nil, err
-	}
-	off, six := ix.view()
-	gens := six.freeze()
-	hiPos, width := ix.hiPos, ix.tab.Schema().NumCols()
-	return func(op string, args []int64, fn func(rid rel.RowID) bool) error {
-		qlo, qhi, err := parseOpBounds(op, args)
-		if err != nil {
-			return err
-		}
-		// Logical-query accounting matches the live path (the per-shard
-		// counters flush from the frozen generations' own bindings).
-		six.met.query()
-		q := interval.New(sat(qlo)-off, sat(qhi)-off)
-		// Per-invocation state only — one view's scan may serve several
-		// concurrent cursors.
-		wrapped := func(id int64) bool { return fn(rel.RowID(id)) }
-		if qlo > maxAbsBound {
-			// Far-tail query start, verified against the snapshot's true
-			// row endpoints (see Scan for the geometry argument).
-			row := make([]int64, width)
-			wrapped = func(id int64) bool {
-				if stab.GetRawInto(rel.RowID(id), row) != nil {
-					return true
-				}
-				if row[hiPos] >= qlo {
-					return fn(rel.RowID(id))
-				}
-				return true
-			}
-		}
-		stopped := false
-		stopping := func(id int64) bool {
-			if !wrapped(id) {
-				stopped = true
-				return false
-			}
-			return true
-		}
-		for _, gen := range gens {
-			if err := gen.IntersectingFunc(q, stopping); err != nil || stopped {
-				return err
-			}
-		}
-		return nil
-	}, nil
-}
-
-// OrderedScan implements sqldb.OrderedScanner: stream every indexed row id
-// in ascending order of the indexed lower bound, straight off the flat
-// storage's sorted original-class segments (see ScanStartOrdered). The
-// shift into index coordinates is monotone, so shifted order is true
-// order; the entry keys serve only as sort keys and the caller refetches
-// row values from the base table.
-func (ix *indexType) OrderedScan(fn func(rid rel.RowID) bool) error {
-	_, six := ix.view()
-	six.met.query()
-	if !six.ScanStartOrdered(func(_, _, id int64) bool { return fn(rel.RowID(id)) }) {
-		return fmt.Errorf("hint indextype: index layout cannot guarantee start order")
-	}
-	return nil
-}
-
-// SnapshotOrderedScan implements sqldb.SnapshotOrderedScanner: the
-// OrderedScan stream bound to the committed state being snapshotted, by
-// capturing the shards' published COW generations exactly as SnapshotScan
-// does. The shadow handle is only validated — the stream is id-only and
-// the caller reads row values through its own shadow table handle.
-func (ix *indexType) SnapshotOrderedScan(shadow *rel.DB) (sqldb.OrderedScanFunc, error) {
-	if _, err := shadow.Table(ix.table); err != nil {
-		return nil, err
-	}
-	_, six := ix.view()
-	gens := six.freeze()
-	return func(fn func(rid rel.RowID) bool) error {
-		six.met.query()
-		if !scanGensOrdered(gens, func(_, _, id int64) bool { return fn(rel.RowID(id)) }) {
-			return fmt.Errorf("hint indextype: index layout cannot guarantee start order")
-		}
-		return nil
-	}, nil
-}
-
-// ScanCount implements sqldb.OperatorCounter: operator hit counting
-// through the sharded index's parallel per-shard fan-out (one goroutine
-// per shard with the counts summed), which a single streaming callback
-// cannot use. Far-tail query starts still need per-row verification and
-// fall back to the exact streaming path.
-func (ix *indexType) ScanCount(op string, args []int64) (int64, error) {
-	qlo, qhi, err := parseOpBounds(op, args)
+// Count implements sqldb.Reader through the sharded index's parallel
+// per-shard fan-out (one goroutine per shard with the counts summed),
+// which a single streaming callback cannot use. Far-tail query starts
+// need per-row verification and take the streaming path.
+func (r *reader) Count(op string, args []int64) (int64, error) {
+	q, qlo, err := r.query(op, args)
 	if err != nil {
 		return 0, err
 	}
 	if qlo > maxAbsBound {
 		var n int64
-		err := ix.Scan(op, args, func(rel.RowID) bool { n++; return true })
+		err := r.Scan(op, args, func(rel.RowID) bool { n++; return true })
 		return n, err
 	}
-	off, six := ix.view()
-	return six.CountIntersecting(interval.New(sat(qlo)-off, sat(qhi)-off))
+	return r.six.CountIntersecting(q)
 }
 
-// Drop implements sqldb.CustomIndex: the main-memory storage is released
-// and the persisted snapshot (if any) removed with it.
+// Ordered implements sqldb.Reader: every indexed row id in ascending order
+// of the indexed lower bound, straight off the flat storage's sorted
+// original-class segments (see ScanStartOrdered). The shift into index
+// coordinates is monotone, so shifted order is true order; the entry keys
+// serve only as sort keys and the caller refetches row values from the
+// base table.
+func (r *reader) Ordered(fn func(rid rel.RowID) bool) error {
+	r.six.met.query()
+	r.six.ScanStartOrdered(func(_, _, id int64) bool { return fn(rel.RowID(id)) })
+	return nil
+}
+
+// Now implements sqldb.Reader: HINT keeps no clock.
+func (r *reader) Now() (int64, bool) { return 0, false }
+
+// Drop implements sqldb.Index: the main-memory storage is released and
+// the persisted snapshot (if any) removed with it.
 func (ix *indexType) Drop() error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -828,6 +731,3 @@ func (ix *indexType) Drop() error {
 // BackingIndex exposes the hidden HINT (for statistics in tests and
 // benchmarks).
 func (ix *indexType) BackingIndex() *Sharded { return ix.ix }
-
-// Offset exposes the current domain offset (for tests).
-func (ix *indexType) Offset() int64 { return ix.off }

@@ -22,12 +22,10 @@ type orderedRun struct {
 }
 
 // appendOriginalRuns collects every nonempty original-class segment of x
-// as a sorted run. It reports false when the index cannot guarantee
-// sorted segments (the NoSort ablation layout).
-func (x *Index) appendOriginalRuns(runs []orderedRun) ([]orderedRun, bool) {
-	if x.noSort || x.bulk {
-		return runs, false
-	}
+// as a sorted run. (Segments are unsorted only while a BulkLoad is in
+// progress, which happens on a writer's private clone, never on an index
+// a scan can reach.)
+func (x *Index) appendOriginalRuns(runs []orderedRun) []orderedRun {
 	for l := 0; l <= x.m; l++ {
 		var fl *flatLevel
 		if x.flat != nil {
@@ -54,7 +52,7 @@ func (x *Index) appendOriginalRuns(runs []orderedRun) ([]orderedRun, bool) {
 			}
 		}
 	}
-	return runs, true
+	return runs
 }
 
 // runLess orders the merge heap by the head entry's (lo, hi, id) key.
@@ -115,16 +113,10 @@ func siftDown(h []*orderedRun, i, n int) {
 }
 
 // ScanStartOrdered streams every stored interval exactly once, ascending
-// by (Lower, Upper, id), by merging the original-class segments. It
-// reports false without calling fn when the layout cannot guarantee
-// order (NoSort). fn returning false stops the scan.
-func (x *Index) ScanStartOrdered(fn func(lo, hi, id int64) bool) bool {
-	runs, ok := x.appendOriginalRuns(nil)
-	if !ok {
-		return false
-	}
-	mergeRuns(runs, func(e entry) bool { return fn(e.lo, e.hi, e.id) })
-	return true
+// by (Lower, Upper, id), by merging the original-class segments. fn
+// returning false stops the scan.
+func (x *Index) ScanStartOrdered(fn func(lo, hi, id int64) bool) {
+	mergeRuns(x.appendOriginalRuns(nil), func(e entry) bool { return fn(e.lo, e.hi, e.id) })
 }
 
 // ScanStartOrdered streams every stored interval of every shard exactly
@@ -132,20 +124,10 @@ func (x *Index) ScanStartOrdered(fn func(lo, hi, id int64) bool) bool {
 // globally ordered stream. The scan runs over the shards' currently
 // published COW generations, so it never blocks writers; like
 // IntersectingFunc it observes the generations current at call time.
-func (s *Sharded) ScanStartOrdered(fn func(lo, hi, id int64) bool) bool {
-	return scanGensOrdered(s.freeze(), fn)
-}
-
-// scanGensOrdered merges the original-class runs of a frozen generation
-// set (see Sharded.freeze) into one ordered stream.
-func scanGensOrdered(gens []*Index, fn func(lo, hi, id int64) bool) bool {
+func (s *Sharded) ScanStartOrdered(fn func(lo, hi, id int64) bool) {
 	var runs []orderedRun
-	for _, g := range gens {
-		var ok bool
-		if runs, ok = g.appendOriginalRuns(runs); !ok {
-			return false
-		}
+	for i := range s.shards {
+		runs = s.shards[i].load().appendOriginalRuns(runs)
 	}
 	mergeRuns(runs, func(e entry) bool { return fn(e.lo, e.hi, e.id) })
-	return true
 }

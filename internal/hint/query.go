@@ -33,9 +33,8 @@ import (
 // suffix, both emitted comparison-free; the only per-entry comparisons
 // left are the end checks on partition f's originals (which are sorted
 // by start, the key partition t needs from them — the paper's one
-// unresolvable sort-order conflict). In the comparison-free
-// configuration every relevant subdivision is emitted without any
-// comparisons.
+// unresolvable sort-order conflict). A query endpoint aligned with a
+// partition boundary skips the comparisons on its side entirely.
 func (x *Index) IntersectingFunc(q interval.Interval, fn func(id int64) bool) error {
 	return x.intersectingEntries(q, func(e entry) bool { return fn(e.id) })
 }
@@ -57,15 +56,13 @@ func (x *Index) intersectingEntries(q interval.Interval, fn func(e entry) bool) 
 	}
 	qlo := x.clamp(q.Lower)
 	qhi := x.clamp(q.Upper)
-	// Comparison-free evaluation and the per-level partition-alignment
-	// shortcuts below justify skipped comparisons from partition
-	// geometry against the query bound — which is only the true bound
-	// when clamping did not move it. A clamped endpoint (out-of-domain
-	// query) therefore falls back to comparisons on that side.
+	// The per-level partition-alignment shortcuts below justify skipped
+	// comparisons from partition geometry against the query bound — which
+	// is only the true bound when clamping did not move it. A clamped
+	// endpoint (out-of-domain query) therefore falls back to comparisons
+	// on that side.
 	loExact := qlo == q.Lower
 	hiExact := qhi == q.Upper
-	cmpFree := x.cmpFree && loExact && hiExact
-	sorted := !x.noSort
 
 	// Metrics are tallied in plain locals through the scan and flushed
 	// once at the end (flush on a nil met is a no-op). An early-stopped
@@ -86,7 +83,7 @@ func (x *Index) intersectingEntries(q interval.Interval, fn func(e entry) bool) 
 	}
 	// end >= bound with per-entry comparisons: the path for partition
 	// f's originals (sorted by start, so their ends have no order to
-	// exploit) and for every subdivision in the unsorted ablation.
+	// exploit).
 	scanEndGE := func(s []entry, bound int64) bool {
 		for i := range s {
 			if s[i].hi >= bound && !fn(s[i]) {
@@ -98,25 +95,14 @@ func (x *Index) intersectingEntries(q interval.Interval, fn func(e entry) bool) 
 	// end >= bound over a subdivision sorted by end: binary search to the
 	// qualifying suffix, emit it comparison-free.
 	emitEndGE := func(s []entry, bound int64) bool {
-		if sorted {
-			i := sort.Search(len(s), func(i int) bool { return s[i].hi >= bound })
-			return emit(s[i:])
-		}
-		return scanEndGE(s, bound)
+		i := sort.Search(len(s), func(i int) bool { return s[i].hi >= bound })
+		return emit(s[i:])
 	}
 	// start <= bound over a subdivision sorted by start: binary search to
 	// the qualifying prefix.
 	emitStartLE := func(s []entry, bound int64) bool {
-		if sorted {
-			n := sort.Search(len(s), func(i int) bool { return s[i].lo > bound })
-			return emit(s[:n])
-		}
-		for i := range s {
-			if s[i].lo <= bound && !fn(s[i]) {
-				return false
-			}
-		}
-		return true
+		n := sort.Search(len(s), func(i int) bool { return s[i].lo > bound })
+		return emit(s[:n])
 	}
 	// Both filters at once (the f == t originals-in case): narrow to the
 	// start <= q.hi prefix by binary search, then compare ends inside it.
@@ -127,19 +113,11 @@ func (x *Index) intersectingEntries(q interval.Interval, fn func(e entry) bool) 
 		if skipStart {
 			return scanEndGE(s, q.Lower)
 		}
-		if sorted {
-			n := sort.Search(len(s), func(i int) bool { return s[i].lo > q.Upper })
-			if skipEnd {
-				return emit(s[:n])
-			}
-			return scanEndGE(s[:n], q.Lower)
+		n := sort.Search(len(s), func(i int) bool { return s[i].lo > q.Upper })
+		if skipEnd {
+			return emit(s[:n])
 		}
-		for i := range s {
-			if s[i].lo <= q.Upper && (skipEnd || s[i].hi >= q.Lower) && !fn(s[i]) {
-				return false
-			}
-		}
-		return true
+		return scanEndGE(s[:n], q.Lower)
 	}
 
 	f := qlo >> x.shift
@@ -178,8 +156,8 @@ func (x *Index) intersectingEntries(q interval.Interval, fn func(e entry) bool) 
 				// q lies inside a single partition: originals need the
 				// comparisons their subdivision cannot rule out, replicas
 				// start before the partition (hence before q.hi) for free.
-				skipEnd := cmpFree || (loExact && f<<span == qlo)
-				skipStart := cmpFree || (hiExact && (f+1)<<span-1 == qhi)
+				skipEnd := loExact && f<<span == qlo
+				skipStart := hiExact && (f+1)<<span-1 == qhi
 				if !both(f, cOIn, func(s []entry) bool { return emitBoth(s, skipStart, skipEnd) }) {
 					return nil
 				}
@@ -206,7 +184,7 @@ func (x *Index) intersectingEntries(q interval.Interval, fn func(e entry) bool) 
 		} else {
 			if x.hasAny(l, f) {
 				tally.visited++
-				skipEnd := cmpFree || (loExact && f<<span == qlo)
+				skipEnd := loExact && f<<span == qlo
 				if skipEnd {
 					if !both(f, cOIn, emit) || !both(f, cRIn, emit) {
 						return nil
@@ -233,7 +211,7 @@ func (x *Index) intersectingEntries(q interval.Interval, fn func(e entry) bool) 
 			}
 			if x.hasAny(l, t) {
 				tally.visited++
-				skipStart := cmpFree || (hiExact && (t+1)<<span-1 == qhi)
+				skipStart := hiExact && (t+1)<<span-1 == qhi
 				if skipStart {
 					if !both(t, cOIn, emit) || !both(t, cOAft, emit) {
 						return nil

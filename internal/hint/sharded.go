@@ -135,6 +135,9 @@ func (s *Sharded) BulkInsert(ivs []interval.Interval, ids []int64) error {
 	if len(ivs) != len(ids) {
 		return fmt.Errorf("hint: BulkInsert got %d intervals, %d ids", len(ivs), len(ids))
 	}
+	if len(ivs) == 1 {
+		return s.Insert(ivs[0], ids[0])
+	}
 	bIvs, bIDs := s.batchByShard(ivs, ids)
 	for i := range s.shards {
 		if len(bIDs[i]) == 0 {
@@ -187,17 +190,35 @@ func (s *Sharded) Clear() {
 	}
 }
 
-// freeze captures every shard's currently published generation. The
-// returned indexes are immutable (writers only ever publish fresh
-// clones), so scanning them later answers exactly as the index stood at
-// the freeze — the basis of the snapshot-bound scans SnapshotScan hands
-// to the SQL layer.
-func (s *Sharded) freeze() []*Index {
+// freeze returns a Sharded over every shard's currently published
+// generation. Generations are immutable (writers only ever publish fresh
+// clones) and nothing writes to the returned value, so querying it later
+// answers exactly as the index stood at the freeze — what the indextype's
+// Readers are bound to.
+func (s *Sharded) freeze() *Sharded {
+	f := newShardedFromGens(s.gens())
+	f.met = s.met
+	return f
+}
+
+// gens returns every shard's currently published generation, in shard
+// order.
+func (s *Sharded) gens() []*Index {
 	gens := make([]*Index, len(s.shards))
 	for i := range s.shards {
 		gens[i] = s.shards[i].load()
 	}
 	return gens
+}
+
+// newShardedFromGens wraps per-shard indexes as a Sharded. The shard
+// order must be that of the index they came from (ids route by position).
+func newShardedFromGens(gens []*Index) *Sharded {
+	s := &Sharded{shards: make([]shard, len(gens))}
+	for i, g := range gens {
+		s.shards[i].cur.Store(g)
+	}
+	return s
 }
 
 // IntersectingFunc streams the ids of intervals intersecting q in no
@@ -401,10 +422,6 @@ func (s *Sharded) Levels() int { return s.shards[0].load().Levels() }
 
 // Bits returns the domain width in bits.
 func (s *Sharded) Bits() int { return s.shards[0].load().Bits() }
-
-// ComparisonFree reports whether the shards run the comparison-free
-// variant (Levels == Bits).
-func (s *Sharded) ComparisonFree() bool { return s.shards[0].load().ComparisonFree() }
 
 // DomainMax returns the largest admissible interval start, 2^Bits-1.
 func (s *Sharded) DomainMax() int64 { return s.shards[0].load().DomainMax() }

@@ -74,9 +74,9 @@ type snapshotInfo struct {
 // Optimize first; a shard left in overlay form by the int32-overflow
 // guard is not representable and simply isn't persisted.
 func encodeSnapshot(s *Sharded, off int64, tableRows int64, tableChk uint64) (data []byte, ok bool) {
-	gens := s.freeze()
+	gens := s.gens()
 	for _, x := range gens {
-		if x.flat == nil || x.overlay != 0 || x.noSort {
+		if x.flat == nil || x.overlay != 0 {
 			return nil, false
 		}
 	}
@@ -470,14 +470,4 @@ func decodeFlatSub(r *snapReader, fs *flatSub, P int64, narrow bool, tasks *[]en
 	*tasks = append(*tasks, entTask{fs: fs, src: r.b[r.pos : r.pos+need], total: total})
 	r.pos += need
 	return total, nil
-}
-
-// newShardedFromGens wraps decoded per-shard indexes as a Sharded. The
-// shard order must match the encoder's (ids route by position).
-func newShardedFromGens(gens []*Index) *Sharded {
-	s := &Sharded{shards: make([]shard, len(gens))}
-	for i, g := range gens {
-		s.shards[i].cur.Store(g)
-	}
-	return s
 }

@@ -77,8 +77,9 @@ func TestIndexTypeEndToEnd(t *testing.T) {
 }
 
 func TestIndexTypeAttachRebuilds(t *testing.T) {
-	// HINT is main-memory: a fresh session over the same database
-	// rebuilds the index from the base table via AttachIndexType.
+	// HINT is main-memory: a fresh session over the same database finds
+	// no persisted snapshot here and rebuilds the index from the base
+	// table when it attaches the catalog definition.
 	st := pagestore.NewMem(pagestore.Options{PageSize: 1024, CacheSize: 256})
 	db, _ := rel.CreateDB(st)
 	e := sqldb.NewEngine(db)
@@ -90,7 +91,7 @@ func TestIndexTypeAttachRebuilds(t *testing.T) {
 
 	e2 := sqldb.NewEngine(db)
 	RegisterIndexType(e2)
-	if err := AttachIndexType(e2, "ev_iv", "ev", []string{"lo", "hi"}); err != nil {
+	if err := e2.AttachCatalogIndexes(); err != nil {
 		t.Fatal(err)
 	}
 	r := e2.MustExec("SELECT id FROM ev WHERE intersects(lo, hi, :a, :b)",
@@ -214,5 +215,37 @@ func TestIndexTypeAgreesWithRITreeThroughSQL(t *testing.T) {
 				t.Fatalf("query %v row %d: %d vs %d", q, i, idx.Rows[i][0], scan.Rows[i][0])
 			}
 		}
+	}
+}
+
+func TestSingleRowInsertsCompactLogarithmically(t *testing.T) {
+	// A single-row INSERT reaches Apply as a batch of one. Re-flattening
+	// after every batch would compact 2,000 times here; the rule (overlay
+	// above 1024 entries and above the flat storage) compacts each time
+	// the index doubles.
+	st := pagestore.NewMem(pagestore.Options{PageSize: 1024, CacheSize: 256})
+	db, _ := rel.CreateDB(st)
+	e := sqldb.NewEngine(db)
+	RegisterIndexType(e)
+	e.MustExec("CREATE TABLE ev (lo int, hi int)", nil)
+	e.MustExec("CREATE INDEX ev_iv ON ev (lo, hi) INDEXTYPE IS hint", nil)
+	ci, _ := e.CustomIndexByName("ev_iv")
+	six := ci.(*indexType).BackingIndex()
+
+	compactions, flat := 0, six.FlatEntries()
+	for i := 0; i < 2000; i++ {
+		lo := (i * 7919) % 700000
+		e.MustExec("INSERT INTO ev VALUES (:lo, :hi)", map[string]interface{}{"lo": lo, "hi": lo + i%3000})
+		// Inserts land in the overlay; only a compaction grows the flat storage.
+		if f := six.FlatEntries(); f > flat {
+			compactions++
+			flat = f
+		}
+	}
+	if compactions < 1 || compactions > 4 {
+		t.Fatalf("2000 single-row inserts compacted %d times, want 1 to 4 (once per doubling past 1024 entries)", compactions)
+	}
+	if over := six.OverlayEntries(); over > flat && over > 1024 {
+		t.Fatalf("overlay %d left above flat %d", over, flat)
 	}
 }

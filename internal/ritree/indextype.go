@@ -50,28 +50,29 @@ func chkTableName(indexName string) string { return hiddenTreeName(indexName) + 
 //
 //	skeleton = 0|1   materialize the backbone (§7 Skeleton-Index outlook)
 func RegisterIndexType(e *sqldb.Engine) {
-	e.RegisterIndexType(IndexTypeName, sqldb.IndexTypeFuncs{
-		Create: func(eng *sqldb.Engine, indexName, table string, cols []string, params map[string]string) (sqldb.CustomIndex, error) {
-			return newIndexType(eng, indexName, table, cols, params, true)
-		},
-		Attach: func(eng *sqldb.Engine, indexName, table string, cols []string, params map[string]string) (sqldb.CustomIndex, error) {
-			return newIndexType(eng, indexName, table, cols, params, false)
-		},
-		DropStorage: func(eng *sqldb.Engine, indexName, _ string, _ []string) error {
-			return DropIndexStorage(eng.DB(), indexName)
-		},
-	})
+	e.RegisterIndexType(IndexTypeName, handler{})
 }
 
-// DropIndexStorage removes the hidden relations of a ritree domain index
+// handler implements sqldb.IndexType.
+type handler struct{}
+
+func (handler) Create(e *sqldb.Engine, indexName, table string, cols []string, params map[string]string) (sqldb.Index, error) {
+	return newIndexType(e, indexName, table, cols, params, true)
+}
+
+func (handler) Attach(e *sqldb.Engine, indexName, table string, cols []string, params map[string]string) (sqldb.Index, error) {
+	return newIndexType(e, indexName, table, cols, params, false)
+}
+
+// DropStorage removes the hidden relations of a ritree domain index
 // without attaching it — the cleanup path for a stale index whose attach
 // is refused (DROP INDEX then CREATE INDEX must work). Partially or
 // wholly missing storage is tolerated.
-func DropIndexStorage(db *rel.DB, indexName string) error {
+func (handler) DropStorage(e *sqldb.Engine, indexName, _ string, _ []string) error {
 	hidden := hiddenTreeName(indexName)
 	var firstErr error
 	for _, tb := range []string{tableName(hidden), paramsName(hidden), chkTableName(indexName)} {
-		if err := db.DropTable(tb); err != nil && !errors.Is(err, rel.ErrNoSuchTable) && firstErr == nil {
+		if err := e.DB().DropTable(tb); err != nil && !errors.Is(err, rel.ErrNoSuchTable) && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -98,21 +99,6 @@ func parseTreeOptions(params map[string]string) (Options, error) {
 	return opts, nil
 }
 
-// AttachIndexType re-attaches an existing ritree domain index after the
-// database is reopened (the tree's relations persist in the catalog; the
-// engine-side registration is per session). Most callers should prefer
-// sqldb.Engine.AttachCatalogIndexes, which re-attaches every persisted
-// definition; this remains for embedding callers that manage definitions
-// themselves. The persisted tree is verified against the base table before
-// it is trusted (see newIndexType).
-func AttachIndexType(e *sqldb.Engine, indexName, table string, cols []string) error {
-	ci, err := newIndexType(e, indexName, table, cols, nil, false)
-	if err != nil {
-		return err
-	}
-	return e.AttachCustomIndex(ci)
-}
-
 type indexType struct {
 	name  string
 	table string
@@ -127,7 +113,7 @@ type indexType struct {
 	chk    uint64
 }
 
-func newIndexType(e *sqldb.Engine, indexName, table string, cols []string, params map[string]string, create bool) (*indexType, error) {
+func newIndexType(e *sqldb.Engine, indexName, table string, cols []string, params map[string]string, create bool) (sqldb.Index, error) {
 	if len(cols) != 2 {
 		return nil, fmt.Errorf("ritree indextype needs exactly (lower, upper) columns, got %d", len(cols))
 	}
@@ -255,75 +241,93 @@ func (ix *indexType) foldChecksum(delta uint64) error {
 	return nil
 }
 
-// Name implements sqldb.CustomIndex.
+// Name implements sqldb.Index.
 func (ix *indexType) Name() string { return ix.name }
 
-// Table implements sqldb.CustomIndex.
+// Table implements sqldb.Index.
 func (ix *indexType) Table() string { return ix.table }
 
-// Columns implements sqldb.CustomIndex.
+// Columns implements sqldb.Index.
 func (ix *indexType) Columns() []string { return append([]string(nil), ix.cols...) }
 
-// HasOperator implements sqldb.CustomIndex.
+// HasOperator implements sqldb.Index.
 func (ix *indexType) HasOperator(op string) bool {
 	op = strings.ToLower(op)
 	return op == OperatorIntersects || op == OperatorContainsPoint
 }
 
-// OnInsert implements sqldb.CustomIndex: index maintenance by trigger
-// (§5: "the computation and storage of the fork node ... can be performed
+// HasOrdered implements sqldb.Index: the tree clusters by fork node, not
+// by lower bound, so merge joins sort its side explicitly.
+func (ix *indexType) HasOrdered() bool { return false }
+
+// Apply implements sqldb.Index: index maintenance by trigger (§5: "the
+// computation and storage of the fork node ... can be performed
 // automatically by database triggers"). The checksum mirror folds in the
-// same row the heap folded in, keeping the two in lockstep.
-func (ix *indexType) OnInsert(row []int64, rid rel.RowID) error {
-	if err := ix.tree.Insert(interval.New(row[ix.loPos], row[ix.hiPos]), int64(rid)); err != nil {
-		return err
-	}
-	return ix.foldChecksum(rel.RowChecksum(row, rid))
-}
-
-// OnDelete implements sqldb.CustomIndex.
-func (ix *indexType) OnDelete(row []int64, rid rel.RowID) error {
-	if _, err := ix.tree.Delete(interval.New(row[ix.loPos], row[ix.hiPos]), int64(rid)); err != nil {
-		return err
-	}
-	return ix.foldChecksum(rel.RowChecksum(row, rid))
-}
-
-// OnBulkInsert implements sqldb.BulkMaintainer: a bulk append to the base
-// table maintains the hidden tree through its BulkLoad, which rebuilds
-// the composite indexes tightly packed instead of paying a B+-tree
-// insert per row. The batch is validated up front: Tree.BulkLoad drops
-// the composite indexes while it runs, so it must only ever see input it
-// will accept — a mid-load refusal would leave the tree without its
-// indexes and the engine's rollback (OnDelete per row) scanning dropped
-// storage. After validation the only remaining failure mode is a
+// same rows the heap folds in, keeping the two in lockstep.
+//
+// The batch is validated up front, so a refused batch leaves the tree
+// untouched; after validation the only remaining failure mode is a
 // page-store I/O error, the same mid-statement hazard every other write
-// path shares.
-func (ix *indexType) OnBulkInsert(rows [][]int64, rids []rel.RowID) error {
-	ivs := make([]interval.Interval, len(rows))
-	ids := make([]int64, len(rows))
+// path shares. A batch at least as large as the tree goes through
+// Tree.BulkLoad, which rebuilds the composite indexes tightly packed
+// instead of paying a B+-tree insert per row; BulkLoad drops those
+// indexes while it runs, which is why it must only ever see input it
+// will accept. Smaller batches — a single-row statement is a batch of one
+// — insert row by row.
+func (ix *indexType) Apply(ins, del []sqldb.Entry) error {
+	ivs := make([]interval.Interval, len(ins))
+	ids := make([]int64, len(ins))
 	delta := uint64(0)
-	for i, row := range rows {
-		iv := interval.New(row[ix.loPos], row[ix.hiPos])
-		if !iv.Valid() && iv.Upper != interval.Infinity && iv.Upper != interval.NowMarker {
-			return fmt.Errorf("ritree indextype: invalid interval %v in bulk batch (row %d of %d)", iv, i, len(rows))
+	for i, en := range ins {
+		iv, ok := ix.interval(en.Row)
+		if !ok {
+			return fmt.Errorf("ritree indextype: invalid interval %v (row %d of %d)", iv, i, len(ins))
 		}
-		ivs[i] = iv
-		ids[i] = int64(rids[i])
-		delta ^= rel.RowChecksum(row, rids[i])
+		ivs[i], ids[i] = iv, int64(en.RID)
+		delta ^= rel.RowChecksum(en.Row, en.RID)
 	}
-	if err := ix.tree.BulkLoad(ivs, ids); err != nil {
-		return err
+	if len(ins) > 1 && int64(len(ins)) >= ix.tree.Count() {
+		if err := ix.tree.BulkLoad(ivs, ids); err != nil {
+			return err
+		}
+	} else {
+		for i := range ivs {
+			if err := ix.tree.Insert(ivs[i], ids[i]); err != nil {
+				return err
+			}
+		}
+	}
+	for _, en := range del {
+		iv, ok := ix.interval(en.Row)
+		if !ok {
+			continue // never indexed
+		}
+		if _, err := ix.tree.Delete(iv, int64(en.RID)); err != nil {
+			return err
+		}
+		delta ^= rel.RowChecksum(en.Row, en.RID)
 	}
 	return ix.foldChecksum(delta)
 }
 
-// SetNow implements sqldb.NowKeeper: the RI-tree carries the paper's
-// §4.6 now-relative interval semantics into the unified collection API.
-func (ix *indexType) SetNow(now int64) { ix.tree.SetNow(now) }
+// interval extracts a row's indexed interval; ok is false when the tree
+// cannot hold it (inverted bounds that are neither infinite nor
+// now-relative).
+func (ix *indexType) interval(row []int64) (iv interval.Interval, ok bool) {
+	iv = interval.New(row[ix.loPos], row[ix.hiPos])
+	return iv, iv.Valid() || iv.Upper == interval.Infinity || iv.Upper == interval.NowMarker
+}
 
-// Now implements sqldb.NowKeeper.
-func (ix *indexType) Now() int64 { return ix.tree.Now() }
+// SetNow implements sqldb.Index: the RI-tree carries the paper's §4.6
+// now-relative interval semantics into the unified collection API.
+func (ix *indexType) SetNow(now int64) error {
+	ix.tree.SetNow(now)
+	return nil
+}
+
+// Persist implements sqldb.Index as a no-op: the tree's relations live in
+// the page store and are durable with every commit.
+func (ix *indexType) Persist() error { return nil }
 
 // opQuery resolves an operator invocation into the query interval.
 func opQuery(op string, args []int64) (interval.Interval, error) {
@@ -342,46 +346,63 @@ func opQuery(op string, args []int64) (interval.Interval, error) {
 	return interval.Interval{}, fmt.Errorf("ritree indextype: unknown operator %q", op)
 }
 
-// Scan implements sqldb.CustomIndex: the operator dispatch.
-func (ix *indexType) Scan(op string, args []int64, fn func(rid rel.RowID) bool) error {
-	q, err := opQuery(op, args)
-	if err != nil {
-		return err
-	}
-	return ix.tree.IntersectingFunc(q, func(id int64) bool {
-		return fn(rel.RowID(id))
-	})
-}
+// reader is the index bound to one relational state: a Tree over that
+// state's hidden relations.
+type reader struct{ t *Tree }
 
-// SnapshotScan implements sqldb.SnapshotScanner: the RI-tree's relational
-// storage lives entirely in the page store, so the snapshot-bound scan is
-// simply the same tree opened read-only against the shadow (snapshot)
-// database. The shadow tree sees exactly the committed B+-tree state the
-// snapshot pinned, and its evaluation clock is frozen at the live tree's
-// current now.
-func (ix *indexType) SnapshotScan(shadow *rel.DB) (sqldb.ScanFunc, error) {
+// Reader implements sqldb.Index: the RI-tree's relational storage lives
+// entirely in the page store, so a Reader over a snapshot's shadow
+// database is simply the same tree opened read-only against it — it sees
+// exactly the committed B+-tree state the snapshot pinned, with the
+// evaluation clock frozen at the live tree's current now. Over the live
+// database it is the live tree itself.
+func (ix *indexType) Reader(db *rel.DB) (sqldb.Reader, error) {
+	if db == ix.tree.db {
+		return reader{ix.tree}, nil
+	}
 	opts := ix.tree.opts
 	// Never materialize on a read-only view — Open with the backbone
 	// option only reads the persisted parameter row anyway, but be
 	// explicit that a snapshot must not trigger writes.
 	opts.MaterializeBackbone = false
-	t, err := Open(shadow, hiddenTreeName(ix.name), opts)
+	t, err := Open(db, hiddenTreeName(ix.name), opts)
 	if err != nil {
 		return nil, err
 	}
 	t.SetNow(ix.tree.Now())
-	return func(op string, args []int64, fn func(rid rel.RowID) bool) error {
-		q, err := opQuery(op, args)
-		if err != nil {
-			return err
-		}
-		return t.IntersectingFunc(q, func(id int64) bool {
-			return fn(rel.RowID(id))
-		})
-	}, nil
+	return reader{t}, nil
 }
 
-// Drop implements sqldb.CustomIndex.
+// Scan implements sqldb.Reader: the operator dispatch.
+func (r reader) Scan(op string, args []int64, fn func(rid rel.RowID) bool) error {
+	q, err := opQuery(op, args)
+	if err != nil {
+		return err
+	}
+	return r.t.IntersectingFunc(q, func(id int64) bool {
+		return fn(rel.RowID(id))
+	})
+}
+
+// Count implements sqldb.Reader.
+func (r reader) Count(op string, args []int64) (int64, error) {
+	q, err := opQuery(op, args)
+	if err != nil {
+		return 0, err
+	}
+	return r.t.CountIntersecting(q)
+}
+
+// Ordered implements sqldb.Reader; HasOrdered is false, so the engine
+// never calls it.
+func (r reader) Ordered(func(rid rel.RowID) bool) error {
+	return fmt.Errorf("ritree indextype: no lower-ordered feed")
+}
+
+// Now implements sqldb.Reader.
+func (r reader) Now() (int64, bool) { return r.t.Now(), true }
+
+// Drop implements sqldb.Index.
 func (ix *indexType) Drop() error {
 	if err := ix.tree.Drop(); err != nil {
 		return err
@@ -392,10 +413,10 @@ func (ix *indexType) Drop() error {
 	return nil
 }
 
-// BindMetrics implements sqldb.MetricsBinder: the engine calls it with
-// the DB's registry and an "index.<name>" prefix when the index is
-// created or re-attached, wiring the RI-tree query-shape counters into
-// the same family as the executor and page-store metrics.
+// BindMetrics implements sqldb.Index: the engine calls it with the DB's
+// registry and an "index.<name>" prefix when the index is created or
+// re-attached, wiring the RI-tree query-shape counters into the same
+// family as the executor and page-store metrics.
 func (ix *indexType) BindMetrics(reg *obs.Registry, prefix string) {
 	ix.tree.SetMetrics(reg, prefix)
 }

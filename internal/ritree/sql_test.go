@@ -153,7 +153,7 @@ func TestIndexTypeReattach(t *testing.T) {
 	// A second session over the same database re-attaches the index.
 	e2 := sqldb.NewEngine(db)
 	RegisterIndexType(e2)
-	if err := AttachIndexType(e2, "ev_iv", "ev", []string{"lo", "hi"}); err != nil {
+	if err := e2.AttachCatalogIndexes(); err != nil {
 		t.Fatal(err)
 	}
 	r := e2.MustExec("SELECT id FROM ev WHERE intersects(lo, hi, :a, :b)",
@@ -181,9 +181,9 @@ func TestAttachRejectsStaleTree(t *testing.T) {
 
 	e3 := sqldb.NewEngine(db)
 	RegisterIndexType(e3)
-	err := AttachIndexType(e3, "ev_iv", "ev", []string{"lo", "hi"})
+	err := e3.AttachCatalogIndexes()
 	if err == nil || !strings.Contains(err.Error(), "stale") {
-		t.Fatalf("AttachIndexType over stale tree = %v, want stale error", err)
+		t.Fatalf("AttachCatalogIndexes over stale tree = %v, want stale error", err)
 	}
 }
 
@@ -212,9 +212,9 @@ func TestAttachRejectsZeroNetRowDML(t *testing.T) {
 	}
 	e3 := sqldb.NewEngine(db)
 	RegisterIndexType(e3)
-	err := AttachIndexType(e3, "ev_iv", "ev", []string{"lo", "hi"})
+	err := e3.AttachCatalogIndexes()
 	if err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("AttachIndexType over zero-net-row divergence = %v, want checksum-stale error", err)
+		t.Fatalf("AttachCatalogIndexes over zero-net-row divergence = %v, want checksum-stale error", err)
 	}
 }
 
@@ -233,7 +233,7 @@ func TestAttachAcceptsMaintainedIndexChecksum(t *testing.T) {
 
 	e2 := sqldb.NewEngine(db)
 	RegisterIndexType(e2)
-	if err := AttachIndexType(e2, "ev_iv", "ev", []string{"lo", "hi"}); err != nil {
+	if err := e2.AttachCatalogIndexes(); err != nil {
 		t.Fatalf("attach after maintained DML: %v", err)
 	}
 	r := e2.MustExec("SELECT id FROM ev WHERE intersects(lo, hi, 35, 36)", nil)

@@ -165,7 +165,7 @@ func newAggState(plan *selectPlan, call *CallExpr, binds map[string]interface{})
 }
 
 // planAggregateInput compiles the FROM/WHERE of an aggregating block as a
-// SELECT * plan, rewired onto the snapshot view when one is active.
+// SELECT * plan bound onto the snapshot view.
 func (e *Engine) planAggregateInput(s *SelectStmt, binds map[string]interface{}, v *execView) (*selectPlan, error) {
 	plan, err := e.planSelect(&SelectStmt{
 		Items: []SelectItem{{Star: true}},
@@ -175,10 +175,8 @@ func (e *Engine) planAggregateInput(s *SelectStmt, binds map[string]interface{},
 	if err != nil {
 		return nil, err
 	}
-	if v != nil {
-		if err := rewirePlan(plan, v); err != nil {
-			return nil, err
-		}
+	if err := bindPlan(plan, &v.readState); err != nil {
+		return nil, err
 	}
 	return plan, nil
 }

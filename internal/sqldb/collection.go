@@ -18,8 +18,8 @@ import (
 // named after the collection and its domain index is named
 // CollectionIndexName(name), so the PR-2 persistent CustomIndexDef
 // machinery makes collections survive close-and-reopen with no extra
-// catalog format — AttachCatalogIndexes rebuilds or reopens every
-// collection's access method exactly like any other domain index.
+// catalog format — AttachCatalogIndexes re-attaches every collection's
+// access method exactly like any other domain index.
 //
 // SQL surface: CREATE COLLECTION name [USING method] and
 // DROP COLLECTION name; the collection is then an ordinary table for
@@ -68,11 +68,28 @@ func (e *Engine) IndexTypes() []string {
 
 // CustomIndexByName returns the attached custom index with the given name
 // (case-insensitively), if any.
-func (e *Engine) CustomIndexByName(name string) (CustomIndex, bool) {
+func (e *Engine) CustomIndexByName(name string) (Index, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ci, ok := e.custom[strings.ToLower(name)]
 	return ci, ok
+}
+
+// SetIndexNow sets the now-relative evaluation time (§4.6) of the named
+// custom index and retires the cached snapshot view, whose Readers froze
+// the previous clock. Access methods without a clock return an error.
+func (e *Engine) SetIndexNow(name string, now int64) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ci, ok := e.custom[strings.ToLower(name)]
+	if !ok {
+		return fmt.Errorf("sql: no custom index %q attached", name)
+	}
+	if err := ci.SetNow(now); err != nil {
+		return err
+	}
+	e.invalidateViewLocked()
+	return nil
 }
 
 // CreateCollection creates the named interval collection served by the
@@ -203,16 +220,11 @@ func firstErr(errs ...error) error {
 // the concurrent writers the transaction's first-committer-wins
 // validation detects.
 func (e *Engine) InsertRow(table string, row []int64) (rel.RowID, error) {
-	e.mu.Lock()
-	tab, err := e.db.Table(table)
+	rids, err := e.BulkInsert(table, [][]int64{row})
 	if err != nil {
-		e.mu.Unlock()
 		return 0, err
 	}
-	rid, err := e.insertRowLocked(table, tab, row)
-	seq, cerr := e.commitWriteLocked()
-	e.mu.Unlock()
-	return rid, firstErr(err, cerr, e.db.Store().WaitDurable(seq))
+	return rids[0], nil
 }
 
 // DeleteRowID removes the row at rid from table with full domain-index
@@ -229,112 +241,24 @@ func (e *Engine) DeleteRowID(table string, rid rel.RowID) error {
 		e.mu.Unlock()
 		return err
 	}
-	err = e.deleteRowLocked(table, tab, rid, row)
+	_, err = e.applyLocked(table, nil, []Entry{{RID: rid, Row: row}})
 	seq, cerr := e.commitWriteLocked()
 	e.mu.Unlock()
 	return firstErr(err, cerr, e.db.Store().WaitDurable(seq))
 }
 
-// BulkMaintainer is an optional CustomIndex capability: refresh the index
-// after a bulk append to the base table in one pass, instead of paying
-// the incremental OnInsert per row. rows and rids are parallel slices of
-// the appended rows and their heap row ids.
-type BulkMaintainer interface {
-	OnBulkInsert(rows [][]int64, rids []rel.RowID) error
-}
-
-// BulkInsert appends rows to table, then maintains each domain index —
-// through its BulkMaintainer capability when it has one, row by row
-// otherwise. This is the collection BulkLoad fast path. Like the
-// single-row paths, a refused batch must not leave the heap and the
-// domain indexes divergent: on any failure the maintenance already
-// performed and the appended heap rows are undone before the error
-// surfaces (a half-loaded collection on a file-backed database would
-// otherwise refuse every later attach).
+// BulkInsert appends rows to table as one batch (see applyLocked) — the
+// collection BulkLoad fast path. A refused batch leaves the table and its
+// domain indexes as they were (a half-loaded collection on a file-backed
+// database would otherwise refuse every later attach).
 func (e *Engine) BulkInsert(table string, rows [][]int64) ([]rel.RowID, error) {
 	e.mu.Lock()
-	rids, err := e.bulkInsertLocked(table, rows)
+	added, err := e.applyLocked(table, rows, nil)
 	seq, cerr := e.commitWriteLocked()
 	e.mu.Unlock()
+	rids := make([]rel.RowID, len(added))
+	for i, en := range added {
+		rids[i] = en.RID
+	}
 	return rids, firstErr(err, cerr, e.db.Store().WaitDurable(seq))
-}
-
-func (e *Engine) bulkInsertLocked(table string, rows [][]int64) ([]rel.RowID, error) {
-	tab, err := e.db.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	rids := make([]rel.RowID, 0, len(rows))
-	undoHeap := func() error {
-		var first error
-		for _, rid := range rids {
-			if _, err := tab.DeleteRow(rid); err != nil && first == nil {
-				first = fmt.Errorf("heap rollback failed: %w", err)
-			}
-		}
-		return first
-	}
-	for i, row := range rows {
-		rid, err := tab.Insert(row)
-		if err != nil {
-			return nil, withUndo(fmt.Errorf("sql: bulk insert into %s failed at row %d of %d: %w", table, i, len(rows), err), undoHeap())
-		}
-		rids = append(rids, rid)
-	}
-	// undoIndex removes the batch from one index again; domain indexes
-	// tolerate deletes of entries they never held, so this is safe even
-	// when the failing index applied only part of the batch.
-	undoIndex := func(ci CustomIndex) error {
-		var first error
-		for i := len(rids) - 1; i >= 0; i-- {
-			if err := ci.OnDelete(rows[i], rids[i]); err != nil && first == nil {
-				first = fmt.Errorf("restore of index %s failed: %w", ci.Name(), err)
-			}
-		}
-		return first
-	}
-	customs := e.customByTb[strings.ToLower(table)]
-	for n, ci := range customs {
-		var merr error
-		if bm, ok := ci.(BulkMaintainer); ok {
-			merr = bm.OnBulkInsert(rows, rids)
-		} else {
-			for i := range rows {
-				if merr = ci.OnInsert(rows[i], rids[i]); merr != nil {
-					break
-				}
-			}
-		}
-		if merr != nil {
-			undoErr := undoIndex(ci)
-			for j := n - 1; j >= 0; j-- {
-				if err := undoIndex(customs[j]); err != nil && undoErr == nil {
-					undoErr = err
-				}
-			}
-			if err := undoHeap(); err != nil && undoErr == nil {
-				undoErr = err
-			}
-			return nil, withUndo(fmt.Errorf("sql: bulk maintenance of index %s: %w", ci.Name(), merr), undoErr)
-		}
-	}
-	return rids, nil
-}
-
-// NowKeeper is an optional CustomIndex capability: access methods that
-// implement the paper's §4.6 now-relative intervals (the RI-tree) expose
-// their evaluation clock through it. Collections route SetNow through the
-// capability and reject now-relative rows on access methods without it.
-type NowKeeper interface {
-	SetNow(now int64)
-	Now() int64
-}
-
-// OperatorCounter is an optional CustomIndex capability: count the rows
-// matching an operator without streaming them through a callback. Access
-// methods with an internally parallel counting path (the sharded HINT
-// fans one goroutine per shard) implement it so collection-level counts
-// get the multi-core speedup a sequential streaming scan cannot.
-type OperatorCounter interface {
-	ScanCount(op string, args []int64) (int64, error)
 }

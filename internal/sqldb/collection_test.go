@@ -9,53 +9,8 @@ import (
 	"ritree/internal/rel"
 )
 
-// fakeIntervalIndex is a minimal indextype for engine-level collection
-// tests: a slice of (lo, hi, rid) scanned linearly.
-type fakeIntervalIndex struct {
-	name, table string
-	cols        []string
-	lo, hi      int
-	rows        map[rel.RowID][2]int64
-	bulkCalls   int
-}
-
-func (f *fakeIntervalIndex) Name() string      { return f.name }
-func (f *fakeIntervalIndex) Table() string     { return f.table }
-func (f *fakeIntervalIndex) Columns() []string { return f.cols }
-func (f *fakeIntervalIndex) HasOperator(op string) bool {
-	return op == "intersects" || op == "contains_point"
-}
-func (f *fakeIntervalIndex) OnInsert(row []int64, rid rel.RowID) error {
-	f.rows[rid] = [2]int64{row[f.lo], row[f.hi]}
-	return nil
-}
-func (f *fakeIntervalIndex) OnDelete(row []int64, rid rel.RowID) error {
-	delete(f.rows, rid)
-	return nil
-}
-func (f *fakeIntervalIndex) OnBulkInsert(rows [][]int64, rids []rel.RowID) error {
-	f.bulkCalls++
-	for i, row := range rows {
-		f.rows[rids[i]] = [2]int64{row[f.lo], row[f.hi]}
-	}
-	return nil
-}
-func (f *fakeIntervalIndex) Scan(op string, args []int64, fn func(rid rel.RowID) bool) error {
-	qlo, qhi := args[0], args[0]
-	if op == "intersects" {
-		qhi = args[1]
-	}
-	for rid, iv := range f.rows {
-		if iv[0] <= qhi && qlo <= iv[1] {
-			if !fn(rid) {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-func (f *fakeIntervalIndex) Drop() error { return nil }
-
+// newCollectionEngine registers the brute-force double (double_test.go)
+// as access method "fake".
 func newCollectionEngine(t *testing.T) *Engine {
 	t.Helper()
 	st := pagestore.NewMem(pagestore.Options{})
@@ -64,25 +19,7 @@ func newCollectionEngine(t *testing.T) *Engine {
 		t.Fatal(err)
 	}
 	e := NewEngine(db)
-	e.RegisterIndexType("fake", IndexTypeFuncs{
-		Create: func(eng *Engine, indexName, table string, cols []string, _ map[string]string) (CustomIndex, error) {
-			tab, err := eng.DB().Table(table)
-			if err != nil {
-				return nil, err
-			}
-			f := &fakeIntervalIndex{
-				name: indexName, table: table, cols: cols,
-				lo:   tab.Schema().ColIndex(cols[0]),
-				hi:   tab.Schema().ColIndex(cols[1]),
-				rows: make(map[rel.RowID][2]int64),
-			}
-			err = tab.Scan(func(rid rel.RowID, row []int64) bool {
-				f.rows[rid] = [2]int64{row[f.lo], row[f.hi]}
-				return true
-			})
-			return f, err
-		},
-	})
+	e.RegisterIndexType("fake", &BruteType{})
 	return e
 }
 
@@ -163,24 +100,24 @@ func TestEngineProgrammaticRowDML(t *testing.T) {
 	if !ok {
 		t.Fatal("collection index not attached")
 	}
-	f := ci.(*fakeIntervalIndex)
-	if len(f.rows) != 1 {
-		t.Fatalf("maintenance missed: %v", f.rows)
+	f := ci.(*BruteIndex)
+	if f.Len() != 1 {
+		t.Fatalf("maintenance missed: %d entries", f.Len())
 	}
-	// BulkInsert goes through the BulkMaintainer capability once.
+	// BulkInsert is one Apply batch.
 	rows := [][]int64{{2, 3, 101}, {4, 9, 102}, {7, 8, 103}}
 	rids, err := e.BulkInsert("c", rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rids) != 3 || f.bulkCalls != 1 || len(f.rows) != 4 {
-		t.Fatalf("bulk: rids=%d bulkCalls=%d indexed=%d", len(rids), f.bulkCalls, len(f.rows))
+	if len(rids) != 3 || f.Applies != 2 || f.Len() != 4 {
+		t.Fatalf("bulk: rids=%d applies=%d indexed=%d", len(rids), f.Applies, f.Len())
 	}
 	if err := e.DeleteRowID("c", rid); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.rows) != 3 {
-		t.Fatalf("delete maintenance missed: %v", f.rows)
+	if f.Len() != 3 {
+		t.Fatalf("delete maintenance missed: %d entries", f.Len())
 	}
 	tab, _ := e.DB().Table("c")
 	if tab.RowCount() != 3 {

@@ -40,9 +40,9 @@ type Result struct {
 type Engine struct {
 	mu         sync.Mutex
 	db         *rel.DB
-	indexTypes map[string]IndexTypeHandler
-	custom     map[string]CustomIndex   // by index name
-	customByTb map[string][]CustomIndex // by table name
+	indexTypes map[string]IndexType
+	custom     map[string]Index   // by index name
+	customByTb map[string][]Index // by table name
 
 	// viewLk guards the reference counts of execViews and the curView
 	// cache. It nests inside mu (mu → viewLk) but is also taken alone by
@@ -63,10 +63,11 @@ type Engine struct {
 	// concatenation or registry map lookups. Atomic: observeStmt runs on
 	// reader goroutines without mu since cursors stopped holding it.
 	sqlMet atomic.Pointer[sqlMetrics]
-	// capStats/capPlan carry the cursor counters of the statement
-	// currently executing under mu from execSelect/explainAnalyze back to
-	// Exec's observation point. capPlan is a thunk so the per-operator
-	// tree is snapshotted only when slow-query capture actually fires.
+	// capStats/capPlan carry the cursor counters of the EXPLAIN ANALYZE
+	// currently executing under mu back to Exec's observation point
+	// (SELECT cursors observe themselves at Close). capPlan is a thunk so
+	// the per-operator tree is snapshotted only when slow-query capture
+	// actually fires.
 	capStats ExecStats
 	capPlan  func() PlanNodeStats
 	// mergeOff disables interval merge join planning (nested loops only):
@@ -87,9 +88,9 @@ type Engine struct {
 func NewEngine(db *rel.DB) *Engine {
 	return &Engine{
 		db:         db,
-		indexTypes: make(map[string]IndexTypeHandler),
-		custom:     make(map[string]CustomIndex),
-		customByTb: make(map[string][]CustomIndex),
+		indexTypes: make(map[string]IndexType),
+		custom:     make(map[string]Index),
+		customByTb: make(map[string][]Index),
 		plans:      newPlanCache(DefaultPlanCacheSize),
 	}
 }
@@ -122,14 +123,29 @@ func (e *Engine) SetMergeJoinEnabled(on bool) {
 
 // Exec parses and executes one statement. binds supplies scalar bind
 // variables (int64 or int) and transient relations (Transient or
-// *Transient). Write statements outside an explicit transaction
-// auto-commit: their pages reach the WAL (group commit) before Exec
-// returns, and the cached snapshot view is invalidated so later readers
-// see them.
+// *Transient). A SELECT is Query drained into the Result. Write statements
+// outside an explicit transaction auto-commit: their pages reach the WAL
+// (group commit) before Exec returns, and the cached snapshot view is
+// invalidated so later readers see them.
 func (e *Engine) Exec(sql string, binds map[string]interface{}) (*Result, error) {
 	st, err := Parse(sql)
 	if err != nil {
 		return nil, err
+	}
+	if sel, ok := st.(*SelectStmt); ok {
+		rows, err := e.querySelect(context.Background(), sel, sql, binds)
+		if err != nil {
+			return nil, err
+		}
+		defer rows.Close()
+		res := &Result{Cols: rows.Columns()}
+		for rows.Next() {
+			res.Rows = append(res.Rows, append([]int64(nil), rows.Row()...))
+		}
+		if err := rows.Err(); err != nil {
+			return nil, err
+		}
+		return res, nil
 	}
 	e.mu.Lock()
 	start := time.Now()
@@ -167,7 +183,7 @@ func (e *Engine) Exec(sql string, binds map[string]interface{}) (*Result, error)
 // where buffered transaction ops are applied.
 func stmtWrites(st Statement) bool {
 	switch st.(type) {
-	case *SelectStmt, *ExplainStmt, *BeginStmt, *RollbackStmt:
+	case *ExplainStmt, *BeginStmt, *RollbackStmt:
 		return false
 	}
 	return true
@@ -261,8 +277,6 @@ func (e *Engine) execStmt(st Statement, sql string, binds map[string]interface{}
 			return e.txnDelete(s, binds)
 		}
 		return e.execDelete(s, binds)
-	case *SelectStmt:
-		return e.execSelect(s, sql, binds)
 	case *ExplainStmt:
 		if s.Analyze {
 			return e.explainAnalyze(s.Query, sql, binds)
@@ -283,7 +297,7 @@ func (e *Engine) execStmt(st Statement, sql string, binds map[string]interface{}
 // dropCustomIndex mutates customByTb), then catalog definitions this
 // session never attached. Caller holds e.mu.
 func (e *Engine) dropTableCascadeLocked(name string) error {
-	for _, ci := range append([]CustomIndex(nil), e.customByTb[strings.ToLower(name)]...) {
+	for _, ci := range append([]Index(nil), e.customByTb[strings.ToLower(name)]...) {
 		if err := e.dropCustomIndex(ci); err != nil {
 			return err
 		}
@@ -331,6 +345,18 @@ func bindCollection(binds map[string]interface{}, name string) (*Transient, erro
 }
 
 func (e *Engine) execInsert(s *InsertStmt, binds map[string]interface{}) (*Result, error) {
+	row, err := e.insertValues(s, binds)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := e.applyLocked(s.Table, [][]int64{row}, nil); err != nil {
+		return nil, err
+	}
+	return &Result{Affected: 1}, nil
+}
+
+// insertValues evaluates an INSERT's value list against the table schema.
+func (e *Engine) insertValues(s *InsertStmt, binds map[string]interface{}) ([]int64, error) {
 	tab, err := e.db.Table(s.Table)
 	if err != nil {
 		return nil, err
@@ -341,59 +367,77 @@ func (e *Engine) execInsert(s *InsertStmt, binds map[string]interface{}) (*Resul
 	}
 	row := make([]int64, len(s.Values))
 	for i, ex := range s.Values {
-		v, err := evalConst(ex, binds)
-		if err != nil {
+		if row[i], err = evalConst(ex, binds); err != nil {
 			return nil, err
 		}
-		row[i] = v
 	}
-	if _, err := e.insertRowLocked(s.Table, tab, row); err != nil {
+	return row, nil
+}
+
+// applyLocked is the one write path: it appends the ins rows to table,
+// removes the del rows, and triggers domain-index maintenance for the
+// whole batch — extensible indexing (§5): "the object-relational database
+// server automatically triggers the maintenance ... of custom indexes". A
+// single-row statement is a batch of one; a COMMIT is one batch per table.
+//
+// The order keeps row ids stable for the undo: heap appends first (an
+// index rebuilding itself from the heap must find the new rows), then
+// every index's Apply, then the heap removals. An index refusing the
+// batch must not leave the heap and the domain indexes divergent: the
+// indexes already maintained get the inverse batch and the appended rows
+// leave the heap before the failure surfaces. A heap removal failing
+// midway (a storage fault) hands the rows still in the heap back to the
+// indexes, so the batch ends after a consistent prefix. It returns the
+// appended rows with their row ids. Caller holds e.mu.
+func (e *Engine) applyLocked(table string, ins [][]int64, del []Entry) (added []Entry, err error) {
+	tab, err := e.db.Table(table)
+	if err != nil {
 		return nil, err
 	}
-	return &Result{Affected: 1}, nil
-}
-
-// insertRowLocked stores row in tab and triggers domain-index maintenance
-// — extensible indexing (§5): "the object-relational database server
-// automatically triggers the maintenance ... of custom indexes". A custom
-// index refusing the row must not leave the heap and the domain indexes
-// divergent: the maintenance already performed and the heap insert are
-// undone before the failure surfaces. Caller holds e.mu.
-func (e *Engine) insertRowLocked(table string, tab *rel.Table, row []int64) (rel.RowID, error) {
-	rid, err := tab.Insert(row)
-	if err != nil {
-		return 0, err
+	added = make([]Entry, 0, len(ins))
+	undoHeap := func() error {
+		var first error
+		for _, en := range added {
+			if _, err := tab.DeleteRow(en.RID); err != nil && first == nil {
+				first = fmt.Errorf("heap rollback failed: %w", err)
+			}
+		}
+		return first
+	}
+	for i, row := range ins {
+		rid, err := tab.Insert(row)
+		if err != nil {
+			return nil, withUndo(fmt.Errorf("sql: insert into %s failed at row %d of %d: %w", table, i, len(ins), err), undoHeap())
+		}
+		added = append(added, Entry{RID: rid, Row: row})
 	}
 	custom := e.customByTb[strings.ToLower(table)]
-	for i, ci := range custom {
-		if err := ci.OnInsert(row, rid); err != nil {
-			undoErr := undoMaintenance(custom[:i], row, rid, true)
-			if _, derr := tab.DeleteRow(rid); derr != nil && undoErr == nil {
-				undoErr = fmt.Errorf("heap rollback failed: %w", derr)
+	// reapply hands every index in done the batch (ins, del), reporting the
+	// first failure.
+	reapply := func(done []Index, ins, del []Entry) error {
+		var first error
+		for j := len(done) - 1; j >= 0; j-- {
+			if err := done[j].Apply(ins, del); err != nil && first == nil {
+				first = fmt.Errorf("restore of index %s failed: %w", done[j].Name(), err)
 			}
-			return 0, withUndo(err, undoErr)
+		}
+		return first
+	}
+	for n, ci := range custom {
+		if err := ci.Apply(added, del); err != nil {
+			undoErr := reapply(custom[:n], del, added)
+			if herr := undoHeap(); undoErr == nil {
+				undoErr = herr
+			}
+			return nil, withUndo(fmt.Errorf("sql: maintenance of index %s: %w", ci.Name(), err), undoErr)
 		}
 	}
-	return rid, nil
-}
-
-// undoMaintenance applies the inverse maintenance op (delete for a failed
-// insert, reinsert for a failed delete) to the already-maintained indexes,
-// in reverse order, reporting the first failure.
-func undoMaintenance(done []CustomIndex, row []int64, rid rel.RowID, redelete bool) error {
-	var first error
-	for j := len(done) - 1; j >= 0; j-- {
-		var err error
-		if redelete {
-			err = done[j].OnDelete(row, rid)
-		} else {
-			err = done[j].OnInsert(row, rid)
-		}
-		if err != nil && first == nil {
-			first = fmt.Errorf("restore of index %s failed: %w", done[j].Name(), err)
+	for i, en := range del {
+		if _, err := tab.DeleteRow(en.RID); err != nil {
+			return nil, withUndo(err, reapply(custom, del[i:], nil))
 		}
 	}
-	return first
+	return added, nil
 }
 
 // withUndo surfaces a failed undo alongside the original error — silent
@@ -406,13 +450,12 @@ func withUndo(err, undoErr error) error {
 	return err
 }
 
-func (e *Engine) execDelete(s *DeleteStmt, binds map[string]interface{}) (*Result, error) {
-	tab, err := e.db.Table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	// Plan the WHERE clause like a single-table SELECT so deletes can use
-	// index range scans (Figure 5's single-statement delete).
+// victimsLocked resolves a DELETE's WHERE clause against rs — the live
+// database for an auto-commit DELETE, the transaction's view inside one.
+// The clause is planned like a single-table SELECT so deletes can use
+// index range scans (Figure 5's single-statement delete). Caller holds
+// e.mu.
+func (e *Engine) victimsLocked(s *DeleteStmt, binds map[string]interface{}, rs *readState) ([]Entry, error) {
 	sel := &SelectStmt{
 		Items: []SelectItem{{Star: true}},
 		From:  []TableRef{{Name: s.Table}},
@@ -422,47 +465,33 @@ func (e *Engine) execDelete(s *DeleteStmt, binds map[string]interface{}) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	type victim struct {
-		rid rel.RowID
-		row []int64
+	if err := bindPlan(plan, rs); err != nil {
+		return nil, err
 	}
-	var victims []victim
+	width := len(plan.sources[0].cols)
+	var victims []Entry
 	err = drainPlan(plan, binds, func(env []int64, rids []rel.RowID) bool {
-		row := make([]int64, tab.Schema().NumCols())
-		copy(row, env[:len(row)])
-		victims = append(victims, victim{rids[0], row})
+		victims = append(victims, Entry{RID: rids[0], Row: append([]int64(nil), env[:width]...)})
 		return true
 	})
+	return victims, err
+}
+
+func (e *Engine) execDelete(s *DeleteStmt, binds map[string]interface{}) (*Result, error) {
+	// The victim scan reads live, under e.mu: the index Readers are bound
+	// to the live database, the same call a view makes with its shadow.
+	rs := newReadState(e.db)
+	if err := rs.bindTable(s.Table, e.customByTb[s.Table]); err != nil {
+		return nil, err
+	}
+	victims, err := e.victimsLocked(s, binds, &rs)
 	if err != nil {
 		return nil, err
 	}
-	// Per-row atomicity, like execInsert's: each victim's index
-	// maintenance and heap removal succeed or are undone together, so
-	// heap and domain indexes never diverge. A failure mid-batch aborts
-	// the statement after a consistent prefix of the victims (victims
-	// already processed stay deleted).
-	for _, v := range victims {
-		if err := e.deleteRowLocked(s.Table, tab, v.rid, v.row); err != nil {
-			return nil, err
-		}
+	if _, err := e.applyLocked(s.Table, nil, victims); err != nil {
+		return nil, err
 	}
 	return &Result{Affected: int64(len(victims))}, nil
-}
-
-// deleteRowLocked removes the row at rid (whose contents are row) from tab
-// with domain-index maintenance, undoing on failure so heap and indexes
-// never diverge. Caller holds e.mu.
-func (e *Engine) deleteRowLocked(table string, tab *rel.Table, rid rel.RowID, row []int64) error {
-	custom := e.customByTb[strings.ToLower(table)]
-	for i, ci := range custom {
-		if err := ci.OnDelete(row, rid); err != nil {
-			return withUndo(err, undoMaintenance(custom[:i], row, rid, false))
-		}
-	}
-	if _, err := tab.DeleteRow(rid); err != nil {
-		return withUndo(err, undoMaintenance(custom, row, rid, false))
-	}
-	return nil
 }
 
 // explainAnalyze really executes the query — through the same pipeline a
@@ -470,7 +499,7 @@ func (e *Engine) deleteRowLocked(table string, tab *rel.Table, rid rel.RowID, ro
 // plan tree annotated with the measured counters. The query's rows are
 // discarded; the plan text is the result. Caller holds e.mu.
 func (e *Engine) explainAnalyze(s *SelectStmt, sql string, binds map[string]interface{}) (*Result, error) {
-	v, err := e.stmtViewLocked()
+	v, err := e.acquireViewLocked()
 	if err != nil {
 		return nil, err
 	}
@@ -494,29 +523,4 @@ func (e *Engine) explainAnalyze(s *SelectStmt, sql string, binds map[string]inte
 			"SELECT STATEMENT (ANALYZED) (cached plan)", 1)
 	}
 	return &Result{Plan: plan}, nil
-}
-
-// execSelect materializes a SELECT by draining the same streaming
-// pipeline Query serves — Exec is now a drain-the-cursor wrapper over
-// the volcano executor. Caller holds e.mu.
-func (e *Engine) execSelect(s *SelectStmt, sql string, binds map[string]interface{}) (*Result, error) {
-	v, err := e.stmtViewLocked()
-	if err != nil {
-		return nil, err
-	}
-	defer e.releaseView(v)
-	rows, err := e.buildRowsLocked(context.Background(), s, sql, binds, v)
-	if err != nil {
-		return nil, err
-	}
-	defer rows.Close()
-	res := &Result{Cols: rows.Columns()}
-	for rows.Next() {
-		res.Rows = append(res.Rows, append([]int64(nil), rows.Row()...))
-	}
-	if err := rows.Err(); err != nil {
-		return nil, err
-	}
-	e.capStats, e.capPlan = rows.Stats(), rows.PlanStats
-	return res, nil
 }

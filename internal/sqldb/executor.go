@@ -248,7 +248,7 @@ func (s *srcScan) bind() (scanRunner, error) {
 		}
 		return func(emit func(rel.RowID, []int64) bool) error {
 			var inner error
-			err := sp.custom.Scan(sp.customOp, args, func(rid rel.RowID) bool {
+			err := sp.reader.Scan(sp.customOp, args, func(rid rel.RowID) bool {
 				if inner = sp.tab.GetRawInto(rid, s.rowBuf); inner != nil {
 					return false
 				}
@@ -269,16 +269,13 @@ func (s *srcScan) bind() (scanRunner, error) {
 		if !ok {
 			return nil, nil // no interval can satisfy the relation
 		}
-		// Now-relative rows (§4.6) evaluate against the access method's
-		// clock, exactly as Collection.Query does.
-		now := int64(0)
-		if nk, isNow := sp.custom.(NowKeeper); isNow {
-			now = nk.Now()
-		}
+		// Now-relative rows (§4.6) evaluate against the table's clock,
+		// exactly as Collection.Query does.
+		now := sp.now
 		r := sp.allenRel
 		return func(emit func(rel.RowID, []int64) bool) error {
 			var inner error
-			err := sp.custom.Scan(opIntersects, []int64{region.Lower, region.Upper}, func(rid rel.RowID) bool {
+			err := sp.reader.Scan(opIntersects, []int64{region.Lower, region.Upper}, func(rid rel.RowID) bool {
 				if inner = sp.tab.GetRawInto(rid, s.rowBuf); inner != nil {
 					return false
 				}

@@ -1,11 +1,11 @@
 package sqldb
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
 
+	"ritree/internal/obs"
 	"ritree/internal/rel"
 )
 
@@ -16,101 +16,47 @@ import (
 // database server automatically triggers the maintenance and scan of custom
 // indexes, end users can use the Relational Interval Tree just like a
 // built-in index."
+//
+// The package is three interfaces, all mandatory: an indextype that omits
+// any method does not compile at RegisterIndexType. A capability an access
+// method lacks is reported by value — HasOrdered() == false, SetNow
+// returning an error, Reader.Now reporting ok == false — never by a
+// missing Go interface, so the engine holds no per-capability fallback.
 
-// IndexTypeHandler creates instances of a user-defined indextype in
-// response to CREATE INDEX ... INDEXTYPE IS <name> [PARAMETERS (...)].
-type IndexTypeHandler interface {
-	// CreateIndex builds the custom index named indexName over the given
-	// columns of table, backfilling from existing rows. params carries
-	// the PARAMETERS pairs (nil when absent); implementations must reject
-	// keys they do not understand — a silently ignored typo would create
-	// an index with the wrong geometry. The params are persisted in the
-	// catalog and handed back verbatim on attach.
-	CreateIndex(e *Engine, indexName, table string, cols []string, params map[string]string) (CustomIndex, error)
-}
-
-// Attacher is the reopen capability of an indextype handler: where
-// CreateIndex builds new index storage, AttachIndex adopts the storage an
-// earlier session left behind (reopening persisted relations, or rebuilding
-// a main-memory structure from the heap). Engine.AttachCatalogIndexes
-// requires it — an indextype without it cannot serve a reopened database.
-type Attacher interface {
-	// AttachIndex attaches the custom index named indexName over the given
-	// columns of table, whose definition an earlier session recorded in the
-	// catalog. params is the persisted PARAMETERS map of that definition,
-	// so an index re-attaches with the geometry it was created with.
+// IndexType is a registered user-defined indextype: the factory behind
+// CREATE INDEX ... INDEXTYPE IS <name> [PARAMETERS (...)].
+type IndexType interface {
+	// Create builds the index named indexName over the given columns of
+	// table, backfilling from existing rows. params carries the PARAMETERS
+	// pairs (nil when absent); implementations must reject keys they do not
+	// understand — a silently ignored typo would create an index with the
+	// wrong geometry. The params are persisted in the catalog and handed
+	// back verbatim to Attach.
+	Create(e *Engine, indexName, table string, cols []string, params map[string]string) (Index, error)
+	// Attach adopts the storage an earlier session left behind for a
+	// definition recorded in the catalog (reopening persisted relations,
+	// or loading a main-memory structure from its snapshot and the heap).
 	// Implementations must verify any persisted storage is consistent with
 	// the base table before trusting it, and fail loudly otherwise.
-	AttachIndex(e *Engine, indexName, table string, cols []string, params map[string]string) (CustomIndex, error)
+	Attach(e *Engine, indexName, table string, cols []string, params map[string]string) (Index, error)
+	// DropStorage removes whatever the indextype persisted for the named
+	// index without attaching it, tolerating storage that is partially or
+	// wholly missing. DROP INDEX on an unattached definition runs it: a
+	// stale index refuses to attach, so only this can clean it up.
+	DropStorage(e *Engine, indexName, table string, cols []string) error
 }
 
-// StorageDropper is the optional third capability of an indextype
-// handler: removing an index definition's persisted storage without
-// attaching it first. DROP INDEX on an unattached definition prefers it —
-// a stale index refuses to attach, so attach-then-Drop cannot clean it
-// up; this can.
-type StorageDropper interface {
-	// DropIndexStorage removes whatever storage the indextype persisted
-	// for the named index, tolerating storage that is partially or wholly
-	// missing.
-	DropIndexStorage(e *Engine, indexName, table string, cols []string) error
+// Entry is one base-table row as an index sees it: the heap row id the
+// index reports from scans, and the row's column values.
+type Entry struct {
+	RID rel.RowID
+	Row []int64
 }
 
-// ErrNoStorageDrop is returned by IndexTypeFuncs.DropIndexStorage when no
-// DropStorage function was supplied; the engine then falls back to
-// attach-then-Drop.
-var ErrNoStorageDrop = errors.New("sql: indextype has no storage-drop implementation")
-
-// IndexTypeFunc adapts a function to IndexTypeHandler.
-type IndexTypeFunc func(e *Engine, indexName, table string, cols []string, params map[string]string) (CustomIndex, error)
-
-// CreateIndex implements IndexTypeHandler.
-func (f IndexTypeFunc) CreateIndex(e *Engine, indexName, table string, cols []string, params map[string]string) (CustomIndex, error) {
-	return f(e, indexName, table, cols, params)
-}
-
-// IndexTypeFuncs bundles the create-new, attach-existing, and
-// drop-storage pieces of an indextype, implementing IndexTypeHandler,
-// Attacher, and StorageDropper.
-type IndexTypeFuncs struct {
-	Create IndexTypeFunc
-	Attach IndexTypeFunc
-	// DropStorage removes persisted storage without attaching (optional;
-	// nil makes DropIndexStorage report ErrNoStorageDrop and the engine
-	// fall back to attach-then-Drop).
-	DropStorage func(e *Engine, indexName, table string, cols []string) error
-}
-
-// CreateIndex implements IndexTypeHandler.
-func (f IndexTypeFuncs) CreateIndex(e *Engine, indexName, table string, cols []string, params map[string]string) (CustomIndex, error) {
-	if f.Create == nil {
-		return nil, fmt.Errorf("sql: indextype registered without a Create implementation")
-	}
-	return f.Create(e, indexName, table, cols, params)
-}
-
-// AttachIndex implements Attacher. A nil Attach field reports the same
-// does-not-support-attach condition as a handler without the Attacher
-// interface (the zero field would otherwise panic on call).
-func (f IndexTypeFuncs) AttachIndex(e *Engine, indexName, table string, cols []string, params map[string]string) (CustomIndex, error) {
-	if f.Attach == nil {
-		return nil, fmt.Errorf("sql: indextype does not support attach (IndexTypeFuncs.Attach is nil); it cannot serve a reopened database")
-	}
-	return f.Attach(e, indexName, table, cols, params)
-}
-
-// DropIndexStorage implements StorageDropper.
-func (f IndexTypeFuncs) DropIndexStorage(e *Engine, indexName, table string, cols []string) error {
-	if f.DropStorage == nil {
-		return ErrNoStorageDrop
-	}
-	return f.DropStorage(e, indexName, table, cols)
-}
-
-// CustomIndex is a live user-defined index. The engine triggers its
+// Index is an attached user-defined index. The engine triggers its
 // maintenance on DML against the base table and routes the operators it
-// advertises to Scan.
-type CustomIndex interface {
+// advertises to a Reader.
+type Index interface {
 	// Name returns the index name.
 	Name() string
 	// Table returns the base table name.
@@ -119,36 +65,63 @@ type CustomIndex interface {
 	Columns() []string
 	// HasOperator reports whether the index serves the named operator.
 	HasOperator(op string) bool
-	// OnInsert maintains the index after a row insert.
-	OnInsert(row []int64, rid rel.RowID) error
-	// OnDelete maintains the index after a row delete.
-	OnDelete(row []int64, rid rel.RowID) error
-	// Scan evaluates op with the given (non-column) arguments and streams
-	// the row ids of matching base rows.
-	Scan(op string, args []int64, fn func(rid rel.RowID) bool) error
+	// HasOrdered reports whether Readers of this index stream row ids in
+	// ascending order of the indexed interval's lower bound — the zero-sort
+	// feed of the interval merge join, which sorts explicitly otherwise.
+	HasOrdered() bool
+	// Apply maintains the index for one batch of base-table changes: ins
+	// were appended to the heap, del are about to leave it (the heap still
+	// holds them while Apply runs). A single-row statement is a batch of
+	// one. The batch must be validated before anything mutates, so that a
+	// refused batch leaves the index exactly as it was; deleting an entry
+	// the index never held is not an error.
+	Apply(ins, del []Entry) error
+	// SetNow sets the evaluation time of now-relative intervals (§4.6).
+	// Access methods without a clock return an error.
+	SetNow(now int64) error
+	// Persist writes whatever lets a later session's Attach skip a full
+	// rebuild (a snapshot stamped against the base table's current
+	// content). It runs under the engine's statement lock at a committed
+	// boundary, so the stamp and the heap agree. Access methods whose
+	// storage already lives in the page store do nothing.
+	Persist() error
+	// BindMetrics hands the index the DB-level registry; it publishes its
+	// counters under "<prefix>.<metric>" (prefix is "index.<name>").
+	BindMetrics(reg *obs.Registry, prefix string)
 	// Drop destroys the index storage.
 	Drop() error
+	// Reader binds the index to one relational state: db is either the
+	// live database (the caller keeps writers out for the Reader's whole
+	// life) or the shadow database of a snapshot view (the
+	// call runs under that lock at a committed boundary, so the index's
+	// in-memory state and db describe the same data; the Reader must keep
+	// answering from that state regardless of later writes). Row values the
+	// Reader needs come from db, never from the live heap.
+	Reader(db *rel.DB) (Reader, error)
 }
 
-// SnapshotPersister is the persistence capability of a custom index
-// (alongside MetricsBinder and the maintenance triggers): an index
-// implementing it can write a point-in-time snapshot of its in-memory
-// storage into the database file, to be adopted by a later session's
-// attach instead of a full rebuild. PersistIndexSnapshots drives it on
-// DB.Flush/Close.
-type SnapshotPersister interface {
-	// PersistSnapshot writes (or refreshes) the index's snapshot, stamped
-	// against the base table's current content, or removes it when the
-	// index's current form is not representable. It runs under the
-	// engine's statement lock at a committed boundary, so the stamp and
-	// the heap agree.
-	PersistSnapshot() error
+// Reader is an index bound to one relational state. Implementations must
+// be safe for concurrent use — several cursors of one view may scan at
+// once.
+type Reader interface {
+	// Scan evaluates op with the given (non-column) arguments and streams
+	// the row ids of matching base rows; fn returning false stops it.
+	Scan(op string, args []int64, fn func(rid rel.RowID) bool) error
+	// Count returns the number of rows Scan would stream, without the
+	// callback (access methods with a parallel counting path use it).
+	Count(op string, args []int64) (int64, error)
+	// Ordered streams every indexed row id in ascending order of the
+	// indexed interval's lower bound. Called only when HasOrdered is true.
+	Ordered(fn func(rid rel.RowID) bool) error
+	// Now returns the evaluation time of now-relative intervals as of the
+	// bound state; ok is false when the access method keeps no clock.
+	Now() (now int64, ok bool)
 }
 
-// PersistIndexSnapshots asks every attached custom index implementing
-// SnapshotPersister to write its snapshot, then seals the resulting page
-// mutations at a commit boundary and waits for durability. It is a no-op
-// when snapshots are disabled (SetIndexSnapshotsEnabled(false)).
+// PersistIndexSnapshots asks every attached index to Persist, then seals
+// the resulting page mutations at a commit boundary and waits for
+// durability. It is a no-op when snapshots are disabled
+// (SetIndexSnapshotsEnabled(false)).
 //
 // Snapshots are not schema: the catalog definitions are untouched and no
 // plan-cache epoch is bumped — commitWriteLocked retires only the cached
@@ -160,27 +133,14 @@ func (e *Engine) PersistIndexSnapshots() error {
 	}
 	e.mu.Lock()
 	var err error
-	persisted := false
 	for _, ci := range e.custom {
-		sp, ok := ci.(SnapshotPersister)
-		if !ok {
-			continue
-		}
-		if err = sp.PersistSnapshot(); err != nil {
+		if err = ci.Persist(); err != nil {
 			break
 		}
-		persisted = true
 	}
-	var seq uint64
-	if persisted {
-		var cerr error
-		seq, cerr = e.commitWriteLocked()
-		if err == nil {
-			err = cerr
-		}
-	}
+	seq, cerr := e.commitWriteLocked()
 	e.mu.Unlock()
-	if err != nil {
+	if err := firstErr(err, cerr); err != nil {
 		return err
 	}
 	return e.db.Store().WaitDurable(seq)
@@ -188,22 +148,13 @@ func (e *Engine) PersistIndexSnapshots() error {
 
 // RegisterIndexType makes a user-defined indextype available to
 // CREATE INDEX ... INDEXTYPE IS <name>.
-func (e *Engine) RegisterIndexType(name string, h IndexTypeHandler) {
+func (e *Engine) RegisterIndexType(name string, t IndexType) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.indexTypes[strings.ToLower(name)] = h
+	e.indexTypes[strings.ToLower(name)] = t
 }
 
-// AttachCustomIndex re-registers an already existing custom index with the
-// engine (used when reopening a database: the index storage persists in the
-// relational catalog, while the engine-side registration is per session).
-func (e *Engine) AttachCustomIndex(ci CustomIndex) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.attachLocked(ci)
-}
-
-func (e *Engine) attachLocked(ci CustomIndex) error {
+func (e *Engine) attachLocked(ci Index) error {
 	name := strings.ToLower(ci.Name())
 	if _, dup := e.custom[name]; dup {
 		return fmt.Errorf("sql: custom index %s already attached", ci.Name())
@@ -214,9 +165,7 @@ func (e *Engine) attachLocked(ci CustomIndex) error {
 	// A new domain index changes what chooseAccess can pick.
 	e.bumpPlanEpochLocked()
 	if e.reg != nil {
-		if mb, ok := ci.(MetricsBinder); ok {
-			mb.BindMetrics(e.reg, "index."+name)
-		}
+		ci.BindMetrics(e.reg, "index."+name)
 	}
 	return nil
 }
@@ -250,7 +199,7 @@ func (e *Engine) createCustomIndex(s *CreateIndexStmt) (*Result, error) {
 	if err := e.db.RecordCustomIndex(def); err != nil {
 		return nil, err
 	}
-	ci, err := h.CreateIndex(e, s.Name, s.Table, s.Columns, s.Params)
+	ci, err := h.Create(e, s.Name, s.Table, s.Columns, s.Params)
 	if err != nil {
 		_ = e.db.RemoveCustomIndex(s.Name)
 		return nil, err
@@ -263,7 +212,7 @@ func (e *Engine) createCustomIndex(s *CreateIndexStmt) (*Result, error) {
 	return &Result{}, nil
 }
 
-func (e *Engine) dropCustomIndex(ci CustomIndex) error {
+func (e *Engine) dropCustomIndex(ci Index) error {
 	// Drop the storage before removing the registration: a failed Drop must
 	// leave the index attached (and its catalog definition in place) so the
 	// caller still holds a handle to retry — the reverse order orphaned the
@@ -282,41 +231,20 @@ func (e *Engine) dropCustomIndex(ci CustomIndex) error {
 			break
 		}
 	}
-	// Indexes attached directly via AttachCustomIndex may predate the
-	// catalog record; a missing definition is not an error here.
-	if err := e.db.RemoveCustomIndex(ci.Name()); err != nil && !errors.Is(err, rel.ErrNoSuchIndex) {
-		return err
-	}
-	return nil
+	return e.db.RemoveCustomIndex(ci.Name())
 }
 
 // dropUnattachedDef removes a catalog definition that is not attached in
-// this session, dropping its storage through the indextype: a
-// StorageDropper handler removes storage without attaching (this is how a
-// stale ritree index — whose attach is refused — gets cleaned up so the
-// name can be recreated); otherwise attach-then-Drop is tried
-// best-effort. This is the recovery path the attach errors advise:
-// DROP INDEX must work even when attach cannot. Caller holds e.mu.
+// this session, dropping its storage through the indextype's DropStorage
+// (this is how a stale ritree index — whose attach is refused — gets
+// cleaned up so the name can be recreated). A definition whose indextype
+// is not registered loses only its catalog entry. This is the recovery
+// path the attach errors advise: DROP INDEX must work even when attach
+// cannot. Caller holds e.mu.
 func (e *Engine) dropUnattachedDef(def rel.CustomIndexDef) error {
 	if h, ok := e.indexTypes[strings.ToLower(def.IndexType)]; ok {
-		dropped := false
-		if sd, ok := h.(StorageDropper); ok {
-			err := sd.DropIndexStorage(e, def.Name, def.Table, def.Columns)
-			switch {
-			case err == nil:
-				dropped = true
-			case !errors.Is(err, ErrNoStorageDrop):
-				return fmt.Errorf("sql: dropping storage of index %s: %w", def.Name, err)
-			}
-		}
-		if !dropped {
-			if at, ok := h.(Attacher); ok {
-				if ci, err := at.AttachIndex(e, def.Name, def.Table, def.Columns, def.Params); err == nil {
-					if err := ci.Drop(); err != nil {
-						return fmt.Errorf("sql: dropping index %s: %w", def.Name, err)
-					}
-				}
-			}
+		if err := h.DropStorage(e, def.Name, def.Table, def.Columns); err != nil {
+			return fmt.Errorf("sql: dropping storage of index %s: %w", def.Name, err)
 		}
 	}
 	return e.db.RemoveCustomIndex(def.Name)
@@ -324,14 +252,14 @@ func (e *Engine) dropUnattachedDef(def rel.CustomIndexDef) error {
 
 // AttachCatalogIndexes walks the persisted domain-index definitions of the
 // underlying database and re-attaches each through its registered
-// indextype handler — the reopen half of paper §5's "end users can use the
+// indextype — the reopen half of paper §5's "end users can use the
 // Relational Interval Tree just like a built-in index". It must run before
 // any DML on a reopened database: an engine that skips it serves no domain
 // indexes and silently skips their maintenance, leaving persisted index
 // storage stale. A definition whose indextype is not registered in this
-// session (or does not implement Attacher) is an error, not a skip, for
-// the same reason. Definitions already attached in this session are left
-// alone, so the call is idempotent.
+// session is an error, not a skip, for the same reason. Definitions
+// already attached in this session are left alone, so the call is
+// idempotent.
 func (e *Engine) AttachCatalogIndexes() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -344,13 +272,8 @@ func (e *Engine) AttachCatalogIndexes() error {
 			return fmt.Errorf("sql: catalog index %s requires indextype %q, which is not registered in this session; register it (or DROP INDEX %s) before issuing DML — proceeding would silently skip index maintenance",
 				def.Name, def.IndexType, def.Name)
 		}
-		at, ok := h.(Attacher)
-		if !ok {
-			return fmt.Errorf("sql: indextype %q of catalog index %s does not support attach (handler implements no Attacher); it cannot serve a reopened database",
-				def.IndexType, def.Name)
-		}
 		start := time.Now()
-		ci, err := at.AttachIndex(e, def.Name, def.Table, def.Columns, def.Params)
+		ci, err := h.Attach(e, def.Name, def.Table, def.Columns, def.Params)
 		if err != nil {
 			return fmt.Errorf("sql: attaching catalog index %s (indextype %s): %w", def.Name, def.IndexType, err)
 		}

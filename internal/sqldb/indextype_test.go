@@ -9,48 +9,21 @@ import (
 	"ritree/internal/rel"
 )
 
-// fakeIndex is a trivial in-memory custom index for exercising the
-// engine-side indextype machinery without the real access methods.
-type fakeIndex struct {
-	name, table string
-	cols        []string
-	attached    bool // true when built via the Attach path
-	dropErr     error
-	dropped     bool
-	inserts     int
+// registerFake registers the brute-force double (double_test.go) as
+// indextype "fake" and returns it, for exercising the engine-side
+// indextype machinery without the real access methods.
+func registerFake(e *Engine, dropErr error) *BruteType {
+	bt := &BruteType{DropErr: dropErr}
+	e.RegisterIndexType("fake", bt)
+	return bt
 }
 
-func (f *fakeIndex) Name() string                                     { return f.name }
-func (f *fakeIndex) Table() string                                    { return f.table }
-func (f *fakeIndex) Columns() []string                                { return f.cols }
-func (f *fakeIndex) HasOperator(op string) bool                       { return op == "fakeop" }
-func (f *fakeIndex) OnInsert(_ []int64, _ rel.RowID) error            { f.inserts++; return nil }
-func (f *fakeIndex) OnDelete(_ []int64, _ rel.RowID) error            { return nil }
-func (f *fakeIndex) Scan(string, []int64, func(rel.RowID) bool) error { return nil }
-func (f *fakeIndex) Drop() error {
-	if f.dropErr != nil {
-		return f.dropErr
-	}
-	f.dropped = true
-	return nil
-}
-
-func registerFake(e *Engine, last **fakeIndex, dropErr error) {
-	build := func(attached bool) IndexTypeFunc {
-		return func(_ *Engine, name, table string, cols []string, _ map[string]string) (CustomIndex, error) {
-			fi := &fakeIndex{name: name, table: table, cols: cols, attached: attached, dropErr: dropErr}
-			if last != nil {
-				*last = fi
-			}
-			return fi, nil
-		}
-	}
-	e.RegisterIndexType("fake", IndexTypeFuncs{Create: build(false), Attach: build(true)})
-}
+// last returns the most recently built index.
+func (t *BruteType) last() *BruteIndex { return t.Built[len(t.Built)-1] }
 
 func TestCreateCustomIndexRecordsCatalogDef(t *testing.T) {
 	e := newEngine(t)
-	registerFake(e, nil, nil)
+	registerFake(e, nil)
 	mustExec(t, e, "CREATE TABLE ev (lo int, hi int)", nil)
 	mustExec(t, e, "CREATE INDEX ev_f ON ev (lo, hi) INDEXTYPE IS fake", nil)
 
@@ -69,7 +42,7 @@ func TestCreateCustomIndexRecordsCatalogDef(t *testing.T) {
 
 func TestIndexNamespaceSharedAcrossKinds(t *testing.T) {
 	e := newEngine(t)
-	registerFake(e, nil, nil)
+	registerFake(e, nil)
 	mustExec(t, e, "CREATE TABLE ev (lo int, hi int)", nil)
 
 	// custom first, builtin second
@@ -90,27 +63,27 @@ func TestIndexNamespaceSharedAcrossKinds(t *testing.T) {
 
 func TestDropCustomIndexFailureKeepsRegistration(t *testing.T) {
 	e := newEngine(t)
-	var last *fakeIndex
-	registerFake(e, &last, fmt.Errorf("storage busy"))
+	bt := registerFake(e, fmt.Errorf("storage busy"))
 	mustExec(t, e, "CREATE TABLE ev (lo int, hi int)", nil)
 	mustExec(t, e, "CREATE INDEX ev_f ON ev (lo, hi) INDEXTYPE IS fake", nil)
+	last := bt.last()
 
 	if _, err := e.Exec("DROP INDEX ev_f", nil); err == nil || !strings.Contains(err.Error(), "remains attached") {
 		t.Fatalf("DROP INDEX with failing Drop = %v, want 'remains attached' error", err)
 	}
 	// Index must still be attached (maintenance keeps running)...
-	before := last.inserts
+	before := last.Applies
 	mustExec(t, e, "INSERT INTO ev VALUES (1, 2)", nil)
-	if last.inserts != before+1 {
+	if last.Applies != before+1 {
 		t.Fatal("failed DROP INDEX detached the index: maintenance skipped")
 	}
 	// ...and its catalog definition intact, so a retry is possible.
 	if _, ok := e.DB().CustomIndex("ev_f"); !ok {
 		t.Fatal("failed DROP INDEX removed the catalog definition")
 	}
-	last.dropErr = nil
+	last.DropErr = nil
 	mustExec(t, e, "DROP INDEX ev_f", nil)
-	if !last.dropped {
+	if !last.Dropped {
 		t.Fatal("retried DROP INDEX did not drop storage")
 	}
 	if _, ok := e.DB().CustomIndex("ev_f"); ok {
@@ -120,40 +93,37 @@ func TestDropCustomIndexFailureKeepsRegistration(t *testing.T) {
 
 func TestAttachCatalogIndexes(t *testing.T) {
 	e := newEngine(t)
-	var created *fakeIndex
-	registerFake(e, &created, nil)
+	registerFake(e, nil)
 	mustExec(t, e, "CREATE TABLE ev (lo int, hi int)", nil)
 	mustExec(t, e, "CREATE INDEX ev_f ON ev (lo, hi) INDEXTYPE IS fake", nil)
 
 	// A second session over the same database: nothing attached until
 	// AttachCatalogIndexes walks the catalog.
 	e2 := NewEngine(e.DB())
-	var attached *fakeIndex
-	registerFake(e2, &attached, nil)
+	bt2 := registerFake(e2, nil)
 	if err := e2.AttachCatalogIndexes(); err != nil {
 		t.Fatal(err)
 	}
-	if attached == nil || !attached.attached {
-		t.Fatalf("AttachCatalogIndexes did not use the Attach path: %+v", attached)
+	if len(bt2.Built) != 1 || !bt2.last().Attached {
+		t.Fatalf("AttachCatalogIndexes did not use the Attach path: %+v", bt2.Built)
 	}
 	// Maintenance runs on the re-attached index.
 	mustExec(t, e2, "INSERT INTO ev VALUES (3, 4)", nil)
-	if attached.inserts != 1 {
-		t.Fatalf("re-attached index saw %d inserts, want 1", attached.inserts)
+	if got := bt2.last().Applies; got != 1 {
+		t.Fatalf("re-attached index saw %d batches, want 1", got)
 	}
 	// Idempotent: a second walk attaches nothing new.
-	attached = nil
 	if err := e2.AttachCatalogIndexes(); err != nil {
 		t.Fatal(err)
 	}
-	if attached != nil {
+	if len(bt2.Built) != 1 {
 		t.Fatal("second AttachCatalogIndexes re-attached an already-attached index")
 	}
 }
 
 func TestAttachCatalogIndexesUnregisteredTypeFailsLoudly(t *testing.T) {
 	e := newEngine(t)
-	registerFake(e, nil, nil)
+	registerFake(e, nil)
 	mustExec(t, e, "CREATE TABLE ev (lo int, hi int)", nil)
 	mustExec(t, e, "CREATE INDEX ev_f ON ev (lo, hi) INDEXTYPE IS fake", nil)
 
@@ -162,48 +132,23 @@ func TestAttachCatalogIndexesUnregisteredTypeFailsLoudly(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "not registered") {
 		t.Fatalf("AttachCatalogIndexes = %v, want unregistered-indextype error", err)
 	}
-
-	// A handler without the Attacher capability is equally loud.
-	e3 := NewEngine(e.DB())
-	e3.RegisterIndexType("fake", IndexTypeFunc(
-		func(_ *Engine, name, table string, cols []string, _ map[string]string) (CustomIndex, error) {
-			return &fakeIndex{name: name, table: table, cols: cols}, nil
-		}))
-	err = e3.AttachCatalogIndexes()
-	if err == nil || !strings.Contains(err.Error(), "does not support attach") {
-		t.Fatalf("AttachCatalogIndexes = %v, want no-Attacher error", err)
-	}
-
-	// IndexTypeFuncs with a nil Attach must report the same condition as a
-	// missing Attacher, not panic on a nil function call.
-	e4 := NewEngine(e.DB())
-	e4.RegisterIndexType("fake", IndexTypeFuncs{
-		Create: func(_ *Engine, name, table string, cols []string, _ map[string]string) (CustomIndex, error) {
-			return &fakeIndex{name: name, table: table, cols: cols}, nil
-		},
-	})
-	err = e4.AttachCatalogIndexes()
-	if err == nil || !strings.Contains(err.Error(), "does not support attach") {
-		t.Fatalf("AttachCatalogIndexes with nil Attach = %v, want no-attach error", err)
-	}
 }
 
 func TestDropUnattachedCustomIndex(t *testing.T) {
 	// DROP INDEX must work on a catalog definition that is not attached in
 	// this session — it is the recovery path the attach errors advise.
 	e := newEngine(t)
-	var created *fakeIndex
-	registerFake(e, &created, nil)
+	registerFake(e, nil)
 	mustExec(t, e, "CREATE TABLE ev (lo int, hi int)", nil)
 	mustExec(t, e, "CREATE INDEX ev_f ON ev (lo, hi) INDEXTYPE IS fake", nil)
 
-	// Session with the indextype registered: storage dropped via attach.
+	// Session with the indextype registered: storage dropped through
+	// DropStorage, without attaching.
 	e2 := NewEngine(e.DB())
-	var last *fakeIndex
-	registerFake(e2, &last, nil)
+	bt2 := registerFake(e2, nil)
 	mustExec(t, e2, "DROP INDEX ev_f", nil)
-	if last == nil || !last.dropped {
-		t.Fatal("unattached DROP INDEX did not drop storage through the handler")
+	if len(bt2.StorageDropped) != 1 || bt2.StorageDropped[0] != "ev_f" || len(bt2.Built) != 0 {
+		t.Fatalf("unattached DROP INDEX: DropStorage calls %v, attaches %d", bt2.StorageDropped, len(bt2.Built))
 	}
 	if _, ok := e.DB().CustomIndex("ev_f"); ok {
 		t.Fatal("unattached DROP INDEX left the catalog definition")
@@ -220,13 +165,13 @@ func TestDropUnattachedCustomIndex(t *testing.T) {
 
 func TestDropTableCascadesUnattachedDefs(t *testing.T) {
 	e := newEngine(t)
-	registerFake(e, nil, nil)
+	registerFake(e, nil)
 	mustExec(t, e, "CREATE TABLE ev (lo int, hi int)", nil)
 	mustExec(t, e, "CREATE INDEX ev_f ON ev (lo, hi) INDEXTYPE IS fake", nil)
 
 	// A fresh session that never attached still drops table + definitions.
 	e2 := NewEngine(e.DB())
-	registerFake(e2, nil, nil)
+	registerFake(e2, nil)
 	mustExec(t, e2, "DROP TABLE ev", nil)
 	if _, ok := e.DB().CustomIndex("ev_f"); ok {
 		t.Fatal("DROP TABLE left an unattached catalog definition")
@@ -241,13 +186,12 @@ func TestDropTableCascadesToDomainIndexes(t *testing.T) {
 	// same-named table would otherwise be served stale results through the
 	// surviving registration and hidden storage.
 	e := newEngine(t)
-	var last *fakeIndex
-	registerFake(e, &last, nil)
+	bt := registerFake(e, nil)
 	mustExec(t, e, "CREATE TABLE ev (lo int, hi int)", nil)
 	mustExec(t, e, "CREATE INDEX ev_f ON ev (lo, hi) INDEXTYPE IS fake", nil)
-	dropped := last
+	dropped := bt.last()
 	mustExec(t, e, "DROP TABLE ev", nil)
-	if !dropped.dropped {
+	if !dropped.Dropped {
 		t.Fatal("DROP TABLE left the domain index storage alive")
 	}
 	if _, ok := e.DB().CustomIndex("ev_f"); ok {
@@ -255,9 +199,9 @@ func TestDropTableCascadesToDomainIndexes(t *testing.T) {
 	}
 	// The recreated table starts with no domain index attached.
 	mustExec(t, e, "CREATE TABLE ev (lo int, hi int)", nil)
-	before := dropped.inserts
+	before := dropped.Applies
 	mustExec(t, e, "INSERT INTO ev VALUES (1, 2)", nil)
-	if dropped.inserts != before {
+	if dropped.Applies != before {
 		t.Fatal("stale domain index still maintained after DROP TABLE + recreate")
 	}
 }

@@ -13,8 +13,8 @@ import (
 // et al., "Cache-Efficient Sweeping-Based Interval Joins for Extended
 // Allen Relation Predicates" (PAPERS.md), specialized per relation. Both
 // inputs arrive in ascending lower-bound order — zero-sort off a
-// start-sorted domain index through the OrderedScanner capability, or by
-// an explicit sort of the source's ordinary access path — and a single
+// start-sorted domain index through Reader.Ordered, or by an explicit
+// sort of the source's ordinary access path — and a single
 // forward sweep over the merged start/end events maintains the set of
 // intervals whose span covers the sweep line in a gapless (dense
 // array) active set. Each emitted pair costs O(1) beyond the predicate
@@ -93,8 +93,7 @@ type mjSide struct {
 	lo, hi  []int64
 	byHi    []int32
 	n       int
-	scan    OrderedScanFunc // nil: explicit sort fallback
-	ordered bool            // this drain actually used the ordered feed
+	ordered bool // this drain actually used the ordered feed
 	ns      *nodeStats
 }
 
@@ -199,9 +198,6 @@ func newMergeJoinNode(p *selectPlan, binds map[string]interface{}) (*mergeJoinNo
 	n.left.sp = p.sources[p.merge.left]
 	n.right.sp = p.sources[p.merge.right]
 	for _, side := range [2]*mjSide{&n.left, &n.right} {
-		if side.sp.mjOrderedIx != nil && side.sp.tab != nil {
-			side.scan = orderedScanOf(side.sp.mjOrderedIx)
-		}
 		s := side
 		side.ns = &nodeStats{labelFn: func() string { return mjFeedLabel(s) }}
 	}
@@ -215,12 +211,12 @@ func newMergeJoinNode(p *selectPlan, binds map[string]interface{}) (*mergeJoinNo
 }
 
 // mjFeedLabel names a feed after the drain that actually ran (the sort
-// fallback engages dynamically when a snapshot view offers no ordered
-// stream): the flag is set by Open and survives Close, so EXPLAIN ANALYZE
+// fallback engages dynamically when an ordered stream turns out not to
+// be): the flag is set by Open and survives Close, so EXPLAIN ANALYZE
 // renders what happened.
 func mjFeedLabel(s *mjSide) string {
-	if s.ordered && s.sp.mjOrderedIx != nil {
-		return fmt.Sprintf("ORDERED DOMAIN INDEX SCAN %s (LOWER)", strings.ToUpper(s.sp.mjOrderedIx.Name()))
+	if s.ordered {
+		return fmt.Sprintf("ORDERED DOMAIN INDEX SCAN %s (LOWER)", strings.ToUpper(s.sp.custom.Name()))
 	}
 	return "SORT BY LOWER (" + accessLine(s.sp) + ")"
 }
@@ -317,18 +313,13 @@ func (n *mergeJoinNode) reset() {
 // through the side's ordered index stream when one is wired (already
 // sorted — zero sort work), else by draining the source's access path and
 // sorting, with the sorted rows accounted as spills. Subject-side
-// now-relative rows resolve against the side's NowKeeper clock (frozen by
-// the view under snapshot cursors); invalid results are dropped exactly
-// like the nested-loops Allen runner drops them.
+// now-relative rows resolve against the side's table clock (frozen by the
+// view under snapshot cursors); invalid results are dropped exactly like
+// the nested-loops Allen runner drops them.
 func (n *mergeJoinNode) drainSide(ec *execCtx, side *mjSide, subject bool) error {
 	sp := side.sp
 	side.w = len(sp.cols)
-	now := int64(0)
-	if subject && sp.mjNowIx != nil {
-		if nk, ok := sp.mjNowIx.(NowKeeper); ok {
-			now = nk.Now()
-		}
-	}
+	now := sp.now
 	add := func(rid rel.RowID, row []int64) {
 		ec.stats.leafRows.Add(1)
 		side.ns.addLeafRows(1)
@@ -372,14 +363,14 @@ func (n *mergeJoinNode) drainSide(ec *execCtx, side *mjSide, subject bool) error
 		side.ns.addRowsOut(1)
 	}
 
-	if side.scan != nil && sp.tab != nil {
+	if sp.reader != nil {
 		ec.stats.indexProbes.Add(1)
 		side.ns.addProbes(1)
 		buf := make([]int64, sp.tab.Schema().NumCols())
 		prev, seen := int64(0), false
 		mono := true
 		var inner error
-		err := side.scan(func(rid rel.RowID) bool {
+		err := sp.reader.Ordered(func(rid rel.RowID) bool {
 			if inner = ctxErr(ec.ctx); inner != nil {
 				return false
 			}

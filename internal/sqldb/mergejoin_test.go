@@ -363,6 +363,21 @@ func TestMergeJoinDisabledFallsBackToNestedLoops(t *testing.T) {
 	}
 }
 
+// drainStats runs a SELECT to exhaustion and returns its cursor counters.
+func drainStats(t *testing.T, e *Engine, sql string) ExecStats {
+	t.Helper()
+	rows, err := e.Query(context.Background(), sql, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rows.Next() {
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return rows.Stats()
+}
+
 func TestTopKSink(t *testing.T) {
 	e := newEngine(t)
 	mustExec(t, e, "CREATE TABLE t (a int, b int)", nil)
@@ -376,8 +391,8 @@ func TestTopKSink(t *testing.T) {
 	if !pairsEqual(top.Rows, full.Rows[:7]) {
 		t.Fatalf("top-k = %v\nfull prefix = %v", top.Rows, full.Rows[:7])
 	}
-	if e.capStats.SpillRows != 7 {
-		t.Fatalf("top-k spilled %d rows, want 7 (the retained heap)", e.capStats.SpillRows)
+	if st := drainStats(t, e, "SELECT a, b FROM t ORDER BY a DESC, b LIMIT 7"); st.SpillRows != 7 {
+		t.Fatalf("top-k spilled %d rows, want 7 (the retained heap)", st.SpillRows)
 	}
 	r := mustExec(t, e, "EXPLAIN ANALYZE SELECT a FROM t ORDER BY a LIMIT 3", nil)
 	if !strings.Contains(r.Plan, "SORT TOP-K 3") {
@@ -410,8 +425,8 @@ func TestGroupByHashAggregate(t *testing.T) {
 			t.Fatalf("group %d = %v, want [%d 12 %d %d %d]", g, row, g, wantSum, g, g+55)
 		}
 	}
-	if e.capStats.GroupedRows != 5 {
-		t.Fatalf("GroupedRows = %d, want 5", e.capStats.GroupedRows)
+	if st := drainStats(t, e, "SELECT grp, count(*), sum(v), min(v), max(v) FROM g GROUP BY grp ORDER BY 1"); st.GroupedRows != 5 {
+		t.Fatalf("GroupedRows = %d, want 5", st.GroupedRows)
 	}
 	// Grouping by a computed expression, restated in the select list.
 	r = mustExec(t, e, "SELECT v / 20, count(*) FROM g GROUP BY v / 20 ORDER BY 1", nil)

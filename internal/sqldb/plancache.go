@@ -15,12 +15,12 @@ import "container/list"
 // time; both would leak one execution's state into the next.
 //
 // Cached entries hold live storage handles (*rel.Table, *rel.Index,
-// CustomIndex). DML never invalidates those — tables are stable objects
-// and cursors rewire clones onto snapshot views — but any catalog change
+// Index). DML never invalidates those — tables are stable objects
+// and cursors bind clones onto snapshot views — but any catalog change
 // does, so every DDL path (and anything else that alters plan shape,
 // like toggling the merge join) purges the cache via bumpEpoch.
 //
-// Templates are never executed directly: rewirePlan mutates a plan's
+// Templates are never executed directly: bindPlan mutates a plan's
 // storage handles in place, so every use — hit or miss — executes a
 // shallow clone (clonePlan) and the template stays pristine.
 
@@ -109,7 +109,7 @@ func (pc *planCache) setSize(n int) {
 }
 
 // clonePlan shallow-copies a plan for execution: per-source structs and
-// the merge spec are copied (rewirePlan mutates their handle fields);
+// the merge spec are copied (bindPlan mutates their handle fields);
 // compiled evalFns, slices, and the bindSlots map are immutable after
 // planning and stay shared.
 func clonePlan(p *selectPlan) *selectPlan {

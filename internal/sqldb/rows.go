@@ -169,6 +169,12 @@ func (e *Engine) Query(ctx context.Context, sql string, binds map[string]interfa
 	if !ok {
 		return nil, fmt.Errorf("sql: Query requires a SELECT statement, got %T (use Exec)", st)
 	}
+	return e.querySelect(ctx, sel, sql, binds)
+}
+
+// querySelect opens the cursor of a parsed SELECT — the one SELECT path:
+// Query returns the cursor, Exec drains it.
+func (e *Engine) querySelect(ctx context.Context, sel *SelectStmt, sql string, binds map[string]interface{}) (*Rows, error) {
 	e.mu.Lock()
 	v, err := e.acquireViewLocked()
 	if err != nil {
@@ -194,15 +200,13 @@ func (e *Engine) Query(ctx context.Context, sql string, binds map[string]interfa
 }
 
 // buildRowsLocked compiles the union chain of s into a streaming
-// pipeline. When v is non-nil every compiled plan is rewired onto the
-// view's snapshot handles; a nil v leaves live handles, which is only
-// sound for statements that drain entirely under e.mu. Caller holds
-// e.mu; the returned cursor releases nothing on Close unless closers are
-// registered.
+// pipeline whose every plan is bound onto the view's snapshot handles.
+// Caller holds e.mu; the returned cursor releases nothing on Close unless
+// closers are registered.
 //
 // sqlText keys the plan cache: eligible statements (stmtCacheable) reuse
 // their compiled per-block plans across executions, always through a
-// clone — rewirePlan mutates storage handles in place, so the cached
+// clone — bindPlan mutates storage handles in place, so the cached
 // template must stay pristine.
 func (e *Engine) buildRowsLocked(ctx context.Context, s *SelectStmt, sqlText string, binds map[string]interface{}, v *execView) (*Rows, error) {
 	var cached []*selectPlan
@@ -272,10 +276,8 @@ func (e *Engine) buildRowsLocked(ctx context.Context, s *SelectStmt, sqlText str
 			if err != nil {
 				return nil, err
 			}
-			if v != nil {
-				if err := rewirePlan(plan, v); err != nil {
-					return nil, err
-				}
+			if err := bindPlan(plan, &v.readState); err != nil {
+				return nil, err
 			}
 			pn, err := newProjectOverPlan(plan, binds)
 			if err != nil {

@@ -47,7 +47,15 @@ type srcPlan struct {
 	lows  []evalFn
 	highs []evalFn
 
-	custom     CustomIndex
+	// custom is the domain index serving this source: the operator scan
+	// of an accessCustom / accessAllen source, or — on a side of an
+	// interval merge join — the index streaming it in lower-bound order
+	// (nil there: explicit sort fallback). reader is that index bound to
+	// the state this execution reads, and now the table's now-relative
+	// clock in that state; both are set by bindPlan, per execution.
+	custom     Index
+	reader     Reader
+	now        int64
 	customOp   string
 	customArgs []evalFn
 
@@ -61,13 +69,8 @@ type srcPlan struct {
 	filters []evalFn // predicates checked once this source is bound
 
 	// Interval merge join feed (selectPlan.merge non-nil): mjLo/mjHi are
-	// the join interval's column positions within cols; mjOrderedIx is the
-	// domain index streaming this side in lower-bound order (nil: explicit
-	// sort fallback); mjNowIx is the NowKeeper index whose clock resolves
-	// now-relative rows when this side is the subject.
-	mjLo, mjHi  int
-	mjOrderedIx CustomIndex
-	mjNowIx     CustomIndex
+	// the join interval's column positions within cols.
+	mjLo, mjHi int
 }
 
 // mergeSpec describes an interval merge join between two sources: the
@@ -99,8 +102,11 @@ type selectPlan struct {
 	// bindSlots maps a bind name to its slot in the env's bind tail; the
 	// absolute env position is envSize + slot. envSize is final before any
 	// compile call (source bases are assigned first), so positions are
-	// stable for the plan's lifetime.
+	// stable for the plan's lifetime. nowSlots shares the tail: it maps a
+	// source index to the slot carrying that source's now-clock, for the
+	// compiled ALLEN_* residuals that resolve now-relative rows.
 	bindSlots map[string]int
+	nowSlots  map[int]int
 }
 
 // bindSlot returns the absolute env position of bind :name, allocating a
@@ -111,18 +117,35 @@ func (p *selectPlan) bindSlot(name string) int {
 	}
 	slot, ok := p.bindSlots[name]
 	if !ok {
-		slot = len(p.bindSlots)
+		slot = p.tailLen()
 		p.bindSlots[name] = slot
 	}
 	return p.envSize + slot
 }
 
-// envLen is the full env width: all source columns plus the bind tail.
-func (p *selectPlan) envLen() int { return p.envSize + len(p.bindSlots) }
+// nowSlot returns the absolute env position of source si's now-clock,
+// allocating a tail slot on first reference.
+func (p *selectPlan) nowSlot(si int) int {
+	if p.nowSlots == nil {
+		p.nowSlots = make(map[int]int)
+	}
+	slot, ok := p.nowSlots[si]
+	if !ok {
+		slot = p.tailLen()
+		p.nowSlots[si] = slot
+	}
+	return p.envSize + slot
+}
 
-// fillBinds writes this execution's bind values into env's bind tail.
-// Planning no longer consumes scalar binds, so a missing or mistyped
-// bind surfaces here — when the plan is instantiated.
+func (p *selectPlan) tailLen() int { return len(p.bindSlots) + len(p.nowSlots) }
+
+// envLen is the full env width: all source columns plus the bind tail.
+func (p *selectPlan) envLen() int { return p.envSize + p.tailLen() }
+
+// fillBinds writes this execution's bind values, and the now-clocks
+// bindPlan resolved, into env's bind tail. Planning no longer consumes
+// scalar binds, so a missing or mistyped bind surfaces here — when the
+// plan is instantiated.
 func (p *selectPlan) fillBinds(env []int64, binds map[string]interface{}) error {
 	for name, slot := range p.bindSlots {
 		v, err := bindScalar(binds, name)
@@ -130,6 +153,9 @@ func (p *selectPlan) fillBinds(env []int64, binds map[string]interface{}) error 
 			return err
 		}
 		env[p.envSize+slot] = v
+	}
+	for si, slot := range p.nowSlots {
+		env[p.envSize+slot] = p.sources[si].now
 	}
 	return nil
 }
@@ -293,8 +319,8 @@ func (e *Engine) planSelect(s *SelectStmt, binds map[string]interface{}) (*selec
 // INTERSECTS over four plain column arguments, (lower, upper) of one
 // source and (lower, upper) of the other — and claims it as the merge
 // join's linking conjunct. Each side then records its feed: the ordered
-// stream of a domain index on exactly the join columns when one offers
-// the OrderedScanner capability, the explicit sort fallback otherwise.
+// stream of a domain index on exactly the join columns when one has it
+// (HasOrdered), the explicit sort fallback otherwise.
 func (p *selectPlan) detectMergeJoin(conjuncts []*conjunct) error {
 	for _, c := range conjuncts {
 		call, ok := c.ex.(*CallExpr)
@@ -336,19 +362,13 @@ func (p *selectPlan) detectMergeJoin(conjuncts []*conjunct) error {
 			if sp.tab == nil {
 				continue
 			}
-			for _, ci := range p.eng.customByTb[strings.ToLower(sp.tab.Name())] {
+			for _, ci := range p.eng.customByTb[sp.ref.Name] {
 				idxCols := ci.Columns()
-				if sp.mjOrderedIx == nil && len(idxCols) == 2 &&
+				if ci.HasOrdered() && len(idxCols) == 2 &&
 					strings.EqualFold(idxCols[0], sp.cols[sp.mjLo]) &&
 					strings.EqualFold(idxCols[1], sp.cols[sp.mjHi]) {
-					if _, ok := ci.(OrderedScanner); ok {
-						sp.mjOrderedIx = ci
-					}
-				}
-				if sp.mjNowIx == nil {
-					if _, ok := ci.(NowKeeper); ok {
-						sp.mjNowIx = ci
-					}
+					sp.custom = ci
+					break
 				}
 			}
 		}
@@ -626,10 +646,14 @@ func (p *selectPlan) compile(ex Expr, maxSrc int) (evalFn, error) {
 			// Now-relative rows (§4.6) must evaluate against the same
 			// clock here as on the index-served path, or the answer would
 			// depend on which conjunct drove the access plan: when the
-			// upper argument is a column of a source whose table has a
-			// NowKeeper domain index, that keeper's clock resolves the
-			// NowMarker sentinel (no keeper: now = 0, like the executor).
-			nk := p.nowKeeperFor(x.Args[1])
+			// upper argument is a column, its source's clock resolves the
+			// NowMarker sentinel (otherwise now = 0, like the executor).
+			nowAt := -1
+			if ce, ok := x.Args[1].(*ColumnExpr); ok {
+				if si, _, err := p.resolve(ce); err == nil {
+					nowAt = p.nowSlot(si)
+				}
+			}
 			return func(env []int64) int64 {
 				q, err := allenQuery(r, fns[2](env), fns[3](env))
 				if err != nil {
@@ -637,11 +661,10 @@ func (p *selectPlan) compile(ex Expr, maxSrc int) (evalFn, error) {
 				}
 				iv := interval.New(fns[0](env), fns[1](env))
 				if iv.Upper == interval.NowMarker {
-					now := int64(0)
-					if nk != nil {
-						now = nk.Now()
+					iv.Upper = 0
+					if nowAt >= 0 {
+						iv.Upper = env[nowAt]
 					}
-					iv.Upper = now
 					if !iv.Valid() {
 						return 0 // born in the future of the evaluation time
 					}
@@ -652,27 +675,6 @@ func (p *selectPlan) compile(ex Expr, maxSrc int) (evalFn, error) {
 		return nil, fmt.Errorf("sql: operator %s is not supported by any index of the queried table (extensible operators must be served by a DOMAIN INDEX, §5)", x.Name)
 	}
 	return nil, fmt.Errorf("sql: unsupported expression %T", ex)
-}
-
-// nowKeeperFor finds the NowKeeper clock that governs ex, when ex is a
-// column of a base-table source with a NowKeeper domain index. nil when
-// no clock applies (transient sources, non-column expressions, tables
-// without a now-capable index).
-func (p *selectPlan) nowKeeperFor(ex Expr) NowKeeper {
-	ce, ok := ex.(*ColumnExpr)
-	if !ok || p.eng == nil {
-		return nil
-	}
-	si, _, err := p.resolve(ce)
-	if err != nil || p.sources[si].tab == nil {
-		return nil
-	}
-	for _, ci := range p.eng.customByTb[strings.ToLower(p.sources[si].tab.Name())] {
-		if nk, isNK := ci.(NowKeeper); isNK {
-			return nk
-		}
-	}
-	return nil
 }
 
 func b2i(b bool) int64 {
@@ -1111,8 +1113,8 @@ func printNested(sb *strings.Builder, sources []*srcPlan, indent int) {
 // a start-sorted domain index, or an explicit sort over the source's
 // ordinary access path.
 func mergeFeedLine(sp *srcPlan) string {
-	if sp.mjOrderedIx != nil {
-		return fmt.Sprintf("ORDERED DOMAIN INDEX SCAN %s (LOWER)", strings.ToUpper(sp.mjOrderedIx.Name()))
+	if sp.custom != nil {
+		return fmt.Sprintf("ORDERED DOMAIN INDEX SCAN %s (LOWER)", strings.ToUpper(sp.custom.Name()))
 	}
 	return "SORT BY LOWER (" + accessLine(sp) + ")"
 }

@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"strings"
 	"sync"
 	"time"
 
@@ -16,16 +15,6 @@ import (
 // SlowQueries. The registry also accumulates the cursor work counters
 // ("sql.leaf_rows", ...), which is what lets a bench run assert that the
 // registry agrees with Rows.Stats().
-
-// MetricsBinder is the observability capability of a custom index
-// (alongside Attacher and StorageDropper): an index implementing it is
-// handed the DB-level registry when one is configured, so its internal
-// counters (shard fan-outs, partition skips, node visits) surface in the
-// same Snapshot as the SQL and pagestore families. prefix is
-// "index.<name>" — implementations should publish under "<prefix>.<metric>".
-type MetricsBinder interface {
-	BindMetrics(reg *obs.Registry, prefix string)
-}
 
 // SlowQuery is one captured slow statement.
 type SlowQuery struct {
@@ -197,8 +186,8 @@ func (m *sqlMetrics) observe(kind string, d time.Duration, st ExecStats) {
 }
 
 // SetMetricsRegistry configures the registry statement telemetry and
-// layer metric families publish into, and offers it to every attached
-// custom index that implements MetricsBinder. It must be set before
+// layer metric families publish into, and hands it to every attached
+// custom index (Index.BindMetrics). It must be set before
 // AttachCatalogIndexes for reopened indexes to bind (indexes attached
 // later bind at attach time).
 func (e *Engine) SetMetricsRegistry(reg *obs.Registry) {
@@ -210,10 +199,8 @@ func (e *Engine) SetMetricsRegistry(reg *obs.Registry) {
 		return
 	}
 	e.sqlMet.Store(newSQLMetrics(reg))
-	for _, ci := range e.custom {
-		if mb, ok := ci.(MetricsBinder); ok {
-			mb.BindMetrics(reg, "index."+strings.ToLower(ci.Name()))
-		}
+	for name, ci := range e.custom {
+		ci.BindMetrics(reg, "index."+name)
 	}
 }
 

@@ -32,32 +32,44 @@ import (
 //     semantics without a private workspace).
 //   - DDL (CREATE/DROP) is rejected inside a transaction.
 //   - Buffered inserts are validated against the table schema at
-//     statement time, but domain-index validation runs at COMMIT when the
-//     ops are applied; a mid-apply failure surfaces the error after a
-//     consistent prefix, like a DELETE aborting mid-batch.
+//     statement time, but domain-index validation runs at COMMIT, which
+//     applies one batch per touched table: a table whose batch an index
+//     refuses is left untouched and the error surfaces after the tables
+//     already applied (a consistent prefix).
 
 // ErrTxnConflict aborts a COMMIT whose touched tables were changed by a
 // concurrent writer after BEGIN: the first committer won.
 var ErrTxnConflict = errors.New("sql: transaction conflict: table changed since BEGIN (first committer wins)")
 
-// txnOp is one buffered mutation.
-type txnOp struct {
-	table string // lower-cased
-	del   bool
-	row   []int64
-	rid   rel.RowID // victims only
+// txnBatch is the buffered mutations of one table.
+type txnBatch struct {
+	ins [][]int64
+	del []Entry
+	// deleted dedupes victims across the transaction's DELETE statements:
+	// the snapshot keeps serving a row this transaction already deleted,
+	// so a second WHERE match must not buffer it twice.
+	deleted map[rel.RowID]bool
 }
 
 // txnState is an open transaction. All fields are guarded by e.mu.
 type txnState struct {
-	view    *execView
-	base    map[string]uint64 // content checksum per table at BEGIN
-	ops     []txnOp
-	touched map[string]bool
-	// deleted dedupes victims across the transaction's DELETE statements:
-	// the snapshot keeps serving a row this transaction already deleted,
-	// so a second WHERE match must not buffer it twice.
-	deleted map[string]map[rel.RowID]bool
+	view *execView
+	base map[string]uint64 // content checksum per table at BEGIN
+	// batches holds one batch per touched table (lower-cased name), order
+	// the tables in first-touch order — the order COMMIT applies them.
+	batches map[string]*txnBatch
+	order   []string
+}
+
+// batch returns table's batch, marking the table touched.
+func (t *txnState) batch(table string) *txnBatch {
+	b, ok := t.batches[table]
+	if !ok {
+		b = &txnBatch{deleted: make(map[rel.RowID]bool)}
+		t.batches[table] = b
+		t.order = append(t.order, table)
+	}
+	return b
 }
 
 // txnCounter bumps a txn.* metric. Caller holds e.mu (which guards e.reg).
@@ -87,12 +99,7 @@ func (e *Engine) execBegin() (*Result, error) {
 		}
 		base[strings.ToLower(name)] = tab.ContentChecksum()
 	}
-	e.txn = &txnState{
-		view:    v,
-		base:    base,
-		touched: make(map[string]bool),
-		deleted: make(map[string]map[rel.RowID]bool),
-	}
+	e.txn = &txnState{view: v, base: base, batches: make(map[string]*txnBatch)}
 	e.txnCounter("txn.begins")
 	return &Result{}, nil
 }
@@ -107,7 +114,7 @@ func (e *Engine) execCommit() (*Result, error) {
 	// First-committer-wins validation: any change to a touched table since
 	// BEGIN aborts. The checksum is content-derived, so it catches
 	// insert-then-delete churn that nets to the same row count.
-	for tl := range t.touched {
+	for _, tl := range t.order {
 		tab, err := e.db.Table(tl)
 		if err != nil {
 			e.txnCounter("txn.conflicts")
@@ -119,20 +126,12 @@ func (e *Engine) execCommit() (*Result, error) {
 		}
 	}
 	var affected int64
-	for _, op := range t.ops {
-		tab, err := e.db.Table(op.table)
-		if err != nil {
+	for _, tl := range t.order {
+		b := t.batches[tl]
+		if _, err := e.applyLocked(tl, b.ins, b.del); err != nil {
 			return nil, err
 		}
-		if op.del {
-			err = e.deleteRowLocked(op.table, tab, op.rid, op.row)
-		} else {
-			_, err = e.insertRowLocked(op.table, tab, op.row)
-		}
-		if err != nil {
-			return nil, err
-		}
-		affected++
+		affected += int64(len(b.ins) + len(b.del))
 	}
 	e.txnCounter("txn.commits")
 	return &Result{Affected: affected}, nil
@@ -152,72 +151,32 @@ func (e *Engine) execRollback() (*Result, error) {
 // txnInsert buffers an INSERT: schema-validated now, index-validated when
 // COMMIT applies it. Caller holds e.mu with e.txn open.
 func (e *Engine) txnInsert(s *InsertStmt, binds map[string]interface{}) (*Result, error) {
-	tab, err := e.db.Table(s.Table)
+	row, err := e.insertValues(s, binds)
 	if err != nil {
 		return nil, err
 	}
-	if len(s.Values) != tab.Schema().NumCols() {
-		return nil, fmt.Errorf("sql: INSERT supplies %d values, table %s has %d columns",
-			len(s.Values), s.Table, tab.Schema().NumCols())
-	}
-	row := make([]int64, len(s.Values))
-	for i, ex := range s.Values {
-		v, err := evalConst(ex, binds)
-		if err != nil {
-			return nil, err
-		}
-		row[i] = v
-	}
-	tl := strings.ToLower(s.Table)
-	e.txn.ops = append(e.txn.ops, txnOp{table: tl, row: row})
-	e.txn.touched[tl] = true
+	b := e.txn.batch(s.Table)
+	b.ins = append(b.ins, row)
 	return &Result{Affected: 1}, nil
 }
 
-// txnDelete buffers a DELETE: the WHERE clause is planned like a SELECT
-// and evaluated against the transaction's snapshot view, so the victim
-// set is repeatable. Caller holds e.mu with e.txn open.
+// txnDelete buffers a DELETE: the WHERE clause is evaluated against the
+// transaction's snapshot view, so the victim set is repeatable. Caller
+// holds e.mu with e.txn open.
 func (e *Engine) txnDelete(s *DeleteStmt, binds map[string]interface{}) (*Result, error) {
-	t := e.txn
-	sel := &SelectStmt{
-		Items: []SelectItem{{Star: true}},
-		From:  []TableRef{{Name: s.Table}},
-		Where: s.Where,
-	}
-	plan, err := e.planSelect(sel, binds)
+	victims, err := e.victimsLocked(s, binds, &e.txn.view.readState)
 	if err != nil {
 		return nil, err
 	}
-	if err := rewirePlan(plan, t.view); err != nil {
-		return nil, err
-	}
-	stab, err := t.view.shadow.Table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	tl := strings.ToLower(s.Table)
-	dels := t.deleted[tl]
-	if dels == nil {
-		dels = make(map[rel.RowID]bool)
-		t.deleted[tl] = dels
-	}
-	width := stab.Schema().NumCols()
+	b := e.txn.batch(s.Table)
 	var n int64
-	err = drainPlan(plan, binds, func(env []int64, rids []rel.RowID) bool {
-		rid := rids[0]
-		if dels[rid] {
-			return true // already deleted earlier in this transaction
+	for _, v := range victims {
+		if b.deleted[v.RID] {
+			continue // already deleted earlier in this transaction
 		}
-		dels[rid] = true
-		row := make([]int64, width)
-		copy(row, env[:width])
-		t.ops = append(t.ops, txnOp{table: tl, del: true, row: row, rid: rid})
+		b.deleted[v.RID] = true
+		b.del = append(b.del, v)
 		n++
-		return true
-	})
-	if err != nil {
-		return nil, err
 	}
-	t.touched[tl] = true
 	return &Result{Affected: n}, nil
 }

@@ -2,9 +2,7 @@ package sqldb
 
 import (
 	"fmt"
-	"strings"
 
-	"ritree/internal/interval"
 	"ritree/internal/pagestore"
 	"ritree/internal/rel"
 )
@@ -15,10 +13,10 @@ import (
 // A view pins a page-store snapshot at a committed boundary and opens a
 // read-only shadow rel.DB over it (pagestore.Snapshot implements Backend,
 // so the whole relational stack stacks on top unchanged). Plans compiled
-// for a cursor are then rewired onto the shadow's tables and indexes, and
-// every custom (domain) index is replaced by a snapshot-bound scan — an
-// access method either provides one through the SnapshotScanner
-// capability or is served by a fallback scan of the shadow base table.
+// for a cursor are then bound onto the shadow's tables and indexes, and
+// every custom (domain) index is read through a Reader bound to the
+// shadow — the same Index.Reader call a live read makes with the live
+// database.
 //
 // Views are reference-counted and cached: consecutive read statements
 // share one view, and any write statement invalidates the cache at its
@@ -26,96 +24,49 @@ import (
 // its snapshot's pre-image retention) lives exactly as long as the
 // cursors and transactions using it.
 
-// ScanFunc is a snapshot-bound operator scan: the Scan method of a
-// CustomIndex, detached from the live index and bound to one consistent
-// view of its storage. Implementations must be safe for concurrent use —
-// several cursors of one view may scan at once.
-type ScanFunc func(op string, args []int64, fn func(rid rel.RowID) bool) error
-
-// SnapshotScanner is an optional CustomIndex capability: produce an
-// operator scan bound to the given shadow (snapshot) database. It is
-// called under the engine's statement lock at a committed boundary, so
-// the index's in-memory state and the shadow's relational state describe
-// the same data; the returned ScanFunc must keep answering from that
-// state regardless of later writes to the live index.
-//
-// Indexes without the capability are served by a fallback that scans the
-// shadow base table and evaluates INTERSECTS / CONTAINS_POINT directly —
-// correct, but without the access method's pruning.
-type SnapshotScanner interface {
-	SnapshotScan(shadow *rel.DB) (ScanFunc, error)
+// readState is one relational state with the Readers of the domain
+// indexes bound to it: the shadow database of a snapshot view, or the
+// live database for the statements that read it under e.mu (DELETE's
+// victim scan).
+type readState struct {
+	db      *rel.DB
+	readers map[Index]Reader
+	// now is each table's evaluation clock for now-relative rows (§4.6):
+	// that of its first index keeping one, captured when the state was
+	// bound so a concurrent SetNow cannot shift answers mid-cursor. Tables
+	// without such an index are absent (now = 0).
+	now map[string]int64 // by lower-cased table name
 }
 
-// OrderedScanFunc streams every row id a custom index covers in ascending
-// order of the indexed interval's lower bound. fn returning false stops
-// the stream. Implementations must be safe for concurrent use.
-type OrderedScanFunc func(fn func(rid rel.RowID) bool) error
-
-// OrderedScanner is an optional CustomIndex capability: stream the indexed
-// row ids in ascending lower-bound order, the feed of the interval merge
-// join (which otherwise falls back to an explicit sort of the source).
-// Access methods that already keep start-sorted storage — HINT's flat
-// layout — serve it zero-sort.
-type OrderedScanner interface {
-	OrderedScan(fn func(rid rel.RowID) bool) error
+// bindTable binds the domain indexes of one table to rs.db. Caller holds
+// e.mu.
+func (rs *readState) bindTable(table string, indexes []Index) error {
+	for _, ci := range indexes {
+		rd, err := ci.Reader(rs.db)
+		if err != nil {
+			return fmt.Errorf("sql: binding index %s: %w", ci.Name(), err)
+		}
+		rs.readers[ci] = rd
+		if _, set := rs.now[table]; !set {
+			if now, ok := rd.Now(); ok {
+				rs.now[table] = now
+			}
+		}
+	}
+	return nil
 }
 
-// SnapshotOrderedScanner is the snapshot face of OrderedScanner: produce
-// an ordered stream bound to the given shadow (snapshot) database, under
-// the same committed-boundary contract as SnapshotScanner. Indexes with
-// OrderedScanner but not this capability sort under snapshot views.
-type SnapshotOrderedScanner interface {
-	SnapshotOrderedScan(shadow *rel.DB) (OrderedScanFunc, error)
+func newReadState(db *rel.DB) readState {
+	return readState{db: db, readers: map[Index]Reader{}, now: map[string]int64{}}
 }
 
 // execView is one pinned snapshot of the database, shared by every cursor
-// (and transaction) reading from it. refs is guarded by Engine.viewMu.
+// (and transaction) reading from it. refs is guarded by Engine.viewLk.
 type execView struct {
-	snap    *pagestore.Snapshot
-	shadow  *rel.DB
-	customs map[string]*viewIndex // by lower-cased index name
-	refs    int
+	readState
+	snap *pagestore.Snapshot
+	refs int
 }
-
-// viewIndex is the snapshot face of one custom index: identity and
-// operator advertisement delegate to the live index (immutable metadata),
-// scans run through the captured snapshot scan, and the NowKeeper clock
-// is frozen at view creation so a concurrent SetNow cannot shift answers
-// mid-cursor. Maintenance and Drop are refused — a view is read-only.
-type viewIndex struct {
-	live    CustomIndex
-	scan    ScanFunc
-	ordered OrderedScanFunc // nil: no snapshot-bound ordered stream
-	now     int64
-}
-
-func (vi *viewIndex) Name() string               { return vi.live.Name() }
-func (vi *viewIndex) Table() string              { return vi.live.Table() }
-func (vi *viewIndex) Columns() []string          { return vi.live.Columns() }
-func (vi *viewIndex) HasOperator(op string) bool { return vi.live.HasOperator(op) }
-
-func (vi *viewIndex) Scan(op string, args []int64, fn func(rid rel.RowID) bool) error {
-	return vi.scan(op, args, fn)
-}
-
-func (vi *viewIndex) OnInsert([]int64, rel.RowID) error {
-	return fmt.Errorf("sql: internal: maintenance routed to a read-only snapshot view of index %s", vi.live.Name())
-}
-
-func (vi *viewIndex) OnDelete([]int64, rel.RowID) error {
-	return fmt.Errorf("sql: internal: maintenance routed to a read-only snapshot view of index %s", vi.live.Name())
-}
-
-func (vi *viewIndex) Drop() error {
-	return fmt.Errorf("sql: internal: drop routed to a read-only snapshot view of index %s", vi.live.Name())
-}
-
-// SetNow implements NowKeeper as a no-op: the view's clock is frozen.
-func (vi *viewIndex) SetNow(int64) {}
-
-// Now implements NowKeeper with the clock captured at view creation (0
-// when the live index keeps none, matching the executor's default).
-func (vi *viewIndex) Now() int64 { return vi.now }
 
 // newExecViewLocked pins the current committed state as a view. Caller
 // holds e.mu, which is what guarantees the committed-boundary requirement
@@ -139,84 +90,18 @@ func (e *Engine) newExecViewLocked() (*execView, error) {
 		snap.Release()
 		return nil, err
 	}
-	v := &execView{snap: snap, shadow: shadow, customs: make(map[string]*viewIndex, len(e.custom)), refs: 1}
-	for name, ci := range e.custom {
-		vi := &viewIndex{live: ci}
-		if nk, ok := ci.(NowKeeper); ok {
-			vi.now = nk.Now()
-		}
-		if ss, ok := ci.(SnapshotScanner); ok {
-			vi.scan, err = ss.SnapshotScan(shadow)
-		} else {
-			vi.scan, err = shadowFallbackScan(shadow, ci, vi.now)
-		}
-		if err == nil {
-			if os, ok := ci.(SnapshotOrderedScanner); ok {
-				vi.ordered, err = os.SnapshotOrderedScan(shadow)
-			}
-		}
-		if err != nil {
+	rs := newReadState(shadow)
+	for table, indexes := range e.customByTb {
+		if err := rs.bindTable(table, indexes); err != nil {
 			snap.Release()
-			return nil, fmt.Errorf("sql: snapshot view of index %s: %w", ci.Name(), err)
+			return nil, err
 		}
-		v.customs[name] = vi
 	}
 	if m := e.sqlMet.Load(); m != nil {
 		m.viewsPinned.Inc()
 		m.viewsActive.Add(1)
 	}
-	return v, nil
-}
-
-// shadowFallbackScan serves INTERSECTS / CONTAINS_POINT for an index
-// without the SnapshotScanner capability by scanning the shadow base
-// table — the rows are exactly the set the live index would report at the
-// snapshot, found the slow way.
-func shadowFallbackScan(shadow *rel.DB, ci CustomIndex, now int64) (ScanFunc, error) {
-	cols := ci.Columns()
-	if len(cols) != 2 {
-		return nil, fmt.Errorf("fallback scan needs (lower, upper) columns, index has %d", len(cols))
-	}
-	stab, err := shadow.Table(ci.Table())
-	if err != nil {
-		return nil, err
-	}
-	loPos := stab.Schema().ColIndex(cols[0])
-	hiPos := stab.Schema().ColIndex(cols[1])
-	if loPos < 0 || hiPos < 0 {
-		return nil, fmt.Errorf("fallback scan: columns %v not in %s", cols, ci.Table())
-	}
-	name := ci.Name()
-	return func(op string, args []int64, fn func(rid rel.RowID) bool) error {
-		var q interval.Interval
-		switch strings.ToLower(op) {
-		case opIntersects:
-			if len(args) != 2 {
-				return fmt.Errorf("sql: INTERSECTS needs (:lo, :hi), got %d args", len(args))
-			}
-			q = interval.New(args[0], args[1])
-		case "contains_point":
-			if len(args) != 1 {
-				return fmt.Errorf("sql: CONTAINS_POINT needs (:p), got %d args", len(args))
-			}
-			q = interval.Point(args[0])
-		default:
-			return fmt.Errorf("sql: snapshot view of index %s cannot serve operator %q", name, op)
-		}
-		return stab.Scan(func(rid rel.RowID, row []int64) bool {
-			iv := interval.New(row[loPos], row[hiPos])
-			if iv.Upper == interval.NowMarker {
-				iv.Upper = now
-				if !iv.Valid() {
-					return true
-				}
-			}
-			if iv.Intersects(q) {
-				return fn(rid)
-			}
-			return true
-		})
-	}, nil
+	return &execView{readState: rs, snap: snap, refs: 1}, nil
 }
 
 // acquireViewLocked returns a referenced view for a read statement: the
@@ -248,18 +133,6 @@ func (e *Engine) acquireViewLocked() (*execView, error) {
 	e.curView = v
 	e.viewLk.Unlock()
 	return v, nil
-}
-
-// stmtViewLocked returns the view a materializing statement (Exec's
-// SELECT or EXPLAIN ANALYZE) should read from: the open transaction's
-// pinned view (referenced — pair with releaseView), or nil outside a
-// transaction. A nil view means live handles, which is sound there
-// because the whole statement drains under e.mu. Caller holds e.mu.
-func (e *Engine) stmtViewLocked() (*execView, error) {
-	if e.txn == nil {
-		return nil, nil
-	}
-	return e.acquireViewLocked()
 }
 
 // releaseView drops one reference; the last one releases the snapshot
@@ -297,65 +170,34 @@ func (e *Engine) invalidateViewLocked() {
 	}
 }
 
-// rewirePlan substitutes the live storage handles a freshly compiled plan
-// holds with the view's snapshot-bound ones: shadow tables, shadow
-// B+-tree indexes, and the snapshot faces of the custom indexes. The
-// executor reads every handle through the plan at Open time, so the
-// rewired plan never touches live storage.
-func rewirePlan(p *selectPlan, v *execView) error {
+// bindPlan points a freshly compiled (or cloned) plan at one relational
+// state: its tables and B+-tree indexes, the Reader of each source's
+// domain index, and each source's now-clock. The executor reads every
+// handle through the plan at Open time, so a plan bound to a view never
+// touches live storage.
+func bindPlan(p *selectPlan, rs *readState) error {
 	for _, sp := range p.sources {
-		if sp.tab != nil {
-			stab, err := v.shadow.Table(sp.tab.Name())
-			if err != nil {
-				return err
-			}
-			sp.tab = stab
+		if sp.tab == nil {
+			continue
 		}
+		tab, err := rs.db.Table(sp.tab.Name())
+		if err != nil {
+			return err
+		}
+		sp.tab = tab
 		if sp.ix != nil {
-			six, err := v.shadow.Index(sp.ix.Name())
-			if err != nil {
+			if sp.ix, err = rs.db.Index(sp.ix.Name()); err != nil {
 				return err
 			}
-			sp.ix = six
 		}
 		if sp.custom != nil {
-			vi, ok := v.customs[strings.ToLower(sp.custom.Name())]
+			rd, ok := rs.readers[sp.custom]
 			if !ok {
-				return fmt.Errorf("sql: internal: no snapshot view of index %s", sp.custom.Name())
+				return fmt.Errorf("sql: internal: index %s is not bound to this read state", sp.custom.Name())
 			}
-			sp.custom = vi
+			sp.reader = rd
 		}
-		// Merge-join feed handles swap onto their snapshot faces too: the
-		// ordered stream and the frozen now-clock must describe the same
-		// committed state as the shadow tables.
-		if sp.mjOrderedIx != nil {
-			vi, ok := v.customs[strings.ToLower(sp.mjOrderedIx.Name())]
-			if !ok {
-				return fmt.Errorf("sql: internal: no snapshot view of index %s", sp.mjOrderedIx.Name())
-			}
-			sp.mjOrderedIx = vi
-		}
-		if sp.mjNowIx != nil {
-			vi, ok := v.customs[strings.ToLower(sp.mjNowIx.Name())]
-			if !ok {
-				return fmt.Errorf("sql: internal: no snapshot view of index %s", sp.mjNowIx.Name())
-			}
-			sp.mjNowIx = vi
-		}
-	}
-	return nil
-}
-
-// orderedScanOf resolves the ordered-stream face of a custom index: the
-// snapshot-bound stream of a view face (nil when the access method keeps
-// none), the live OrderedScanner method otherwise. A nil result sends the
-// merge join down its explicit-sort fallback.
-func orderedScanOf(ci CustomIndex) OrderedScanFunc {
-	switch x := ci.(type) {
-	case *viewIndex:
-		return x.ordered
-	case OrderedScanner:
-		return x.OrderedScan
+		sp.now = rs.now[sp.ref.Name]
 	}
 	return nil
 }
