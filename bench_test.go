@@ -385,36 +385,40 @@ func BenchmarkAblationSkeleton(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreInsert measures single-interval insertion cost (Figure 5's
-// single-statement insert, O(log_b n) I/Os). Allocation counts are part
-// of the contract: they keep the hot-path garbage regressions visible.
-func BenchmarkCoreInsert(b *testing.B) {
-	idx, err := ritree.New()
+// benchCollection opens an in-memory DB with one collection named "iv"
+// served by method; the DB closes with the benchmark.
+func benchCollection(b *testing.B, method string, opts ...ritree.CollectionOption) *ritree.Collection {
+	b.Helper()
+	db, err := ritree.OpenMemory()
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer idx.Close()
+	b.Cleanup(func() { db.Close() })
+	c, err := db.CreateCollection("iv", append([]ritree.CollectionOption{ritree.AccessMethod(method)}, opts...)...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
+}
+
+// benchInsert measures single-interval insertion through a collection.
+// Allocation counts are part of the contract: they keep the hot-path
+// garbage regressions visible.
+func benchInsert(b *testing.B, c *ritree.Collection) {
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := rng.Int63n(1 << 20)
-		if err := idx.Insert(ritree.NewInterval(lo, lo+rng.Int63n(2048)), int64(i)); err != nil {
+		if err := c.Insert(ritree.NewInterval(lo, lo+rng.Int63n(2048)), int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkCoreIntersecting measures intersection query cost on a loaded
-// index through the public API — the target of the query-scratch pooling
-// in internal/ritree (transient node collections and scan bounds reused
-// across queries).
-func BenchmarkCoreIntersecting(b *testing.B) {
-	idx, err := ritree.New()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer idx.Close()
+// benchCountIntersecting bulk loads 50k intervals into c, then measures
+// the counting intersection query.
+func benchCountIntersecting(b *testing.B, c *ritree.Collection) {
 	rng := rand.New(rand.NewSource(2))
 	n := 50000
 	ivs := make([]ritree.Interval, n)
@@ -424,7 +428,7 @@ func BenchmarkCoreIntersecting(b *testing.B) {
 		ivs[i] = ritree.NewInterval(lo, lo+rng.Int63n(2048))
 		ids[i] = int64(i)
 	}
-	if err := idx.BulkLoad(ivs, ids); err != nil {
+	if err := c.BulkLoad(ivs, ids); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -432,7 +436,7 @@ func BenchmarkCoreIntersecting(b *testing.B) {
 	var total int64
 	for i := 0; i < b.N; i++ {
 		lo := rng.Int63n(1 << 20)
-		n, err := idx.CountIntersecting(ritree.NewInterval(lo, lo+5000))
+		n, err := c.CountIntersecting(ritree.NewInterval(lo, lo+5000))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -443,62 +447,37 @@ func BenchmarkCoreIntersecting(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreHINTIntersecting measures the same query shape through
-// the public main-memory HINT API (sorted subdivisions, flat storage) —
-// the headline number behind the hint/hintopt experiments.
-func BenchmarkCoreHINTIntersecting(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(bname("shards", float64(shards), "HINT"), func(b *testing.B) {
-			idx, err := ritree.NewHINT(ritree.WithHINTShards(shards))
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(2))
-			n := 50000
-			ivs := make([]ritree.Interval, n)
-			ids := make([]int64, n)
-			for i := range ivs {
-				lo := rng.Int63n(1 << 20)
-				ivs[i] = ritree.NewInterval(lo, lo+rng.Int63n(2048))
-				ids[i] = int64(i)
-			}
-			if err := idx.BulkLoad(ivs, ids); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var total int64
-			for i := 0; i < b.N; i++ {
-				lo := rng.Int63n(1 << 20)
-				n, err := idx.CountIntersecting(ritree.NewInterval(lo, lo+5000))
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += n
-			}
-			if total == 0 {
-				b.Fatal("queries returned nothing")
-			}
-		})
-	}
+// BenchmarkCoreInsert measures single-interval insertion cost on an
+// RI-tree collection (Figure 5's single-statement insert, O(log_b n)
+// I/Os, plus the base-relation append).
+func BenchmarkCoreInsert(b *testing.B) {
+	benchInsert(b, benchCollection(b, ritree.AccessMethodRITree))
 }
 
-// BenchmarkCoreHINTInsert measures incremental insertion into the
-// main-memory HINT (sorted overlay path).
+// BenchmarkCoreIntersecting measures intersection query cost on a loaded
+// RI-tree collection — the target of the query-scratch pooling in
+// internal/ritree (transient node collections and scan bounds reused
+// across queries).
+func BenchmarkCoreIntersecting(b *testing.B) {
+	benchCountIntersecting(b, benchCollection(b, ritree.AccessMethodRITree))
+}
+
+// BenchmarkCoreHINTIntersecting measures the same query shape on HINT
+// collections (sorted subdivisions, flat storage), one shard and eight —
+// the headline number behind the hint/hintopt experiments.
+func BenchmarkCoreHINTIntersecting(b *testing.B) {
+	b.Run(bname("shards", 1, "HINT"), func(b *testing.B) {
+		benchCountIntersecting(b, benchCollection(b, ritree.AccessMethodHINT))
+	})
+	b.Run(bname("shards", 8, "HINT"), func(b *testing.B) {
+		benchCountIntersecting(b, benchCollection(b, ritree.AccessMethodHINTSharded, ritree.WithMethodParam("shards", "8")))
+	})
+}
+
+// BenchmarkCoreHINTInsert measures incremental insertion into a HINT
+// collection (sorted overlay path).
 func BenchmarkCoreHINTInsert(b *testing.B) {
-	idx, err := ritree.NewHINT()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo := rng.Int63n(1 << 20)
-		if err := idx.Insert(ritree.NewInterval(lo, lo+rng.Int63n(2048)), int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchInsert(b, benchCollection(b, ritree.AccessMethodHINT))
 }
 
 func c2n(c bench.Config, base int) int {
@@ -548,8 +527,9 @@ func f1s(v float64) string {
 
 // BenchmarkSQLStreamLimit measures the streaming SQL cursor against the
 // materializing Exec path on the same collection SELECT — the CI smoke
-// coverage for the volcano executor (ribench -exp sqlstream is the
-// full-scale version). The LIMIT variant must do O(k) leaf work.
+// coverage for the volcano executor (the benchmark/ module's
+// embed-range-hot workload is the end-to-end version). The LIMIT variant
+// must do O(k) leaf work.
 func BenchmarkSQLStreamLimit(b *testing.B) {
 	db, err := ritree.OpenMemory()
 	if err != nil {

@@ -3,18 +3,21 @@
 // the RI-tree-vs-HINT main-memory comparison (experiment id "hint":
 // RI-tree against the never-compacted HINT baseline and the optimized
 // HINT), the HINT storage-form ablation (experiment id "hintopt": sorted
-// subdivisions vs the flat cache-conscious layout), the unified-interface
-// comparison (experiment id "collections": every registered access method
-// loaded and queried through the same collection code path the public
-// DB/Collection API uses), and the persisted-domain-index reopen lifecycle (experiment
-// id "reopen": catalog auto-attach cost per indextype on a file-backed
-// database).
+// subdivisions vs the flat cache-conscious layout) and three RI-tree
+// ablations (minstep pruning, the Figure 8 query form, the materialized
+// backbone).
+//
+// ribench measures access methods on their own stores. End-to-end costs
+// of the database — SQL cursors, joins, the wire server, concurrent
+// writers, reopen — are measured by the benchmark/ module and asserted by
+// the named tests in the root, driver and internal/sqldb packages.
 //
 // Usage:
 //
 //	ribench -list
 //	ribench -exp fig13
 //	ribench -exp all -scale 0.1
+//	ribench -exp fig10                 # the Figure 9 statement's Figure 10 plan
 //	ribench -exp fig14 -latency 200us -csv
 //	ribench -exp hint -json
 //	ribench -exp hintopt -json

@@ -2,6 +2,7 @@ package ritree
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"iter"
 	"slices"
@@ -12,56 +13,14 @@ import (
 	"ritree/internal/sqldb"
 )
 
-// Querier is the uniform interface every interval collection satisfies,
-// regardless of the access method serving it — DB collections on any
-// registered indextype, the legacy RI-tree Index, and the main-memory
-// HINT all answer the same queries the same way. Slice-returning methods
-// report ids ascending; Scan streams without materializing and is the
-// cancellable form.
-type Querier interface {
-	// Insert registers iv under id; duplicate (iv, id) pairs count
-	// separately.
-	Insert(iv Interval, id int64) error
-	// Delete removes one registration of (iv, id), reporting whether it
-	// existed.
-	Delete(iv Interval, id int64) (bool, error)
-	// BulkLoad inserts ivs[i] under ids[i] — the fast path for loading
-	// large datasets.
-	BulkLoad(ivs []Interval, ids []int64) error
-	// Intersecting returns the ids of all intervals intersecting q,
-	// ascending.
-	Intersecting(q Interval) ([]int64, error)
-	// IntersectingFunc streams the ids of intervals intersecting q in no
-	// particular order; return false from fn to stop early.
-	IntersectingFunc(q Interval, fn func(id int64) bool) error
-	// CountIntersecting returns the number of intervals intersecting q.
-	CountIntersecting(q Interval) (int64, error)
-	// Stab returns the ids of all intervals containing the point p,
-	// ascending.
-	Stab(p int64) ([]int64, error)
-	// Query returns the ids of all intervals i with "i r q" for any of
-	// Allen's thirteen relations (paper §4.5), ascending.
-	Query(r Relation, q Interval) ([]int64, error)
-	// Scan streams the ids matching q (see Intersects, Stabbing, Related)
-	// as a range-over-func iterator: breaking out of the loop stops the
-	// scan, and ctx cancellation surfaces as the iterator's final error.
-	Scan(ctx context.Context, q Query) iter.Seq2[int64, error]
-	// Count returns the number of registered intervals.
-	Count() int64
-}
-
-var (
-	_ Querier = (*Collection)(nil)
-	_ Querier = (*Index)(nil)
-	_ Querier = (*HINT)(nil)
-)
-
 // Collection is one named interval collection of a DB: a base relation of
 // (lower, upper, id) rows plus the access-method domain index serving its
 // queries (paper §5 — the server "automatically triggers the maintenance
 // and scan of custom indexes"). Query results stream through the access
 // method and map row ids back to the base relation, exactly the paper's
-// domain-index query shape.
+// domain-index query shape. Every access method answers the same queries
+// the same way: slice-returning methods report ids ascending, and Scan
+// streams without materializing and is the cancellable form.
 //
 // Methods are safe for concurrent use under the owning DB's lock: queries
 // run concurrently with each other, mutations are exclusive. The
@@ -225,14 +184,7 @@ func (c *Collection) Delete(iv Interval, id int64) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		row := make([]int64, 3)
-		err = rd.Scan(opIntersects, []int64{iv.Lower, iv.Upper}, func(rid rel.RowID) bool {
-			if c.tab.GetRawInto(rid, row) != nil {
-				return true
-			}
-			return match(rid, row)
-		})
-		if err != nil {
+		if err := c.scanRows(rd, iv, match); err != nil {
 			return false, err
 		}
 	default:
@@ -250,6 +202,30 @@ const (
 	opContainsPoint = "contains_point"
 )
 
+// scanRows streams the base row of every interval the access method
+// reports as intersecting q; return false from fn to stop early. A row id
+// whose row is gone (rel.ErrNoSuchRow) is skipped; any other read failure
+// stops the scan and is returned, so a page that cannot be read is an
+// error and never a shorter answer. Caller holds the DB lock.
+func (c *Collection) scanRows(rd sqldb.Reader, q Interval, fn func(rid rel.RowID, row []int64) bool) error {
+	row := make([]int64, 3)
+	var readErr error
+	err := rd.Scan(opIntersects, []int64{q.Lower, q.Upper}, func(rid rel.RowID) bool {
+		if err := c.tab.GetRawInto(rid, row); err != nil {
+			if errors.Is(err, rel.ErrNoSuchRow) {
+				return true
+			}
+			readErr = err
+			return false
+		}
+		return fn(rid, row)
+	})
+	if readErr != nil {
+		return readErr
+	}
+	return err
+}
+
 // intersectingFuncLocked streams ids of intervals intersecting q through
 // the access method, mapping row ids to the base relation. Caller holds
 // the DB lock (read or write).
@@ -258,13 +234,7 @@ func (c *Collection) intersectingFuncLocked(q Interval, fn func(id int64) bool) 
 	if err != nil {
 		return err
 	}
-	row := make([]int64, 3)
-	return rd.Scan(opIntersects, []int64{q.Lower, q.Upper}, func(rid rel.RowID) bool {
-		if c.tab.GetRawInto(rid, row) != nil {
-			return true
-		}
-		return fn(row[2])
-	})
+	return c.scanRows(rd, q, func(_ rel.RowID, row []int64) bool { return fn(row[2]) })
 }
 
 // queryRelationFuncLocked streams ids with "i r q": the access method
@@ -284,11 +254,7 @@ func (c *Collection) queryRelationFuncLocked(r Relation, q Interval, fn func(id 
 		return err
 	}
 	now, _ := rd.Now()
-	row := make([]int64, 3)
-	return rd.Scan(opIntersects, []int64{region.Lower, region.Upper}, func(rid rel.RowID) bool {
-		if c.tab.GetRawInto(rid, row) != nil {
-			return true
-		}
+	return c.scanRows(rd, region, func(_ rel.RowID, row []int64) bool {
 		iv := NewInterval(row[0], row[1])
 		if iv.Upper == NowMarker {
 			iv.Upper = now
@@ -402,7 +368,7 @@ func (c *Collection) scanStatement(q Query) (string, map[string]interface{}, err
 // never shift the scan's results. A cancelled ctx surfaces as the
 // iterator's final (0, err) pair.
 func (c *Collection) Scan(ctx context.Context, q Query) iter.Seq2[int64, error] {
-	return scanSeq(ctx, nil, nil, func(fn func(int64) bool) error {
+	return scanSeq(ctx, func(fn func(int64) bool) error {
 		sql, binds, err := c.scanStatement(q)
 		if err != nil {
 			return err

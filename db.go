@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"regexp"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -64,19 +63,7 @@ type CollectionInfo = sqldb.CollectionInfo
 
 // OpenMemory creates an empty in-memory database.
 func OpenMemory(opts ...Option) (*DB, error) {
-	return openMemoryCfg(applyOptions(opts))
-}
-
-// Open creates or opens the file-backed database at path. On an existing
-// file, every collection and domain index recorded in the catalog is
-// re-attached before Open returns; a definition that cannot be served
-// (stale storage, unregistered indextype) fails the open rather than
-// silently skipping index maintenance.
-func Open(path string, opts ...Option) (*DB, error) {
-	return openPathCfg(path, applyOptions(opts))
-}
-
-func openMemoryCfg(cfg *config) (*DB, error) {
+	cfg := applyOptions(opts)
 	st, err := pagestore.New(pagestore.NewMemBackend(), pagestore.Options{
 		PageSize:    cfg.pageSize,
 		CacheSize:   cfg.cacheSize,
@@ -92,7 +79,13 @@ func openMemoryCfg(cfg *config) (*DB, error) {
 	return newDB(st, rdb, cfg, false, false)
 }
 
-func openPathCfg(path string, cfg *config) (*DB, error) {
+// Open creates or opens the file-backed database at path. On an existing
+// file, every collection and domain index recorded in the catalog is
+// re-attached before Open returns; a definition that cannot be served
+// (stale storage, unregistered indextype) fails the open rather than
+// silently skipping index maintenance.
+func Open(path string, opts ...Option) (*DB, error) {
+	cfg := applyOptions(opts)
 	be, err := pagestore.OpenFileBackend(path, cfg.pageSize)
 	if err != nil {
 		return nil, err
@@ -194,24 +187,6 @@ func WithMethodParam(key, value string) CollectionOption {
 			c.params = make(map[string]string)
 		}
 		c.params[key] = value
-	}
-}
-
-// WithHINTParams sets the HINT geometry of a hint / hint_sharded
-// collection: bits is the domain width floor (0 keeps the data-sized
-// default) and shards the shard count (0 keeps the method default;
-// meaningful for hint_sharded). Persisted like every method parameter.
-func WithHINTParams(bits, shards int) CollectionOption {
-	return func(c *collectionConfig) {
-		if c.params == nil {
-			c.params = make(map[string]string)
-		}
-		if bits > 0 {
-			c.params["bits"] = strconv.Itoa(bits)
-		}
-		if shards > 0 {
-			c.params["shards"] = strconv.Itoa(shards)
-		}
 	}
 }
 
@@ -435,16 +410,6 @@ func (db *DB) SetSlowQueryThreshold(d time.Duration) { db.eng.SetSlowQueryThresh
 
 // SlowQueryThreshold returns the current slow-query threshold.
 func (db *DB) SlowQueryThreshold() time.Duration { return db.eng.SlowQueryThreshold() }
-
-// SetMergeJoinEnabled toggles the interval merge join. When enabled (the
-// default), a SELECT joining two collections on a single ALLEN_* /
-// INTERSECTS predicate over their (lower, upper) columns executes as a
-// sweeping sort-merge join instead of index nested loops; EXPLAIN shows
-// the chosen strategy ("INTERVAL MERGE JOIN" vs "NESTED LOOPS"), and
-// Rows.Stats().JoinStrategy reports which one a cursor used. Disabling is
-// a planner escape hatch for workloads where nested loops win (tiny outer
-// side over a large indexed inner side).
-func (db *DB) SetMergeJoinEnabled(on bool) { db.eng.SetMergeJoinEnabled(on) }
 
 // SlowQueries drains the slow-query ring buffer, oldest first: every
 // captured statement carries its SQL text, bind count, duration, cursor

@@ -15,6 +15,17 @@ import (
 // unified-API tests run the same assertions over each.
 var testMethods = []string{AccessMethodRITree, AccessMethodHINT, AccessMethodHINTSharded}
 
+// openMemoryDB opens an in-memory DB that closes with the test.
+func openMemoryDB(t *testing.T, opts ...Option) *DB {
+	t.Helper()
+	db, err := OpenMemory(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
+}
+
 func TestDBCollectionsQuickPath(t *testing.T) {
 	db, err := OpenMemory()
 	if err != nil {
@@ -75,8 +86,8 @@ func TestDBCollectionsQuickPath(t *testing.T) {
 }
 
 func TestDBCollectionsMatchBruteForceAllMethods(t *testing.T) {
-	// The baseline crosscheck matrix, run through the unified
-	// Collection/Querier API for every registered access method:
+	// The baseline crosscheck matrix, run through the Collection API for
+	// every registered access method:
 	// intersections, stabs and all thirteen Allen relations against a
 	// brute-force reference.
 	const n = 1500
@@ -230,7 +241,7 @@ func TestDBScanEarlyBreakAndCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	for _, method := range []string{AccessMethodRITree, AccessMethodHINT} {
+	for _, method := range testMethods {
 		c, err := db.CreateCollection("s_"+method, AccessMethod(method))
 		if err != nil {
 			t.Fatal(err)
@@ -311,6 +322,9 @@ func TestDBScanEarlyBreakAndCancel(t *testing.T) {
 		if !slices.Equal(during, wantDuring) {
 			t.Fatalf("%s: Related scan = %d, Query = %d", method, len(during), len(wantDuring))
 		}
+		if ids, err := c.Query(Equals, NewInterval(7, 107)); err != nil || !slices.Equal(ids, []int64{7}) {
+			t.Fatalf("%s: Query(Equals) = %v, %v", method, ids, err)
+		}
 		var stab []int64
 		for id, err := range c.Scan(context.Background(), Stabbing(250)) {
 			if err != nil {
@@ -331,65 +345,6 @@ func TestDBScanEarlyBreakAndCancel(t *testing.T) {
 		}
 		if zeroErr == nil {
 			t.Fatalf("%s: zero Query did not error", method)
-		}
-	}
-}
-
-func TestLegacyTypesSatisfyQuerierScan(t *testing.T) {
-	// The legacy Index and HINT speak the same streaming interface as
-	// collections (Querier includes Scan).
-	idx, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
-	hin, err := NewHINT()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []Querier{idx, hin} {
-		for i := int64(0); i < 100; i++ {
-			if err := q.Insert(NewInterval(i, i+10), i); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var got []int64
-		for id, err := range q.Scan(context.Background(), Intersects(NewInterval(0, 200))) {
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, id)
-		}
-		if len(got) != 100 {
-			t.Fatalf("scan drained %d ids", len(got))
-		}
-		// Early break.
-		seen := 0
-		for range q.Scan(context.Background(), Intersects(NewInterval(0, 200))) {
-			if seen++; seen == 2 {
-				break
-			}
-		}
-		if err := q.Insert(NewInterval(5, 6), 4242); err != nil {
-			t.Fatalf("insert after early break: %v", err)
-		}
-		// Cancel.
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		var scanErr error
-		for _, err := range q.Scan(ctx, Intersects(NewInterval(0, 200))) {
-			scanErr = err
-		}
-		if !errors.Is(scanErr, context.Canceled) {
-			t.Fatalf("cancelled scan returned %v", scanErr)
-		}
-		// Allen via the interface.
-		ids, err := q.Query(Equals, NewInterval(7, 17))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(ids, []int64{7}) {
-			t.Fatalf("Query(Equals) = %v", ids)
 		}
 	}
 }
@@ -593,35 +548,6 @@ func TestDBConcurrentCollectionReadersAndWriters(t *testing.T) {
 	}
 	if _, err := c.Intersecting(NewInterval(0, 5000)); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestIndexOfSharesDatabaseWithCollections(t *testing.T) {
-	// The legacy Index and the collection API can share one DB.
-	db, _ := OpenMemory()
-	defer db.Close()
-	idx, err := IndexOf(db, WithTreeName("legacy"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx.DB() != db {
-		t.Fatal("IndexOf did not bind the DB")
-	}
-	if err := idx.Insert(NewInterval(1, 5), 7); err != nil {
-		t.Fatal(err)
-	}
-	c, err := db.CreateCollection("side", AccessMethod(AccessMethodHINT))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Insert(NewInterval(2, 3), 8); err != nil {
-		t.Fatal(err)
-	}
-	if ids, _ := idx.Intersecting(NewInterval(0, 10)); !slices.Equal(ids, []int64{7}) {
-		t.Fatalf("legacy ids = %v", ids)
-	}
-	if ids, _ := c.Intersecting(NewInterval(0, 10)); !slices.Equal(ids, []int64{8}) {
-		t.Fatalf("collection ids = %v", ids)
 	}
 }
 

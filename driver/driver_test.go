@@ -104,8 +104,14 @@ func seed(t *testing.T, db *sql.DB) {
 
 func TestDriverBasicsEveryDSN(t *testing.T) {
 	_, remoteDSN := startServer(t)
-	for _, dsn := range []string{"mem://", remoteDSN} {
-		t.Run(dsn, func(t *testing.T) {
+	// Subtests are named by scheme, not by DSN: the remote DSN carries an
+	// ephemeral port, which would give the subtest a new name every run.
+	for _, tc := range []struct{ name, dsn string }{
+		{"mem://", "mem://"},
+		{"tcp://loopback", remoteDSN},
+	} {
+		dsn := tc.dsn
+		t.Run(tc.name, func(t *testing.T) {
 			db := openSQL(t, dsn)
 			if err := db.Ping(); err != nil {
 				t.Fatal(err)

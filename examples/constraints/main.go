@@ -15,8 +15,8 @@
 //
 // It also shows the SQL face of the system: the tolerance bands live in a
 // named collection (CREATE COLLECTION under the hood), queried both
-// through the Querier API and through SQL with the INTERSECTS operator
-// (paper §5).
+// through the Collection methods and through SQL with the INTERSECTS
+// operator (paper §5).
 package main
 
 import (

@@ -1,8 +1,8 @@
 // Command quickstart is the smallest end-to-end tour of the public API:
 // open a database, create collections on different access methods, run
-// intersection / stabbing / Allen-relation queries through the uniform
-// Querier interface, stream a cancellable scan, and look at the Figure
-// 9/10 SQL machinery under the hood through the legacy single-index shim.
+// intersection / stabbing / Allen-relation queries through the same
+// Collection methods on each, stream a cancellable scan, query a
+// collection through SQL, and read the paper's I/O cost metric.
 package main
 
 import (
@@ -53,8 +53,8 @@ func main() {
 		fmt.Printf("collection %-10s method=%-6s\n", info.Name, info.Method)
 	}
 
-	// Both collections answer every query identically through the one
-	// Querier interface — the access method only changes the cost profile.
+	// Both collections answer every query identically through the same
+	// methods — the access method only changes the cost profile.
 	q := ritree.NewInterval(9, 14)
 	for _, c := range []*ritree.Collection{flights, sessions} {
 		ids, err := c.Intersecting(q)
@@ -107,22 +107,10 @@ func main() {
 	}
 	fmt.Printf("\nSQL over the collection: %v\n", res.Rows)
 
-	// Under the hood: the legacy single-index shim exposes the paper's
-	// Figure 9 two-fold SQL statement and its Figure 10 execution plan.
-	idx, err := ritree.New()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer idx.Close()
-	for id, iv := range data {
-		idx.Insert(iv, id)
-	}
-	fmt.Printf("\nintersection SQL:\n%s\n", idx.IntersectionSQL())
-	plan, _ := idx.ExplainIntersection(q)
-	fmt.Printf("\nexecution plan:\n%s", plan)
-
 	// The paper's cost metric: physical block reads through the buffer
-	// cache (2 KB pages, 200-page cache by default).
+	// cache (2 KB pages, 200-page cache by default). The ritree method runs
+	// the paper's two-fold query (Figure 9); `go run ./cmd/ribench -exp
+	// fig10` prints that statement and its Figure 10 plan.
 	db.ResetStats()
 	flights.Intersecting(q)
 	st := db.Stats()

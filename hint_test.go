@@ -2,61 +2,61 @@ package ritree
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 )
 
 func TestHINTPublicAPIQuickPath(t *testing.T) {
-	idx, err := NewHINT()
+	db := openMemoryDB(t)
+	c, err := db.CreateCollection("h", AccessMethod(AccessMethodHINT))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.Insert(NewInterval(10, 20), 1); err != nil {
+	if err := c.Insert(NewInterval(10, 20), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.Insert(NewInterval(15, 40), 2); err != nil {
+	if err := c.Insert(NewInterval(15, 40), 2); err != nil {
 		t.Fatal(err)
 	}
-	idx.InsertInfinite(30, 3)
-	ids, err := idx.Intersecting(NewInterval(18, 19))
+	if err := c.InsertInfinite(30, 3); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := c.Intersecting(NewInterval(18, 19))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
+	if !slices.Equal(ids, []int64{1, 2}) {
 		t.Fatalf("ids = %v", ids)
 	}
-	ids, _ = idx.Stab(35)
-	if len(ids) != 2 || ids[0] != 2 || ids[1] != 3 {
+	ids, _ = c.Stab(35)
+	if !slices.Equal(ids, []int64{2, 3}) {
 		t.Fatalf("stab = %v", ids)
 	}
-	if n, _ := idx.CountIntersecting(NewInterval(0, 1000)); n != 3 {
+	if n, _ := c.CountIntersecting(NewInterval(0, 1000)); n != 3 {
 		t.Fatalf("count = %d", n)
 	}
-	ok, err := idx.Delete(NewInterval(10, 20), 1)
+	ok, err := c.Delete(NewInterval(10, 20), 1)
 	if err != nil || !ok {
 		t.Fatalf("delete = %v, %v", ok, err)
 	}
-	if idx.Count() != 2 {
-		t.Fatalf("count = %d", idx.Count())
+	if c.Count() != 2 {
+		t.Fatalf("count = %d", c.Count())
 	}
-	if idx.Entries() < idx.Count() || idx.Replicas() > idx.Entries() {
-		t.Fatalf("entries = %d, replicas = %d", idx.Entries(), idx.Replicas())
-	}
-	if idx.String() == "" || idx.Levels() < 1 {
-		t.Fatal("introspection broken")
+	if ix := backingSharded(t, db, "h"); ix.Count() != 2 || ix.Entries() < ix.Count() {
+		t.Fatalf("backing index count = %d, entries = %d", ix.Count(), ix.Entries())
 	}
 }
 
 func TestHINTMatchesRITreeIndex(t *testing.T) {
-	// The two top-level access methods must answer identically over the
-	// same workload.
-	rit, err := New()
+	// The two access methods must answer identically over the same
+	// workload.
+	db := openMemoryDB(t)
+	rit, err := db.CreateCollection("rit", AccessMethod(AccessMethodRITree))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rit.Close()
-	hin, err := NewHINT()
+	hin, err := db.CreateCollection("hin", AccessMethod(AccessMethodHINT))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,24 +85,21 @@ func TestHINTMatchesRITreeIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(a) != len(b) {
+		if !slices.Equal(a, b) {
 			t.Fatalf("query %v: RI-tree %d ids, HINT %d ids", q, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("query %v: id %d: %d vs %d", q, i, a[i], b[i])
-			}
 		}
 	}
 }
 
 func TestHINTConcurrentUse(t *testing.T) {
-	idx, err := NewHINT(WithHINTBits(16), WithHINTLevels(8), WithHINTShards(4))
+	db := openMemoryDB(t)
+	c, err := db.CreateCollection("conc", AccessMethod(AccessMethodHINTSharded),
+		WithMethodParam("bits", "16"), WithMethodParam("levels", "8"), WithMethodParam("shards", "4"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.Shards() != 4 {
-		t.Fatalf("Shards = %d", idx.Shards())
+	if ix := backingSharded(t, db, "conc"); ix.Shards() != 4 || ix.Levels() != 8 {
+		t.Fatalf("Shards = %d, Levels = %d", ix.Shards(), ix.Levels())
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -117,16 +114,16 @@ func TestHINTConcurrentUse(t *testing.T) {
 					hi = 1<<16 - 1
 				}
 				id := int64(w*1000 + i)
-				if err := idx.Insert(NewInterval(lo, hi), id); err != nil {
+				if err := c.Insert(NewInterval(lo, hi), id); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := idx.Intersecting(NewInterval(lo, hi)); err != nil {
+				if _, err := c.Intersecting(NewInterval(lo, hi)); err != nil {
 					t.Error(err)
 					return
 				}
 				if i%3 == 0 {
-					if _, err := idx.Delete(NewInterval(lo, hi), id); err != nil {
+					if _, err := c.Delete(NewInterval(lo, hi), id); err != nil {
 						t.Error(err)
 						return
 					}
@@ -135,25 +132,25 @@ func TestHINTConcurrentUse(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	ids, err := idx.Intersecting(NewInterval(0, 1<<16-1))
+	ids, err := c.Intersecting(NewInterval(0, 1<<16-1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	if int64(len(ids)) != idx.Count() {
-		t.Fatalf("full-domain query %d ids, count %d", len(ids), idx.Count())
+	if int64(len(ids)) != c.Count() {
+		t.Fatalf("full-domain query %d ids, count %d", len(ids), c.Count())
 	}
 }
 
 func TestHINTShardedAndOptimized(t *testing.T) {
-	// The sharded index must answer exactly like the single-shard one,
-	// before and after Optimize, and BulkLoad must leave every shard in
-	// the flat layout.
-	one, err := NewHINT()
+	// The sharded method must answer exactly like the single-shard one,
+	// before and after the backing index folds its overlay into the flat
+	// layout, and a bulk load must leave every shard flat.
+	db := openMemoryDB(t)
+	one, err := db.CreateCollection("one", AccessMethod(AccessMethodHINT))
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := NewHINT(WithHINTShards(8))
+	many, err := db.CreateCollection("many", AccessMethod(AccessMethodHINTSharded), WithMethodParam("shards", "8"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,12 +169,13 @@ func TestHINTShardedAndOptimized(t *testing.T) {
 	if err := many.BulkLoad(ivs, ids); err != nil {
 		t.Fatal(err)
 	}
-	if !one.Optimized() || !many.Optimized() {
-		t.Fatalf("BulkLoad left optimized = %v / %v", one.Optimized(), many.Optimized())
+	oneIx, manyIx := backingSharded(t, db, "one"), backingSharded(t, db, "many")
+	if oneIx.OverlayEntries() != 0 || manyIx.OverlayEntries() != 0 {
+		t.Fatalf("BulkLoad left overlay entries %d / %d", oneIx.OverlayEntries(), manyIx.OverlayEntries())
 	}
-	if one.Count() != many.Count() || one.Entries() != many.Entries() {
+	if oneIx.Count() != manyIx.Count() || oneIx.Entries() != manyIx.Entries() {
 		t.Fatalf("count/entries diverge: %d/%d vs %d/%d",
-			one.Count(), one.Entries(), many.Count(), many.Entries())
+			oneIx.Count(), oneIx.Entries(), manyIx.Count(), manyIx.Entries())
 	}
 	for qi := 0; qi < 200; qi++ {
 		lo := rng.Int63n(1 << 20)
@@ -190,17 +188,12 @@ func TestHINTShardedAndOptimized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(a) != len(b) {
+		if !slices.Equal(a, b) {
 			t.Fatalf("query %v: 1-shard %d ids, 8-shard %d ids", q, len(a), len(b))
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("query %v: id %d: %d vs %d", q, i, a[i], b[i])
-			}
-		}
 	}
-	// Incremental inserts land in the overlay; Optimize folds them in
-	// without changing any answer.
+	// Incremental inserts land in the overlay; folding them in changes no
+	// answer.
 	for i := 0; i < 100; i++ {
 		lo := rng.Int63n(1 << 20)
 		iv := NewInterval(lo, lo+100)
@@ -212,25 +205,42 @@ func TestHINTShardedAndOptimized(t *testing.T) {
 		}
 	}
 	before, _ := many.Intersecting(NewInterval(0, 1<<20-1))
-	many.Optimize()
+	manyIx.Optimize()
 	after, _ := many.Intersecting(NewInterval(0, 1<<20-1))
-	if len(before) != len(after) {
+	if !slices.Equal(before, after) {
 		t.Fatalf("Optimize changed results: %d vs %d", len(before), len(after))
 	}
-	if _, err := NewHINT(WithHINTShards(-3)); err == nil {
+	if _, err := db.CreateCollection("neg", AccessMethod(AccessMethodHINTSharded), WithMethodParam("shards", "-3")); err == nil {
 		t.Fatal("negative shard count accepted")
 	}
 }
 
 func TestHINTLevelsOption(t *testing.T) {
-	idx, err := NewHINT(WithHINTBits(12), WithHINTLevels(12))
+	db := openMemoryDB(t)
+	if _, err := db.CreateCollection("eq", AccessMethod(AccessMethodHINT),
+		WithMethodParam("bits", "12"), WithMethodParam("levels", "12")); err != nil {
+		t.Fatal(err)
+	}
+	if got := backingSharded(t, db, "eq").Levels(); got != 12 {
+		t.Fatalf("levels = %d, want 12 (levels == bits is a legal geometry)", got)
+	}
+	// The domain is sized to the data with bits as its floor, so a depth
+	// beyond the domain width is clamped to it rather than refused.
+	c, err := db.CreateCollection("deep", AccessMethod(AccessMethodHINT),
+		WithMethodParam("bits", "4"), WithMethodParam("levels", "9"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.Levels() != 12 {
-		t.Fatalf("levels = %d, want 12 (levels == bits is a legal geometry)", idx.Levels())
+	if ix := backingSharded(t, db, "deep"); ix.Levels() > ix.Bits() {
+		t.Fatalf("levels %d exceed the domain's %d bits", ix.Levels(), ix.Bits())
 	}
-	if _, err := NewHINT(WithHINTBits(4), WithHINTLevels(9)); err == nil {
-		t.Fatal("levels > bits accepted")
+	if err := c.Insert(NewInterval(3, 9), 1); err != nil {
+		t.Fatal(err)
+	}
+	if ids, _ := c.Stab(5); !slices.Equal(ids, []int64{1}) {
+		t.Fatalf("stab = %v", ids)
+	}
+	if _, err := db.CreateCollection("zero", AccessMethod(AccessMethodHINT), WithMethodParam("levels", "0")); err == nil {
+		t.Fatal("levels = 0 accepted")
 	}
 }

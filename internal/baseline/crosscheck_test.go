@@ -663,9 +663,9 @@ func TestHOrderLengthQueries(t *testing.T) {
 }
 
 // TestCollectionsAgreeWithReference runs the crosscheck matrix through
-// the public unified API: one DB, one collection per registered access
-// method, every collection behind the same Querier interface, against the
-// same brute-force reference the direct access methods are pinned to.
+// the public API: one DB, one collection per registered access method,
+// against the same brute-force reference the direct access methods are
+// pinned to.
 func TestCollectionsAgreeWithReference(t *testing.T) {
 	const n = 2000
 	ivs, ids := genWorkload(n, 1<<18, 2048, 77)
@@ -675,8 +675,7 @@ func TestCollectionsAgreeWithReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	var queriers []pub.Querier
-	var names []string
+	var cols []*pub.Collection
 	for _, method := range db.AccessMethods() {
 		c, err := db.CreateCollection("cc_"+method, pub.AccessMethod(method))
 		if err != nil {
@@ -685,28 +684,8 @@ func TestCollectionsAgreeWithReference(t *testing.T) {
 		if err := c.BulkLoad(ivs, ids); err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
-		queriers = append(queriers, c)
-		names = append(names, method)
+		cols = append(cols, c)
 	}
-	// The legacy single-collection shims answer through the same Querier
-	// interface and join the same matrix.
-	idx, err := pub.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
-	hin, err := pub.NewHINT()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []pub.Querier{idx, hin} {
-		if err := q.BulkLoad(ivs, ids); err != nil {
-			t.Fatal(err)
-		}
-	}
-	queriers = append(queriers, idx, hin)
-	names = append(names, "legacy-Index", "legacy-HINT")
-
 	rng := rand.New(rand.NewSource(78))
 	for qi := 0; qi < 60; qi++ {
 		lo := rng.Int63n(1 << 18)
@@ -721,25 +700,25 @@ func TestCollectionsAgreeWithReference(t *testing.T) {
 			}
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		for mi, m := range queriers {
+		for _, m := range cols {
 			got, err := m.Intersecting(q)
 			if err != nil {
-				t.Fatalf("%s: %v", names[mi], err)
+				t.Fatalf("%s: %v", m.Method(), err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("%s query %v: %d results, brute force %d", names[mi], q, len(got), len(want))
+				t.Fatalf("%s query %v: %d results, brute force %d", m.Method(), q, len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("%s query %v: result %d = %d, want %d", names[mi], q, i, got[i], want[i])
+					t.Fatalf("%s query %v: result %d = %d, want %d", m.Method(), q, i, got[i], want[i])
 				}
 			}
 			if n, err := m.CountIntersecting(q); err != nil || n != int64(len(want)) {
-				t.Fatalf("%s query %v: count %d (%v), want %d", names[mi], q, n, err, len(want))
+				t.Fatalf("%s query %v: count %d (%v), want %d", m.Method(), q, n, err, len(want))
 			}
 		}
 	}
-	// One Allen sweep through the interface (detailed relation matrices
+	// One Allen sweep through the collections (detailed relation matrices
 	// live in the per-package tests).
 	q := interval.New(100000, 110000)
 	for r := interval.Before; r <= interval.After; r++ {
@@ -750,13 +729,13 @@ func TestCollectionsAgreeWithReference(t *testing.T) {
 			}
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		for mi, m := range queriers {
+		for _, m := range cols {
 			got, err := m.Query(r, q)
 			if err != nil {
-				t.Fatalf("%s/%v: %v", names[mi], r, err)
+				t.Fatalf("%s/%v: %v", m.Method(), r, err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("%s relation %v: %d results, brute force %d", names[mi], r, len(got), len(want))
+				t.Fatalf("%s relation %v: %d results, brute force %d", m.Method(), r, len(got), len(want))
 			}
 		}
 	}

@@ -230,9 +230,6 @@ func (a *tileAM) QueryCount(q interval.Interval) (int64, error) {
 func (a *tileAM) Entries() int64          { return a.ix.EntryCount() }
 func (a *tileAM) Store() *pagestore.Store { return a.st }
 
-// Level exposes the tuned fixed level.
-func (a *tileAM) Level() uint { return a.ix.Level() }
-
 // Redundancy exposes the measured redundancy factor.
 func (a *tileAM) Redundancy() float64 { return a.ix.Redundancy() }
 

@@ -86,8 +86,10 @@ func Fig10(c Config) (*Table, error) {
 		Notes: []string{
 			"paper Figure 10: SELECT STATEMENT / UNION-ALL / 2x (NESTED LOOPS,",
 			"COLLECTION ITERATOR, INDEX RANGE SCAN on upper/lower index)",
+			"the planned statement (paper Figure 9):",
 		},
 	}
+	t.Notes = append(t.Notes, splitLines(tree.IntersectionSQL())...)
 	for _, line := range splitLines(plan) {
 		t.AddRow(line)
 	}
@@ -760,8 +762,7 @@ func AblationSkeleton(c Config) (*Table, error) {
 // Experiments lists every experiment id in run order.
 func Experiments() []string {
 	return []string{"table1", "fig10", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-		"winlist", "hint", "hintopt", "collections", "reopen", "sqlstream", "join", "mixed",
-		"wire",
+		"winlist", "hint", "hintopt",
 		"ablation-minstep", "ablation-queryform", "ablation-skeleton"}
 }
 
@@ -790,18 +791,6 @@ func Run(id string, c Config) (*Table, error) {
 		return HintComparison(c)
 	case "hintopt":
 		return HintAblation(c)
-	case "collections":
-		return Collections(c)
-	case "reopen":
-		return Reopen(c)
-	case "sqlstream":
-		return SQLStream(c)
-	case "join":
-		return Join(c)
-	case "mixed":
-		return Mixed(c)
-	case "wire":
-		return Wire(c)
 	case "ablation-minstep":
 		return AblationMinStep(c)
 	case "ablation-queryform":

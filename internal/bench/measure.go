@@ -81,21 +81,6 @@ type Table struct {
 	Header  []string     `json:"header"`
 	Rows    [][]string   `json:"rows"`
 	Methods []MethodInfo `json:"methods,omitempty"`
-	// Obs carries flattened metrics-registry counters recorded during the
-	// run (experiments that wire an obs registry fill it), keyed
-	// "<method>.<counter>" — machine-readable observability evidence in
-	// the recorded benchmark trajectories.
-	Obs map[string]int64 `json:"obs,omitempty"`
-}
-
-// AddObs folds a metrics snapshot's counters into t.Obs under prefix.
-func (t *Table) AddObs(prefix string, counters map[string]int64) {
-	if t.Obs == nil {
-		t.Obs = make(map[string]int64)
-	}
-	for name, v := range counters {
-		t.Obs[prefix+"."+name] = v
-	}
 }
 
 // AddRow appends a formatted row.

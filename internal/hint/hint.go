@@ -150,8 +150,8 @@ type part struct {
 }
 
 // Index is a HINT^m hierarchical interval index. It is not safe for
-// concurrent use; wrap it in a lock or use Sharded (the top-level
-// ritree.HINT API does).
+// concurrent use; wrap it in a lock or use Sharded (the hint and
+// hint_sharded indextypes do).
 type Index struct {
 	bits  int
 	m     int

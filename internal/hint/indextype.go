@@ -1,6 +1,7 @@
 package hint
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -123,7 +124,7 @@ func snapshotBlobName(indexName string) string {
 
 // hintParams are the tunable knobs of the hint / hint_sharded
 // indextypes, set per index (per collection) through the SQL PARAMETERS
-// / WITH clause or the public WithHINTParams collection option, and
+// / WITH clause or the public WithMethodParam collection option, and
 // persisted in the catalog so a reopened database rebuilds with the same
 // configuration.
 type hintParams struct {
@@ -678,13 +679,26 @@ func (r *reader) Scan(op string, args []int64, fn func(rid rel.RowID) bool) erro
 		return r.six.IntersectingFunc(q, func(id int64) bool { return fn(rel.RowID(id)) })
 	}
 	// Per-invocation buffer — one Reader may serve several cursors at once.
+	// A vanished row is skipped; a row that cannot be read fails the scan.
 	row := make([]int64, r.tab.Schema().NumCols())
-	return r.six.IntersectingFunc(q, func(id int64) bool {
-		if r.tab.GetRawInto(rel.RowID(id), row) != nil || row[r.hiPos] < qlo {
+	var readErr error
+	err = r.six.IntersectingFunc(q, func(id int64) bool {
+		if err := r.tab.GetRawInto(rel.RowID(id), row); err != nil {
+			if errors.Is(err, rel.ErrNoSuchRow) {
+				return true
+			}
+			readErr = err
+			return false
+		}
+		if row[r.hiPos] < qlo {
 			return true
 		}
 		return fn(rel.RowID(id))
 	})
+	if readErr != nil {
+		return readErr
+	}
+	return err
 }
 
 // Count implements sqldb.Reader through the sharded index's parallel

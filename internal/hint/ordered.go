@@ -112,13 +112,6 @@ func siftDown(h []*orderedRun, i, n int) {
 	}
 }
 
-// ScanStartOrdered streams every stored interval exactly once, ascending
-// by (Lower, Upper, id), by merging the original-class segments. fn
-// returning false stops the scan.
-func (x *Index) ScanStartOrdered(fn func(lo, hi, id int64) bool) {
-	mergeRuns(x.appendOriginalRuns(nil), func(e entry) bool { return fn(e.lo, e.hi, e.id) })
-}
-
 // ScanStartOrdered streams every stored interval of every shard exactly
 // once, ascending by (Lower, Upper, id) — the shards' runs merge into one
 // globally ordered stream. The scan runs over the shards' currently

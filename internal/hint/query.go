@@ -39,15 +39,6 @@ func (x *Index) IntersectingFunc(q interval.Interval, fn func(id int64) bool) er
 	return x.intersectingEntries(q, func(e entry) bool { return fn(e.id) })
 }
 
-// IntersectingEntryFunc is IntersectingFunc with access to the stored
-// interval's true endpoints — the hook Allen-relation queries use to apply
-// their residual predicate without a base-table lookup.
-func (x *Index) IntersectingEntryFunc(q interval.Interval, fn func(iv interval.Interval, id int64) bool) error {
-	return x.intersectingEntries(q, func(e entry) bool {
-		return fn(interval.New(e.lo, e.hi), e.id)
-	})
-}
-
 // intersectingEntries is the shared streaming core behind the public
 // query functions; fn receives each qualifying stored copy exactly once.
 func (x *Index) intersectingEntries(q interval.Interval, fn func(e entry) bool) error {

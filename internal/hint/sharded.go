@@ -355,34 +355,6 @@ func (s *Sharded) CountIntersecting(q interval.Interval) (int64, error) {
 	return n, nil
 }
 
-// Stab returns the ids of all intervals containing the point p, ascending.
-func (s *Sharded) Stab(p int64) ([]int64, error) {
-	return s.Intersecting(interval.Point(p))
-}
-
-// QueryRelationFunc streams the ids of intervals i with "i r q" in no
-// particular order; return false from fn to stop early. Shards are
-// scanned sequentially, each on its current immutable generation (a
-// streaming callback cannot be fanned out without racing the caller).
-func (s *Sharded) QueryRelationFunc(r interval.Relation, q interval.Interval, fn func(id int64) bool) error {
-	s.met.query()
-	stopped := false
-	wrapped := func(id int64) bool {
-		if !fn(id) {
-			stopped = true
-			return false
-		}
-		return true
-	}
-	for i := range s.shards {
-		err := s.shards[i].load().QueryRelationFunc(r, q, wrapped)
-		if err != nil || stopped {
-			return err
-		}
-	}
-	return nil
-}
-
 // QueryRelation returns the ids of all intervals i with "i r q", sorted
 // ascending, querying the shards in parallel.
 func (s *Sharded) QueryRelation(r interval.Relation, q interval.Interval) ([]int64, error) {
@@ -426,26 +398,10 @@ func (s *Sharded) Bits() int { return s.shards[0].load().Bits() }
 // DomainMax returns the largest admissible interval start, 2^Bits-1.
 func (s *Sharded) DomainMax() int64 { return s.shards[0].load().DomainMax() }
 
-// Optimized reports whether every shard has its flat storage built.
-func (s *Sharded) Optimized() bool {
-	for i := range s.shards {
-		if !s.shards[i].load().Optimized() {
-			return false
-		}
-	}
-	return true
-}
-
 // Name identifies the index and its configuration.
 func (s *Sharded) Name() string {
 	if len(s.shards) == 1 {
 		return s.shards[0].load().Name()
 	}
 	return fmt.Sprintf("%s x%d", s.shards[0].load().Name(), len(s.shards))
-}
-
-// String summarizes the index.
-func (s *Sharded) String() string {
-	return fmt.Sprintf("hint.Sharded{%s, n=%d, entries=%d, replicas=%d}",
-		s.Name(), s.Count(), s.Entries(), s.Replicas())
 }

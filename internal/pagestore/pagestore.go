@@ -44,6 +44,9 @@ var (
 	ErrClosed = errors.New("pagestore: store is closed")
 	// ErrPinned is returned when freeing a page that is still pinned.
 	ErrPinned = errors.New("pagestore: page is pinned")
+	// ErrInvalidPage is returned by reads of a page id that was never
+	// allocated.
+	ErrInvalidPage = errors.New("pagestore: invalid page")
 )
 
 // Backend is the raw block device underneath the buffer cache. Implementations
@@ -546,7 +549,7 @@ func (s *Store) Get(id PageID) (*Page, error) {
 	}
 	if id == InvalidPage || id >= s.next {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("pagestore: get of invalid page %d", id)
+		return nil, fmt.Errorf("%w: get of page %d", ErrInvalidPage, id)
 	}
 	s.stats.LogicalReads++
 	s.obsm.logicalRead()
@@ -600,7 +603,7 @@ func (s *Store) ReadPagesInto(id PageID, buf []byte) error {
 	}
 	if id == InvalidPage || id >= s.next || PageID(n) > s.next-id {
 		s.mu.Unlock()
-		return fmt.Errorf("pagestore: get of invalid page %d", id+PageID(n)-1)
+		return fmt.Errorf("%w: get of page %d", ErrInvalidPage, id+PageID(n)-1)
 	}
 	s.stats.LogicalReads += int64(n)
 	s.obsm.logicalReadN(int64(n))

@@ -2,6 +2,7 @@ package rel
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"ritree/internal/pagestore"
@@ -237,6 +238,17 @@ func (h *heap) tryInsertInto(id pagestore.PageID, row []int64) (RowID, bool, err
 	return 0, false, fmt.Errorf("rel: heap page %d count %d but no free slot", id, c)
 }
 
+// rowPageErr classifies a failure to pin the page holding rid: a page id
+// that was never allocated names no row (ErrNoSuchRow), like a dead slot;
+// any other store failure is returned, wrapped, so a page that cannot be
+// read is never mistaken for a missing row.
+func rowPageErr(rid RowID, err error) error {
+	if errors.Is(err, pagestore.ErrInvalidPage) {
+		return ErrNoSuchRow
+	}
+	return fmt.Errorf("rel: row at page %d slot %d: %w", rid.page(), rid.slot(), err)
+}
+
 // get reads the row at rid into dst (which must have ncols room).
 func (h *heap) get(rid RowID, dst []int64) error {
 	pid := pagestore.PageID(rid.page())
@@ -246,7 +258,7 @@ func (h *heap) get(rid RowID, dst []int64) error {
 	}
 	p, err := h.st.Get(pid)
 	if err != nil {
-		return ErrNoSuchRow
+		return rowPageErr(rid, err)
 	}
 	defer p.Release()
 	d := p.Data()
@@ -267,7 +279,7 @@ func (h *heap) update(rid RowID, row []int64) error {
 	}
 	p, err := h.st.Get(pid)
 	if err != nil {
-		return ErrNoSuchRow
+		return rowPageErr(rid, err)
 	}
 	d := p.Data()
 	if d[0] != heapPageType || !h.slotUsed(d, slot) {
@@ -292,7 +304,7 @@ func (h *heap) delete(rid RowID, dst []int64) error {
 	}
 	p, err := h.st.Get(pid)
 	if err != nil {
-		return ErrNoSuchRow
+		return rowPageErr(rid, err)
 	}
 	d := p.Data()
 	if d[0] != heapPageType || !h.slotUsed(d, slot) {

@@ -237,15 +237,6 @@ func (t *Tree) Params() Params { return t.params }
 // Count returns the number of stored intervals.
 func (t *Tree) Count() int64 { return t.tab.RowCount() }
 
-// Table returns the underlying interval relation (for SQL-level access).
-func (t *Tree) Table() *rel.Table { return t.tab }
-
-// LowerIndex returns the (node, lower, id) composite index.
-func (t *Tree) LowerIndex() *rel.Index { return t.lowerIx }
-
-// UpperIndex returns the (node, upper, id) composite index.
-func (t *Tree) UpperIndex() *rel.Index { return t.upperIx }
-
 // SetNow sets the evaluation time for now-relative intervals (§4.6).
 func (t *Tree) SetNow(now int64) { t.now = now }
 

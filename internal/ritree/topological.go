@@ -1,6 +1,7 @@
 package ritree
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -35,9 +36,14 @@ func (t *Tree) QueryRelationFunc(r interval.Relation, q interval.Interval, fn fu
 		return nil
 	}
 	row := make([]int64, 4)
-	return t.intersectingRows(region, func(id int64, rid rel.RowID) bool {
-		if t.tab.GetRawInto(rid, row) != nil {
-			return true
+	var readErr error
+	err := t.intersectingRows(region, func(id int64, rid rel.RowID) bool {
+		if err := t.tab.GetRawInto(rid, row); err != nil {
+			if errors.Is(err, rel.ErrNoSuchRow) {
+				return true
+			}
+			readErr = err // an unreadable row fails the query, never shortens it
+			return false
 		}
 		iv := interval.New(row[colLower], row[colUpper])
 		if iv.Upper == interval.NowMarker {
@@ -51,6 +57,10 @@ func (t *Tree) QueryRelationFunc(r interval.Relation, q interval.Interval, fn fu
 		}
 		return true
 	})
+	if readErr != nil {
+		return readErr
+	}
+	return err
 }
 
 // QueryRelation returns the ids of all stored intervals i for which the

@@ -58,8 +58,9 @@ func allenRelation(name string) (interval.Relation, bool) {
 }
 
 // allenQuery validates the operator's query bounds. An inverted query
-// interval is an error (matching Querier.Query), surfaced as a runtime
-// fault because the bounds may come from join columns evaluated per row.
+// interval is an error (matching ritree.Collection.Query), surfaced as a
+// runtime fault because the bounds may come from join columns evaluated
+// per row.
 // The message carries no "sql: " prefix — sqlRuntimeError adds it.
 func allenQuery(r interval.Relation, qlo, qhi int64) (interval.Interval, error) {
 	if qlo > qhi {

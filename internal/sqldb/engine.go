@@ -111,8 +111,8 @@ func (e *Engine) SetIndexSnapshotsEnabled(on bool) { e.ixSnapOff.Store(!on) }
 func (e *Engine) IndexSnapshotsEnabled() bool { return !e.ixSnapOff.Load() }
 
 // SetMergeJoinEnabled toggles interval merge join planning. Disabled,
-// every two-source interval join runs as nested loops — the baseline the
-// join benchmarks compare against.
+// every two-source interval join runs as nested loops — the reference the
+// merge-vs-nested parity tests compare against.
 func (e *Engine) SetMergeJoinEnabled(on bool) {
 	e.mu.Lock()
 	e.mergeOff = !on

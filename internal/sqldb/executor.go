@@ -74,7 +74,7 @@ type leafHit struct {
 type scanRunner func(emit func(rid rel.RowID, row []int64) bool) error
 
 // srcScan is the leaf node for one FROM source. The callback-shaped
-// access-method scans (Querier-style streaming) are adapted to pull form
+// access-method scans (Reader.Scan) are adapted to pull form
 // with iter.Pull, so the node can suspend the scan between rows and
 // abandon it on Close — stopping the pull resumes the scan coroutine
 // with a false return into the access method's callback, which

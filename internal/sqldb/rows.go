@@ -150,10 +150,6 @@ func (r *Rows) Close() error {
 // onClose registers fn to run once when the cursor closes (LIFO).
 func (r *Rows) onClose(fn func()) { r.closers = append(r.closers, fn) }
 
-// OnClose registers fn to run once when the cursor closes — the hook the
-// public DB wrapper uses to scope its read lock to the cursor lifetime.
-func (r *Rows) OnClose(fn func()) { r.onClose(fn) }
-
 // Query parses and executes a SELECT statement, returning a streaming
 // cursor. Non-SELECT statements are rejected — use Exec. The engine's
 // statement lock is held only while planning: the returned cursor reads

@@ -204,13 +204,6 @@ func (e *Engine) SetMetricsRegistry(reg *obs.Registry) {
 	}
 }
 
-// MetricsRegistry returns the configured registry (nil when none).
-func (e *Engine) MetricsRegistry() *obs.Registry {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.reg
-}
-
 // SetSlowQueryThreshold enables slow-query capture for statements running
 // at least d (0 disables).
 func (e *Engine) SetSlowQueryThreshold(d time.Duration) { e.tel.setThreshold(d) }

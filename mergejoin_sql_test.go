@@ -16,11 +16,7 @@ import (
 // intervals.
 func mergeJoinDB(t *testing.T, method string, perSide int) (*DB, *Collection, *Collection) {
 	t.Helper()
-	db, err := OpenMemory()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
+	db := openMemoryDB(t)
 	lhs, err := db.CreateCollection("lhs", AccessMethod(method))
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +52,6 @@ func mergeJoinDB(t *testing.T, method string, perSide int) (*DB, *Collection, *C
 func crosscheckJoin(t *testing.T, db *DB, pred string) string {
 	t.Helper()
 	q := "SELECT s.id, q.id FROM lhs q, rhs s WHERE " + pred + " ORDER BY 1, 2"
-	db.SetMergeJoinEnabled(true)
 	plan, err := db.Exec("EXPLAIN "+q, nil)
 	if err != nil {
 		t.Fatalf("explain: %v", err)
@@ -68,9 +63,9 @@ func crosscheckJoin(t *testing.T, db *DB, pred string) string {
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	db.SetMergeJoinEnabled(false)
+	db.eng.SetMergeJoinEnabled(false)
 	want, err := db.Exec(q, nil)
-	db.SetMergeJoinEnabled(true)
+	db.eng.SetMergeJoinEnabled(true)
 	if err != nil {
 		t.Fatalf("nested loops: %v", err)
 	}

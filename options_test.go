@@ -25,6 +25,21 @@ func backingSharded(t *testing.T, db *DB, name string) *hint.Sharded {
 	return b.BackingIndex()
 }
 
+// backingTree reaches the RI-tree behind a ritree collection's
+// access-method index (test-only observability).
+func backingTree(t *testing.T, db *DB, name string) *ritcore.Tree {
+	t.Helper()
+	ci, ok := db.eng.CustomIndexByName(sqldb.CollectionIndexName(name))
+	if !ok {
+		t.Fatalf("collection %s has no attached index", name)
+	}
+	b, ok := ci.(interface{ BackingTree() *ritcore.Tree })
+	if !ok {
+		t.Fatalf("collection %s index %T exposes no BackingTree", name, ci)
+	}
+	return b.BackingTree()
+}
+
 func TestCollectionOptionsConfigureHINT(t *testing.T) {
 	db, err := OpenMemory()
 	if err != nil {
@@ -32,7 +47,7 @@ func TestCollectionOptionsConfigureHINT(t *testing.T) {
 	}
 	defer db.Close()
 	c, err := db.CreateCollection("tuned",
-		AccessMethod(AccessMethodHINTSharded), WithHINTParams(24, 4))
+		AccessMethod(AccessMethodHINTSharded), WithMethodParam("bits", "24"), WithMethodParam("shards", "4"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +80,7 @@ func TestCollectionOptionsPersistAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, err := db.CreateCollection("tuned",
-		AccessMethod(AccessMethodHINTSharded), WithHINTParams(24, 4))
+		AccessMethod(AccessMethodHINTSharded), WithMethodParam("bits", "24"), WithMethodParam("shards", "4"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +145,7 @@ func TestRITreeSkeletonParam(t *testing.T) {
 	if err := c.Insert(NewInterval(5, 9), 1); err != nil {
 		t.Fatal(err)
 	}
-	ci, _ := db.eng.CustomIndexByName(sqldb.CollectionIndexName("sk"))
-	bt, ok := ci.(interface{ BackingTree() *ritcore.Tree })
-	if !ok {
-		t.Fatalf("no BackingTree on %T", ci)
-	}
-	if bt.BackingTree().SkeletonSize() < 0 {
+	if backingTree(t, db, "sk").SkeletonSize() < 0 {
 		t.Fatal("skeleton=1 did not materialize the backbone")
 	}
 	if _, err := db.CreateCollection("sk2", WithMethodParam("skeleton", "maybe")); err == nil {

@@ -7,10 +7,9 @@
 //
 // # One database, many collections
 //
-// The primary entry point is the DB handle: one database hosting any
-// number of named interval collections, each served by a pluggable access
-// method (paper §5's extensible indexing) behind one uniform Querier
-// interface:
+// The entry point is the DB handle: one database hosting any number of
+// named interval collections, each served by a pluggable access method
+// (paper §5's extensible indexing) behind the same Collection methods:
 //
 //	db, _ := ritree.OpenMemory()
 //	defer db.Close()
@@ -25,19 +24,7 @@
 //
 // ritree.Open(path) opens a file-backed database; collections persist in
 // its catalog and are served again after reopening. See MIGRATION.md for
-// the mapping from the pre-DB entry points.
-//
-// # The legacy single-index API
-//
-// ritree.New (an RI-tree over its own in-memory database) and
-// ritree.NewHINT (a bare main-memory HINT) remain as single-collection
-// compatibility shims:
-//
-//	idx, _ := ritree.New()
-//	defer idx.Close()
-//	idx.Insert(ritree.NewInterval(10, 20), 1)
-//	idx.Insert(ritree.NewInterval(15, 40), 2)
-//	ids, _ := idx.Intersecting(ritree.NewInterval(18, 19)) // -> [1 2]
+// the mapping from the removed pre-DB entry points.
 //
 // The RI-tree stores intervals in an ordinary relation
 // (node, lower, upper, id) under two composite B+-tree indexes; the
@@ -46,13 +33,11 @@
 package ritree
 
 import (
-	"fmt"
 	"time"
 
 	"ritree/internal/interval"
 	"ritree/internal/obs"
 	"ritree/internal/pagestore"
-	ritcore "ritree/internal/ritree"
 	"ritree/internal/sqldb"
 )
 
@@ -62,7 +47,7 @@ type Interval = interval.Interval
 // Relation is one of Allen's thirteen interval relations (paper §4.5).
 type Relation = interval.Relation
 
-// The thirteen Allen relations, usable with Querier.Query.
+// The thirteen Allen relations, usable with Collection.Query.
 const (
 	Before       = interval.Before
 	Meets        = interval.Meets
@@ -140,12 +125,10 @@ type config struct {
 	cacheSize      int
 	readLatency    time.Duration
 	slowQuery      time.Duration
-	treeName       string
-	treeOpts       ritcore.Options
 	indexSnapshots bool
 }
 
-// Option configures Open, OpenMemory, New and OpenIndex.
+// Option configures Open and OpenMemory.
 type Option func(*config)
 
 // WithPageSize sets the disk block size in bytes (default 2048, the paper's
@@ -171,11 +154,6 @@ func WithSlowQueryThreshold(d time.Duration) Option {
 	return func(c *config) { c.slowQuery = d }
 }
 
-// WithTreeName sets the name of the legacy Index's interval relation
-// (default "intervals"). It has no effect on DB collections, which are
-// named explicitly.
-func WithTreeName(name string) Option { return func(c *config) { c.treeName = name } }
-
 // WithIndexSnapshots toggles persisted index snapshots (default on).
 // When enabled on a file-backed database, Flush and Close persist each
 // HINT collection's optimized in-memory layout next to its heap, and a
@@ -193,242 +171,10 @@ func applyOptions(opts []Option) *config {
 	cfg := &config{
 		pageSize:       pagestore.DefaultPageSize,
 		cacheSize:      pagestore.DefaultCacheSize,
-		treeName:       "intervals",
 		indexSnapshots: true,
 	}
 	for _, o := range opts {
 		o(cfg)
 	}
 	return cfg
-}
-
-// Index is the legacy single-collection view of an RI-tree: one tree over
-// an embedded database, created by New (in-memory) or OpenIndex
-// (file-backed). It predates the DB/Collection API and remains fully
-// supported — it is now a thin shim over a DB whose single interval
-// relation is the tree itself. All methods are safe for concurrent use:
-// queries share the database read lock, mutations take the write lock
-// (the paper inherits this from Oracle's transaction management; here a
-// reader-writer lock provides statement-level isolation).
-type Index struct {
-	db   *DB
-	tree *ritcore.Tree
-}
-
-// New creates an in-memory RI-tree: a one-line shim over a
-// single-collection in-memory DB.
-func New(opts ...Option) (*Index, error) {
-	return newIndexOn(applyOptions(opts), nil)
-}
-
-// OpenIndex creates or opens a file-backed RI-tree at path — the legacy
-// single-index equivalent of Open (which returns the multi-collection DB
-// handle this shim is built on).
-func OpenIndex(path string, opts ...Option) (*Index, error) {
-	cfg := applyOptions(opts)
-	cfg.path = path
-	return newIndexOn(cfg, nil)
-}
-
-// IndexOf returns the legacy single-tree view named by WithTreeName over
-// an already open DB, creating the tree if absent. It is how New and
-// OpenIndex attach their tree, exposed for callers migrating piecemeal.
-func IndexOf(db *DB, opts ...Option) (*Index, error) {
-	return newIndexOn(applyOptions(opts), db)
-}
-
-// newIndexOn builds the legacy Index over db, opening one first per cfg
-// when db is nil.
-func newIndexOn(cfg *config, db *DB) (*Index, error) {
-	var err error
-	if db == nil {
-		if cfg.path == "" {
-			db, err = openMemoryCfg(cfg)
-		} else {
-			db, err = openPathCfg(cfg.path, cfg)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	var tree *ritcore.Tree
-	if _, tabErr := db.rdb.Table(cfg.treeName); tabErr == nil {
-		tree, err = ritcore.Open(db.rdb, cfg.treeName, cfg.treeOpts)
-	} else {
-		tree, err = ritcore.Create(db.rdb, cfg.treeName, cfg.treeOpts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// The legacy tree is not a catalog index, so it binds its metric
-	// family directly: "tree.<name>.*" alongside the DB's other families.
-	tree.SetMetrics(db.reg, "tree."+cfg.treeName)
-	return &Index{db: db, tree: tree}, nil
-}
-
-// DB returns the database hosting this index, giving legacy callers a
-// path into the collection API without reopening.
-func (x *Index) DB() *DB { return x.db }
-
-// Insert registers iv under id. Multiple registrations of the same
-// (interval, id) pair are allowed and count separately. Intervals with
-// Upper == Infinity or Upper == NowMarker get the §4.6 temporal handling.
-func (x *Index) Insert(iv Interval, id int64) error {
-	x.db.mu.Lock()
-	defer x.db.mu.Unlock()
-	return x.tree.Insert(iv, id)
-}
-
-// InsertInfinite registers [lower, ∞) under id.
-func (x *Index) InsertInfinite(lower, id int64) error {
-	x.db.mu.Lock()
-	defer x.db.mu.Unlock()
-	return x.tree.InsertInfinite(lower, id)
-}
-
-// InsertNow registers the now-relative interval [lower, now] under id; its
-// effective upper bound tracks SetNow with zero index maintenance.
-func (x *Index) InsertNow(lower, id int64) error {
-	x.db.mu.Lock()
-	defer x.db.mu.Unlock()
-	return x.tree.InsertNow(lower, id)
-}
-
-// Delete removes one registration of (iv, id), reporting whether it existed.
-func (x *Index) Delete(iv Interval, id int64) (bool, error) {
-	x.db.mu.Lock()
-	defer x.db.mu.Unlock()
-	return x.tree.Delete(iv, id)
-}
-
-// BulkLoad inserts ivs[i] under ids[i] and rebuilds the indexes tightly
-// packed — the fast path for loading large datasets.
-func (x *Index) BulkLoad(ivs []Interval, ids []int64) error {
-	x.db.mu.Lock()
-	defer x.db.mu.Unlock()
-	return x.tree.BulkLoad(ivs, ids)
-}
-
-// Intersecting returns the ids of all intervals intersecting q, ascending.
-func (x *Index) Intersecting(q Interval) ([]int64, error) {
-	x.db.mu.RLock()
-	defer x.db.mu.RUnlock()
-	return x.tree.Intersecting(q)
-}
-
-// IntersectingFunc streams the ids of intervals intersecting q; return
-// false from fn to stop early.
-func (x *Index) IntersectingFunc(q Interval, fn func(id int64) bool) error {
-	x.db.mu.RLock()
-	defer x.db.mu.RUnlock()
-	return x.tree.IntersectingFunc(q, fn)
-}
-
-// Stab returns the ids of all intervals containing the point p.
-func (x *Index) Stab(p int64) ([]int64, error) {
-	x.db.mu.RLock()
-	defer x.db.mu.RUnlock()
-	return x.tree.Stab(p)
-}
-
-// CountIntersecting returns the number of intervals intersecting q.
-func (x *Index) CountIntersecting(q Interval) (int64, error) {
-	x.db.mu.RLock()
-	defer x.db.mu.RUnlock()
-	return x.tree.CountIntersecting(q)
-}
-
-// Query returns the ids of all intervals i with "i r q" for any of Allen's
-// thirteen relations (paper §4.5).
-func (x *Index) Query(r Relation, q Interval) ([]int64, error) {
-	x.db.mu.RLock()
-	defer x.db.mu.RUnlock()
-	return x.tree.QueryRelation(r, q)
-}
-
-// SetNow sets the evaluation time for now-relative intervals (§4.6).
-func (x *Index) SetNow(now int64) {
-	x.db.mu.Lock()
-	defer x.db.mu.Unlock()
-	x.tree.SetNow(now)
-}
-
-// Now returns the evaluation time for now-relative intervals.
-func (x *Index) Now() int64 {
-	x.db.mu.RLock()
-	defer x.db.mu.RUnlock()
-	return x.tree.Now()
-}
-
-// Count returns the number of registered intervals.
-func (x *Index) Count() int64 {
-	x.db.mu.RLock()
-	defer x.db.mu.RUnlock()
-	return x.tree.Count()
-}
-
-// Height returns the virtual backbone height (§3.5) — it depends on the
-// data space extent and granularity, never on Count.
-func (x *Index) Height() int {
-	x.db.mu.RLock()
-	defer x.db.mu.RUnlock()
-	return x.tree.Height()
-}
-
-// IndexEntries returns the total composite index entries (2 per interval).
-func (x *Index) IndexEntries() int64 {
-	x.db.mu.RLock()
-	defer x.db.mu.RUnlock()
-	return x.tree.IndexEntries()
-}
-
-// Stats returns the I/O counters of the page store.
-func (x *Index) Stats() IOStats { return x.db.Stats() }
-
-// ResetStats zeroes the I/O counters.
-func (x *Index) ResetStats() { x.db.ResetStats() }
-
-// Exec runs a SQL statement against the embedded engine. The interval
-// relation is visible as the table named by WithTreeName (default
-// "intervals") with columns (node, lower, upper, id); the engine also
-// serves CREATE TABLE / CREATE INDEX (including INDEXTYPE IS ritree, §5),
-// CREATE COLLECTION ... USING, INSERT, DELETE, SELECT with UNION ALL,
-// TABLE(:transient) sources, and EXPLAIN.
-func (x *Index) Exec(sql string, binds map[string]interface{}) (*Result, error) {
-	return x.db.Exec(sql, binds)
-}
-
-// IntersectionSQL returns the paper's Figure 9 two-fold intersection
-// statement for this index's relations.
-func (x *Index) IntersectionSQL() string { return x.tree.IntersectionSQL() }
-
-// IntersectionBinds returns the transient leftNodes/rightNodes collections
-// and scalar binds for executing IntersectionSQL against q.
-func (x *Index) IntersectionBinds(q Interval) map[string]interface{} {
-	x.db.mu.RLock()
-	defer x.db.mu.RUnlock()
-	return x.tree.IntersectionBinds(q)
-}
-
-// ExplainIntersection returns the Figure 10-style execution plan of the
-// intersection statement.
-func (x *Index) ExplainIntersection(q Interval) (string, error) {
-	x.db.mu.RLock()
-	defer x.db.mu.RUnlock()
-	return x.tree.ExplainIntersection(x.db.eng, q)
-}
-
-// Flush writes all dirty pages to the backing store.
-func (x *Index) Flush() error { return x.db.Flush() }
-
-// Close flushes and closes the index's database.
-func (x *Index) Close() error { return x.db.Close() }
-
-// String summarizes the index.
-func (x *Index) String() string {
-	x.db.mu.RLock()
-	defer x.db.mu.RUnlock()
-	p := x.tree.Params()
-	return fmt.Sprintf("ritree.Index{n=%d, h=%d, offset=%d, leftRoot=%d, rightRoot=%d, minstep=%d}",
-		x.tree.Count(), x.tree.Height(), p.Offset, p.LeftRoot, p.RightRoot, p.MinStep)
 }

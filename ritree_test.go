@@ -3,62 +3,71 @@ package ritree
 import (
 	"math/rand"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"ritree/internal/rel"
 )
 
-func TestPublicAPIQuickPath(t *testing.T) {
-	idx, err := New()
+// newRITreeCollection opens an in-memory DB with one ritree collection
+// named "iv"; the DB closes with the test.
+func newRITreeCollection(t *testing.T, opts ...Option) (*DB, *Collection) {
+	t.Helper()
+	db := openMemoryDB(t, opts...)
+	c, err := db.CreateCollection("iv", AccessMethod(AccessMethodRITree))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer idx.Close()
-	if err := idx.Insert(NewInterval(10, 20), 1); err != nil {
+	return db, c
+}
+
+func TestPublicAPIQuickPath(t *testing.T) {
+	_, c := newRITreeCollection(t)
+	if err := c.Insert(NewInterval(10, 20), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.Insert(NewInterval(15, 40), 2); err != nil {
+	if err := c.Insert(NewInterval(15, 40), 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.Insert(Point(17), 3); err != nil {
+	if err := c.Insert(Point(17), 3); err != nil {
 		t.Fatal(err)
 	}
-	ids, err := idx.Intersecting(NewInterval(16, 18))
+	ids, err := c.Intersecting(NewInterval(16, 18))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ids) != 3 {
 		t.Fatalf("ids = %v", ids)
 	}
-	ids, _ = idx.Stab(30)
+	ids, _ = c.Stab(30)
 	if len(ids) != 1 || ids[0] != 2 {
 		t.Fatalf("Stab = %v", ids)
 	}
-	n, _ := idx.CountIntersecting(NewInterval(0, 100))
+	n, _ := c.CountIntersecting(NewInterval(0, 100))
 	if n != 3 {
 		t.Fatalf("Count = %d", n)
 	}
-	ok, err := idx.Delete(NewInterval(10, 20), 1)
+	ok, err := c.Delete(NewInterval(10, 20), 1)
 	if err != nil || !ok {
 		t.Fatalf("Delete = %v, %v", ok, err)
 	}
-	if idx.Count() != 2 {
-		t.Fatalf("Count = %d", idx.Count())
+	if c.Count() != 2 {
+		t.Fatalf("Count = %d", c.Count())
 	}
-	if !strings.Contains(idx.String(), "n=2") {
-		t.Fatalf("String = %s", idx.String())
+	if !strings.Contains(c.String(), "n=2") {
+		t.Fatalf("String = %s", c.String())
 	}
 }
 
 func TestPublicAllenQueries(t *testing.T) {
-	idx, _ := New()
-	defer idx.Close()
-	idx.Insert(NewInterval(0, 10), 1)
-	idx.Insert(NewInterval(10, 20), 2)
-	idx.Insert(NewInterval(20, 30), 3)
-	idx.Insert(NewInterval(5, 25), 4)
+	_, c := newRITreeCollection(t)
+	c.Insert(NewInterval(0, 10), 1)
+	c.Insert(NewInterval(10, 20), 2)
+	c.Insert(NewInterval(20, 30), 3)
+	c.Insert(NewInterval(5, 25), 4)
 
 	q := NewInterval(10, 20)
 	cases := []struct {
@@ -70,18 +79,13 @@ func TestPublicAllenQueries(t *testing.T) {
 		{MetBy, []int64{3}},
 		{Contains, []int64{4}},
 	}
-	for _, c := range cases {
-		got, err := idx.Query(c.r, q)
+	for _, tc := range cases {
+		got, err := c.Query(tc.r, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(c.want) {
-			t.Fatalf("%v: got %v, want %v", c.r, got, c.want)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("%v: got %v, want %v", c.r, got, c.want)
-			}
+		if !slices.Equal(got, tc.want) {
+			t.Fatalf("%v: got %v, want %v", tc.r, got, tc.want)
 		}
 	}
 	if ClassifyRelation(NewInterval(0, 10), q) != Meets {
@@ -90,51 +94,61 @@ func TestPublicAllenQueries(t *testing.T) {
 }
 
 func TestPublicTemporal(t *testing.T) {
-	idx, _ := New()
-	defer idx.Close()
-	idx.Insert(NewInterval(5, 10), 1)
-	idx.InsertInfinite(8, 2)
-	idx.InsertNow(9, 3)
-	idx.SetNow(12)
-	ids, _ := idx.Intersecting(NewInterval(11, 100))
-	if len(ids) != 2 || ids[0] != 2 || ids[1] != 3 {
+	_, c := newRITreeCollection(t)
+	c.Insert(NewInterval(5, 10), 1)
+	c.InsertInfinite(8, 2)
+	c.InsertNow(9, 3)
+	if err := c.SetNow(12); err != nil {
+		t.Fatal(err)
+	}
+	ids, _ := c.Intersecting(NewInterval(11, 100))
+	if !slices.Equal(ids, []int64{2, 3}) {
 		t.Fatalf("ids = %v", ids)
 	}
-	idx.SetNow(8)
-	ids, _ = idx.Intersecting(NewInterval(11, 100))
-	if len(ids) != 1 || ids[0] != 2 {
+	if err := c.SetNow(8); err != nil {
+		t.Fatal(err)
+	}
+	ids, _ = c.Intersecting(NewInterval(11, 100))
+	if !slices.Equal(ids, []int64{2}) {
 		t.Fatalf("ids = %v", ids)
 	}
-	if idx.Now() != 8 {
-		t.Fatalf("Now = %d", idx.Now())
+	if now, ok := c.Now(); !ok || now != 8 {
+		t.Fatalf("Now = %d, %v", now, ok)
 	}
 }
 
 func TestPublicPersistence(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "iv.db")
-	idx, err := OpenIndex(path)
+	path := filepath.Join(t.TempDir(), "iv.db")
+	db, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := db.CreateCollection("iv")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 500; i++ {
-		if err := idx.Insert(NewInterval(i*10, i*10+100), i); err != nil {
+		if err := c.Insert(NewInterval(i*10, i*10+100), i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := idx.Close(); err != nil {
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	idx2, err := OpenIndex(path)
+	db2, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer idx2.Close()
-	if idx2.Count() != 500 {
-		t.Fatalf("reopened Count = %d", idx2.Count())
+	defer db2.Close()
+	c2, err := db2.Collection("iv")
+	if err != nil {
+		t.Fatal(err)
 	}
-	ids, err := idx2.Intersecting(NewInterval(1000, 1005))
+	if c2.Count() != 500 {
+		t.Fatalf("reopened Count = %d", c2.Count())
+	}
+	ids, err := c2.Intersecting(NewInterval(1000, 1005))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +156,7 @@ func TestPublicPersistence(t *testing.T) {
 		t.Fatal("no results after reopen")
 	}
 	// Still writable.
-	if err := idx2.Insert(NewInterval(1, 2), 9999); err != nil {
+	if err := c2.Insert(NewInterval(1, 2), 9999); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -151,69 +165,70 @@ func TestOpenReattachesDomainIndexes(t *testing.T) {
 	// Domain indexes created through Exec persist their definitions in the
 	// catalog; Open on an existing file re-attaches them, so post-reopen
 	// DML through Exec keeps them maintained.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "iv.db")
-	idx, err := OpenIndex(path)
+	path := filepath.Join(t.TempDir(), "iv.db")
+	db, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustExec := func(x *Index, sql string) *Result {
+	mustExec := func(db *DB, sql string) *Result {
 		t.Helper()
-		r, err := x.Exec(sql, nil)
+		r, err := db.Exec(sql, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
 		return r
 	}
-	mustExec(idx, "CREATE TABLE ev (lo int, hi int, id int)")
-	mustExec(idx, "CREATE INDEX ev_rit ON ev (lo, hi) INDEXTYPE IS ritree")
-	mustExec(idx, "CREATE INDEX ev_mm ON ev (lo, hi) INDEXTYPE IS hint")
-	mustExec(idx, "INSERT INTO ev VALUES (10, 20, 1)")
-	if err := idx.Close(); err != nil {
+	mustExec(db, "CREATE TABLE ev (lo int, hi int, id int)")
+	mustExec(db, "CREATE INDEX ev_rit ON ev (lo, hi) INDEXTYPE IS ritree")
+	mustExec(db, "CREATE INDEX ev_mm ON ev (lo, hi) INDEXTYPE IS hint")
+	mustExec(db, "INSERT INTO ev VALUES (10, 20, 1)")
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	idx2, err := OpenIndex(path)
+	db2, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer idx2.Close()
-	mustExec(idx2, "INSERT INTO ev VALUES (15, 30, 2)")
-	r := mustExec(idx2, "SELECT id FROM ev WHERE intersects(lo, hi, 18, 19) ORDER BY id")
+	defer db2.Close()
+	mustExec(db2, "INSERT INTO ev VALUES (15, 30, 2)")
+	r := mustExec(db2, "SELECT id FROM ev WHERE intersects(lo, hi, 18, 19) ORDER BY id")
 	if len(r.Rows) != 2 || r.Rows[0][0] != 1 || r.Rows[1][0] != 2 {
 		t.Fatalf("post-reopen domain query rows = %v", r.Rows)
 	}
-	plan := mustExec(idx2, "EXPLAIN SELECT id FROM ev WHERE intersects(lo, hi, 18, 19)")
+	plan := mustExec(db2, "EXPLAIN SELECT id FROM ev WHERE intersects(lo, hi, 18, 19)")
 	if !strings.Contains(plan.Plan, "DOMAIN INDEX") {
 		t.Fatalf("operator not served by a re-attached domain index:\n%s", plan.Plan)
 	}
 }
 
 func TestPublicSQLSurface(t *testing.T) {
-	idx, _ := New()
-	defer idx.Close()
-	idx.Insert(NewInterval(100, 200), 7)
-	// The interval relation is plain SQL-visible.
-	r, err := idx.Exec("SELECT lower, upper, id FROM intervals WHERE id = 7", nil)
+	db, c := newRITreeCollection(t)
+	c.Insert(NewInterval(100, 200), 7)
+	// The collection's base relation is plain SQL-visible.
+	r, err := db.Exec("SELECT lower, upper, id FROM iv WHERE id = 7", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Rows) != 1 || r.Rows[0][0] != 100 || r.Rows[0][1] != 200 {
 		t.Fatalf("rows = %v", r.Rows)
 	}
-	// The Figure 9 statement via public API.
-	ids := map[int64]bool{}
-	res, err := idx.Exec(idx.IntersectionSQL(), idx.IntersectionBinds(NewInterval(150, 160)))
+	// The Figure 9 statement over the collection's RI-tree relations runs
+	// through the same engine; its ids are the base relation's row ids.
+	tree := backingTree(t, db, "iv")
+	q := NewInterval(150, 160)
+	res, err := db.Exec(tree.IntersectionSQL(), tree.IntersectionBinds(q))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range res.Rows {
-		ids[row[0]] = true
+	if len(res.Rows) != 1 {
+		t.Fatalf("Figure 9 rows = %v", res.Rows)
 	}
-	if !ids[7] || len(ids) != 1 {
-		t.Fatalf("ids = %v", ids)
+	row := make([]int64, 3)
+	if err := c.tab.GetRawInto(rel.RowID(res.Rows[0][0]), row); err != nil || row[2] != 7 {
+		t.Fatalf("Figure 9 row id %d resolves to %v, %v; want id 7", res.Rows[0][0], row, err)
 	}
-	plan, err := idx.ExplainIntersection(NewInterval(150, 160))
+	plan, err := tree.ExplainIntersection(db.eng, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +238,7 @@ func TestPublicSQLSurface(t *testing.T) {
 }
 
 func TestPublicBulkLoadAndStats(t *testing.T) {
-	idx, err := New(WithPageSize(2048), WithCacheSize(200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
+	db, c := newRITreeCollection(t, WithPageSize(2048), WithCacheSize(200))
 	rng := rand.New(rand.NewSource(1))
 	n := 20000
 	ivs := make([]Interval, n)
@@ -237,43 +248,41 @@ func TestPublicBulkLoadAndStats(t *testing.T) {
 		ivs[i] = NewInterval(lo, lo+rng.Int63n(2048))
 		ids[i] = int64(i)
 	}
-	if err := idx.BulkLoad(ivs, ids); err != nil {
+	if err := c.BulkLoad(ivs, ids); err != nil {
 		t.Fatal(err)
 	}
-	if idx.Count() != int64(n) {
-		t.Fatalf("Count = %d", idx.Count())
+	if c.Count() != int64(n) {
+		t.Fatalf("Count = %d", c.Count())
 	}
-	if idx.IndexEntries() != int64(2*n) {
-		t.Fatalf("IndexEntries = %d, want %d", idx.IndexEntries(), 2*n)
+	if got := backingTree(t, db, "iv").IndexEntries(); got != int64(2*n) {
+		t.Fatalf("IndexEntries = %d, want %d", got, 2*n)
 	}
-	idx.ResetStats()
-	got, err := idx.Intersecting(NewInterval(500000, 505000))
+	db.ResetStats()
+	q := NewInterval(500000, 505000)
+	got, err := c.Intersecting(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := idx.Stats()
-	if st.PhysicalReads == 0 {
+	if db.Stats().PhysicalReads == 0 {
 		t.Fatal("no physical reads counted")
 	}
 	// Sanity check against brute force.
 	var want []int64
-	q := NewInterval(500000, 505000)
 	for i, iv := range ivs {
 		if iv.Intersects(q) {
 			want = append(want, ids[i])
 		}
 	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	if len(got) != len(want) {
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
 		t.Fatalf("got %d ids, want %d", len(got), len(want))
 	}
 }
 
 func TestPublicConcurrentReadersAndWriters(t *testing.T) {
-	idx, _ := New()
-	defer idx.Close()
+	_, c := newRITreeCollection(t)
 	for i := int64(0); i < 200; i++ {
-		idx.Insert(NewInterval(i*10, i*10+50), i)
+		c.Insert(NewInterval(i*10, i*10+50), i)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -284,7 +293,7 @@ func TestPublicConcurrentReadersAndWriters(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 500; i++ {
 				lo := rng.Int63n(2000)
-				if _, err := idx.Intersecting(NewInterval(lo, lo+100)); err != nil {
+				if _, err := c.Intersecting(NewInterval(lo, lo+100)); err != nil {
 					errs <- err
 					return
 				}
@@ -298,12 +307,12 @@ func TestPublicConcurrentReadersAndWriters(t *testing.T) {
 			rng := rand.New(rand.NewSource(100 + seed))
 			for i := int64(0); i < 300; i++ {
 				lo := rng.Int63n(2000)
-				if err := idx.Insert(NewInterval(lo, lo+20), 10000+seed*1000+i); err != nil {
+				if err := c.Insert(NewInterval(lo, lo+20), 10000+seed*1000+i); err != nil {
 					errs <- err
 					return
 				}
 				if i%3 == 0 {
-					idx.Delete(NewInterval(lo, lo+20), 10000+seed*1000+i)
+					c.Delete(NewInterval(lo, lo+20), 10000+seed*1000+i)
 				}
 			}
 		}(int64(w))
@@ -315,23 +324,26 @@ func TestPublicConcurrentReadersAndWriters(t *testing.T) {
 	default:
 	}
 	// The index is still consistent.
-	if _, err := idx.Intersecting(NewInterval(0, 5000)); err != nil {
+	if _, err := c.Intersecting(NewInterval(0, 5000)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPublicOptions(t *testing.T) {
-	idx, err := New(WithPageSize(512), WithCacheSize(64), WithTreeName("spans"),
-		WithReadLatency(time.Microsecond))
+	db, err := OpenMemory(WithPageSize(512), WithCacheSize(64), WithReadLatency(time.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer idx.Close()
-	idx.Insert(NewInterval(1, 5), 1)
-	if _, err := idx.Exec("SELECT id FROM spans", nil); err != nil {
+	defer db.Close()
+	c, err := db.CreateCollection("spans")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(WithPageSize(1000)); err == nil {
+	c.Insert(NewInterval(1, 5), 1)
+	if _, err := db.Exec("SELECT id FROM spans", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenMemory(WithPageSize(1000)); err == nil {
 		t.Fatal("non-power-of-two page size accepted")
 	}
 }

@@ -9,7 +9,7 @@ import (
 // errZeroQuery reports a zero Query value passed to Scan.
 var errZeroQuery = errors.New("ritree: zero Query value; use Intersects, Stabbing or Related")
 
-// Query describes one streaming query for Querier.Scan. Build one with
+// Query describes one streaming query for Collection.Scan. Build one with
 // Intersects, Stabbing or Related; the zero value is invalid.
 type Query struct {
 	kind queryKind
@@ -51,17 +51,13 @@ func (q Query) String() string {
 }
 
 // scanSeq adapts a callback-streaming query into a range-over-func
-// iterator with context cancellation. acquire/release bracket the whole
-// iteration (nil for access methods that lock internally): they run when
-// the consumer starts ranging, and release runs however the loop ends —
-// normal exhaustion, early break, or a panic in the loop body. run streams
-// ids into the wrapped yield; a cancelled ctx or a query error is
-// delivered as one final (0, err) pair, matching the iter.Seq2 error
-// convention. Cancellation is observed before the scan starts, at every
-// yielded id, and once more at completion — so a cancelled ctx always
-// surfaces, including on scans that match nothing. A scan that is never
-// ranged over costs nothing.
-func scanSeq(ctx context.Context, acquire, release func(), run func(fn func(int64) bool) error) iter.Seq2[int64, error] {
+// iterator with context cancellation. run streams ids into the wrapped
+// yield; a cancelled ctx or a query error is delivered as one final
+// (0, err) pair, matching the iter.Seq2 error convention. Cancellation is
+// observed before the scan starts, at every yielded id, and once more at
+// completion — so a cancelled ctx always surfaces, including on scans
+// that match nothing. A scan that is never ranged over costs nothing.
+func scanSeq(ctx context.Context, run func(fn func(int64) bool) error) iter.Seq2[int64, error] {
 	return func(yield func(int64, error) bool) {
 		ctxErr := func() error {
 			if ctx == nil {
@@ -77,10 +73,6 @@ func scanSeq(ctx context.Context, acquire, release func(), run func(fn func(int6
 		if err := ctxErr(); err != nil {
 			yield(0, err)
 			return
-		}
-		if acquire != nil {
-			acquire()
-			defer release()
 		}
 		var cancelErr error
 		stopped := false
@@ -107,37 +99,4 @@ func scanSeq(ctx context.Context, acquire, release func(), run func(fn func(int6
 			yield(0, err)
 		}
 	}
-}
-
-// Scan streams the legacy Index's ids matching q under the database read
-// lock; see Collection.Scan for the iteration contract.
-func (x *Index) Scan(ctx context.Context, q Query) iter.Seq2[int64, error] {
-	return scanSeq(ctx, x.db.mu.RLock, x.db.mu.RUnlock, func(fn func(int64) bool) error {
-		switch q.kind {
-		case queryIntersects:
-			return x.tree.IntersectingFunc(q.iv, fn)
-		case queryStab:
-			return x.tree.IntersectingFunc(Point(q.p), fn)
-		case queryRelation:
-			return x.tree.QueryRelationFunc(q.r, q.iv, fn)
-		}
-		return errZeroQuery
-	})
-}
-
-// Scan streams the HINT's ids matching q; the shards lock internally, so
-// no outer lock is held between yields. See Collection.Scan for the
-// iteration contract.
-func (h *HINT) Scan(ctx context.Context, q Query) iter.Seq2[int64, error] {
-	return scanSeq(ctx, nil, nil, func(fn func(int64) bool) error {
-		switch q.kind {
-		case queryIntersects:
-			return h.s.IntersectingFunc(q.iv, fn)
-		case queryStab:
-			return h.s.IntersectingFunc(Point(q.p), fn)
-		case queryRelation:
-			return h.s.QueryRelationFunc(q.r, q.iv, fn)
-		}
-		return errZeroQuery
-	})
 }

@@ -3,6 +3,9 @@ package ritree
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -79,6 +82,147 @@ func TestCursorNeverBlocksWriters(t *testing.T) {
 	// A fresh cursor sees the writes.
 	if cnt := c.Count(); cnt != n+100-1 {
 		t.Fatalf("live count = %d, want %d", cnt, n+100-1)
+	}
+}
+
+// TestSnapshotReadersSeeWholeCommits races snapshot readers against two
+// writers that each commit two rows at a time: one through InsertMany, one
+// through BEGIN/COMMIT, retrying from Begin whenever the other writer wins
+// the first-committer check. The base is even-sized, so every cursor must
+// observe an even number of rows; an odd count is a torn snapshot that
+// saw half of a commit. The run is bounded by commit counts, not time.
+func TestSnapshotReadersSeeWholeCommits(t *testing.T) {
+	const (
+		base    = 1000
+		commits = 100 // per writer
+		readers = 4
+	)
+	db := openMemoryDB(t)
+	c, err := db.CreateCollection("snap", AccessMethod(AccessMethodHINTSharded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]IntervalRow, base)
+	for i := range rows {
+		rows[i] = IntervalRow{NewInterval(int64(i%500), int64(i%500)+50), int64(i)}
+	}
+	if err := c.InsertMany(rows); err != nil {
+		t.Fatal(err)
+	}
+	pair := func(w, seq int) (int64, int64, int64) {
+		lo := int64((seq * 37) % 500)
+		return lo, int64(1_000_000 + w*10_000 + seq*2), lo + 7
+	}
+
+	var (
+		writers sync.WaitGroup
+		stop    = make(chan struct{})
+		errs    = make(chan error, readers+2) // one send at most per goroutine
+	)
+	writers.Add(2)
+	go func() { // auto-commit batches of two
+		defer writers.Done()
+		for seq := 0; seq < commits; seq++ {
+			lo, id, lo2 := pair(0, seq)
+			if err := c.InsertMany([]IntervalRow{
+				{NewInterval(lo, lo+40), id}, {NewInterval(lo2, lo2+90), id + 1},
+			}); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	go func() { // two-statement transactions
+		defer writers.Done()
+		for seq := 0; seq < commits; {
+			lo, id, lo2 := pair(1, seq)
+			txn, err := db.Begin()
+			if err != nil {
+				errs <- err
+				return
+			}
+			for _, row := range [][3]int64{{lo, lo + 40, id}, {lo2, lo2 + 90, id + 1}} {
+				if _, err := txn.Exec(fmt.Sprintf("INSERT INTO snap VALUES (%d, %d, %d)", row[0], row[1], row[2]), nil); err != nil {
+					txn.Rollback()
+					errs <- err
+					return
+				}
+			}
+			switch err := txn.Commit(); {
+			case err == nil:
+				seq++
+			case !errors.Is(err, ErrTxnConflict):
+				errs <- err
+				return
+			}
+		}
+	}()
+
+	var (
+		rd     sync.WaitGroup
+		rounds atomic.Int64
+	)
+	// read drains one cursor and returns how many rows it streamed, or for
+	// a COUNT(*) the value of its single row.
+	read := func(sql string, isCount bool) (int64, error) {
+		cur, err := db.Query(context.Background(), sql, nil)
+		if err != nil {
+			return 0, err
+		}
+		defer cur.Close()
+		var n int64
+		for cur.Next() {
+			if isCount {
+				n = cur.Row()[0]
+			} else {
+				n++
+			}
+		}
+		return n, cur.Err()
+	}
+	for r := 0; r < readers; r++ {
+		rd.Add(1)
+		go func() {
+			defer rd.Done()
+			for {
+				for _, q := range []struct {
+					sql     string
+					isCount bool
+				}{
+					{"SELECT id FROM snap WHERE intersects(lower, upper, 0, 1000)", false},
+					{"SELECT COUNT(*) FROM snap", true},
+				} {
+					n, err := read(q.sql, q.isCount)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if n%2 != 0 {
+						errs <- fmt.Errorf("torn snapshot: %q saw %d rows", q.sql, n)
+						return
+					}
+				}
+				rounds.Add(1)
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	rd.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if rounds.Load() < readers {
+		t.Fatalf("readers completed %d rounds, want at least %d", rounds.Load(), readers)
+	}
+	if got, want := c.Count(), int64(base+2*2*commits); got != want {
+		t.Fatalf("count after the writers = %d, want %d", got, want)
 	}
 }
 
