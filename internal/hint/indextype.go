@@ -720,14 +720,30 @@ func (r *reader) Count(op string, args []int64) (int64, error) {
 
 // Ordered implements sqldb.Reader: every indexed row id in ascending order
 // of the indexed lower bound, straight off the flat storage's sorted
-// original-class segments (see ScanStartOrdered). The shift into index
-// coordinates is monotone, so shifted order is true order; the entry keys
-// serve only as sort keys and the caller refetches row values from the
-// base table.
-func (r *reader) Ordered(fn func(rid rel.RowID) bool) error {
+// original-class segments (see ScanStartOrdered), with the row's true
+// bounds. The shift into index coordinates is monotone, so shifted order
+// is true order, and un-shifting an entry restores its exact lower and —
+// unless it saturated — its exact upper. A saturated upper (true end
+// beyond 2^59) is refetched from the bound table, so the far tail stays
+// exact; a row that cannot be read fails the scan.
+func (r *reader) Ordered(fn func(rid rel.RowID, lo, hi int64) bool) error {
 	r.six.met.query()
-	r.six.ScanStartOrdered(func(_, _, id int64) bool { return fn(rel.RowID(id)) })
-	return nil
+	var row []int64
+	var readErr error
+	r.six.ScanStartOrdered(func(lo, hi, id int64) bool {
+		lo, hi = lo+r.off, hi+r.off
+		if hi > maxAbsBound {
+			if row == nil {
+				row = make([]int64, r.tab.Schema().NumCols())
+			}
+			if readErr = r.tab.GetRawInto(rel.RowID(id), row); readErr != nil {
+				return false
+			}
+			hi = row[r.hiPos]
+		}
+		return fn(rel.RowID(id), lo, hi)
+	})
+	return readErr
 }
 
 // Now implements sqldb.Reader: HINT keeps no clock.

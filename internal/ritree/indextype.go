@@ -395,7 +395,7 @@ func (r reader) Count(op string, args []int64) (int64, error) {
 
 // Ordered implements sqldb.Reader; HasOrdered is false, so the engine
 // never calls it.
-func (r reader) Ordered(func(rid rel.RowID) bool) error {
+func (r reader) Ordered(func(rid rel.RowID, lo, hi int64) bool) error {
 	return fmt.Errorf("ritree indextype: no lower-ordered feed")
 }
 

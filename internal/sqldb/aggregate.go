@@ -78,14 +78,23 @@ func (a *aggState) result() (int64, error) {
 // aggNode is the aggregation sink of the streaming pipeline — a
 // pipeline breaker: Open drains the source join (which streams, so
 // filters and index scans still do their per-row work lazily underneath)
-// and computes the single output row; Next emits it once.
+// and computes the single output row; Next emits it once. Under a
+// counting plan the join's Count replaces the drain.
 type aggNode struct {
-	join   joinExec
-	env    []int64
-	states []*aggState
-	out    []int64
-	done   bool
-	ns     *nodeStats
+	join    joinExec
+	counter counterExec // non-nil: the lone COUNT(*) is the join's Count
+	env     []int64
+	states  []*aggState
+	out     []int64
+	done    bool
+	ns      *nodeStats
+}
+
+// counterExec is a join that reports how many rows it would emit without
+// emitting them: the counting merge join and the index-only count.
+type counterExec interface {
+	joinExec
+	Count(ec *execCtx) (int64, error)
 }
 
 func (n *aggNode) statsNode() *nodeStats { return n.ns }
@@ -102,17 +111,25 @@ func (n *aggNode) Open(ec *execCtx) error {
 		return err
 	}
 	var drained int64
-	for {
-		ok, err := n.join.Next(ec)
+	if n.counter != nil {
+		c, err := n.counter.Count(ec)
 		if err != nil {
 			return err
 		}
-		if !ok {
-			break
-		}
-		drained++
-		for _, st := range n.states {
-			st.add(n.env)
+		drained, n.states[0].count = c, c
+	} else {
+		for {
+			ok, err := n.join.Next(ec)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			drained++
+			for _, st := range n.states {
+				st.add(n.env)
+			}
 		}
 	}
 	_ = n.join.Close()
@@ -164,14 +181,20 @@ func newAggState(plan *selectPlan, call *CallExpr, binds map[string]interface{})
 	return st, nil
 }
 
-// planAggregateInput compiles the FROM/WHERE of an aggregating block as a
-// SELECT * plan bound onto the snapshot view.
-func (e *Engine) planAggregateInput(s *SelectStmt, binds map[string]interface{}, v *execView) (*selectPlan, error) {
-	plan, err := e.planSelect(&SelectStmt{
+// planInput compiles the FROM/WHERE of an aggregating block as a SELECT *
+// plan: the input of its aggregation sink.
+func (e *Engine) planInput(s *SelectStmt, binds map[string]interface{}) (*selectPlan, error) {
+	return e.planSelect(&SelectStmt{
 		Items: []SelectItem{{Star: true}},
 		From:  s.From,
 		Where: s.Where,
 	}, binds)
+}
+
+// planAggregateInput compiles the FROM/WHERE of a grouped block as a
+// SELECT * plan bound onto the snapshot view.
+func (e *Engine) planAggregateInput(s *SelectStmt, binds map[string]interface{}, v *execView) (*selectPlan, error) {
+	plan, err := e.planInput(s, binds)
 	if err != nil {
 		return nil, err
 	}
@@ -181,39 +204,63 @@ func (e *Engine) planAggregateInput(s *SelectStmt, binds map[string]interface{},
 	return plan, nil
 }
 
-// buildAggregate compiles one aggregate-projecting select block (no GROUP
-// BY) into its pipeline sink, output column names, and the underlying
-// source plan (the cursor reports its join strategy).
-func (e *Engine) buildAggregate(s *SelectStmt, binds map[string]interface{}, v *execView) (rowNode, []string, *selectPlan, error) {
-	plan, err := e.planAggregateInput(s, binds, v)
+// planAggregate compiles one aggregate-projecting select block (no GROUP
+// BY): its FROM/WHERE as a SELECT * input plan, its items into plan.aggs
+// with their labels as the output columns, and whether a lone COUNT(*)
+// can be answered without producing rows (plan.count). The plan is
+// execution-independent, so the plan cache keeps it.
+func (e *Engine) planAggregate(s *SelectStmt, binds map[string]interface{}) (*selectPlan, error) {
+	plan, err := e.planInput(s, binds)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	var states []*aggState
-	var cols []string
+	plan.project, plan.outCols = nil, nil
 	for _, item := range s.Items {
 		call, ok := item.Expr.(*CallExpr)
 		if !ok || !aggregateNames[strings.ToLower(call.Name)] {
-			return nil, nil, nil, fmt.Errorf("sql: cannot mix aggregates and scalar expressions without GROUP BY (unsupported)")
+			return nil, fmt.Errorf("sql: cannot mix aggregates and scalar expressions without GROUP BY (unsupported)")
 		}
 		st, err := newAggState(plan, call, binds)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		states = append(states, st)
+		plan.aggs = append(plan.aggs, st)
 		label := item.As
 		if label == "" {
 			label = strings.ToLower(call.Name)
 		}
-		cols = append(cols, label)
+		plan.outCols = append(plan.outCols, label)
 	}
+	if len(plan.aggs) == 1 && plan.aggs[0].name == "count" && plan.aggs[0].arg == nil {
+		switch {
+		case plan.merge != nil:
+			plan.count = len(plan.merge.post) == 0
+		case len(plan.sources) == 1:
+			sp := plan.sources[0]
+			plan.count = sp.kind == accessCustom && len(sp.filters) == 0
+		}
+	}
+	return plan, nil
+}
+
+// newAggregateNode builds the sink of a bound planAggregate plan, with
+// fresh accumulators copied from the plan's templates.
+func newAggregateNode(plan *selectPlan, binds map[string]interface{}) (rowNode, error) {
 	join, env, _, err := newJoinOverPlan(plan, binds)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
+	}
+	states := make([]*aggState, len(plan.aggs))
+	for i, t := range plan.aggs {
+		states[i] = &aggState{name: t.name, arg: t.arg}
 	}
 	ns := &nodeStats{label: "AGGREGATE"}
 	if child := join.statsNode(); child != nil {
 		ns.children = []*nodeStats{child}
 	}
-	return &aggNode{join: join, env: env, states: states, ns: ns}, cols, plan, nil
+	n := &aggNode{join: join, env: env, states: states, ns: ns}
+	if plan.count {
+		n.counter = join.(counterExec)
+	}
+	return n, nil
 }

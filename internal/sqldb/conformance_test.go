@@ -20,8 +20,9 @@ import (
 // both, rows that widen HINT's domain) a Reader over the live database and
 // a Reader over a snapshot's shadow database agree with brute force; a
 // Reader bound before a commit never sees it; Ordered ascends by lower
-// bound wherever HasOrdered is true; a refused batch leaves heap and index
-// as they were.
+// bound and delivers each row's true bounds wherever HasOrdered is true —
+// including rows whose upper lies beyond 2^59, where HINT's entries
+// saturate; a refused batch leaves heap and index as they were.
 func TestIndexContract(t *testing.T) {
 	methods := []struct {
 		name     string
@@ -48,6 +49,10 @@ func TestIndexContract(t *testing.T) {
 				t.Fatal("index not attached")
 			}
 			c := &contract{t: t, e: e, ci: ci, rng: rand.New(rand.NewSource(7)), model: map[int64][2]int64{}}
+			// A far-tail row: its exact upper must survive every method.
+			c.nextID++
+			e.MustExec("INSERT INTO iv VALUES (:lo, :hi, :id)", map[string]interface{}{"lo": 1000, "hi": farTail, "id": c.nextID})
+			c.model[c.nextID] = [2]int64{1000, farTail}
 
 			var bound []boundReader
 			for round := 0; round < 12; round++ {
@@ -91,12 +96,19 @@ func copyModel(m map[int64][2]int64) map[int64][2]int64 {
 	return c
 }
 
+// farTail is an upper bound beyond 2^59, where HINT's stored uppers
+// saturate.
+const farTail = int64(1)<<60 + 12345
+
 func (c *contract) interval(round int) (lo, hi int64) {
 	span := int64(1) << 20
 	if round%4 == 3 {
 		span <<= 6 // beyond HINT's current domain: forces a geometry rebuild
 	}
 	lo = c.rng.Int63n(span)
+	if c.rng.Intn(40) == 0 {
+		return lo, farTail + lo
+	}
 	return lo, lo + c.rng.Int63n(5000)
 }
 
@@ -235,8 +247,11 @@ func (c *contract) check(what string, rd sqldb.Reader, db *rel.DB, model map[int
 	}
 	if c.ci.HasOrdered() {
 		n, prev := 0, int64(-1<<62)
-		err := rd.Ordered(func(rid rel.RowID) bool {
-			lo := model[idOf(rid)][0]
+		err := rd.Ordered(func(rid rel.RowID, lo, hi int64) bool {
+			id := idOf(rid)
+			if want := model[id]; lo != want[0] || hi != want[1] {
+				c.t.Fatalf("%s: Ordered delivered row %d as [%d, %d], model [%d, %d]", what, id, lo, hi, want[0], want[1])
+			}
 			if lo < prev {
 				c.t.Fatalf("%s: Ordered went from lower %d back to %d", what, prev, lo)
 			}

@@ -17,6 +17,9 @@ type BruteType struct {
 	Built          []*BruteIndex // every index Create or Attach returned
 	StorageDropped []string      // index names handed to DropStorage
 	DropErr        error         // given to every index built
+	// Unordered makes Ordered stream by descending lower bound: a feed
+	// whose promise of order does not hold.
+	Unordered bool
 }
 
 func (t *BruteType) Create(e *Engine, name, table string, cols []string, _ map[string]string) (Index, error) {
@@ -24,7 +27,7 @@ func (t *BruteType) Create(e *Engine, name, table string, cols []string, _ map[s
 	if err != nil {
 		return nil, err
 	}
-	ix := &BruteIndex{name: name, table: table, cols: cols, DropErr: t.DropErr,
+	ix := &BruteIndex{name: name, table: table, cols: cols, DropErr: t.DropErr, unordered: t.Unordered,
 		lo: tab.Schema().ColIndex(cols[0]), hi: tab.Schema().ColIndex(cols[1]),
 		rows: make(map[rel.RowID][2]int64)}
 	t.Built = append(t.Built, ix)
@@ -51,6 +54,7 @@ type BruteIndex struct {
 	lo, hi      int
 	rows        map[rel.RowID][2]int64
 	now         int64
+	unordered   bool
 	Attached    bool // built by Attach
 	Applies     int  // Apply calls that succeeded
 	DropErr     error
@@ -95,7 +99,7 @@ func (x *BruteIndex) Drop() error {
 }
 
 func (x *BruteIndex) Reader(*rel.DB) (Reader, error) {
-	r := bruteReader{rows: make(map[rel.RowID][2]int64, len(x.rows)), now: x.now}
+	r := bruteReader{rows: make(map[rel.RowID][2]int64, len(x.rows)), now: x.now, unordered: x.unordered}
 	for rid, iv := range x.rows {
 		r.rows[rid] = iv
 	}
@@ -103,8 +107,9 @@ func (x *BruteIndex) Reader(*rel.DB) (Reader, error) {
 }
 
 type bruteReader struct {
-	rows map[rel.RowID][2]int64
-	now  int64
+	rows      map[rel.RowID][2]int64
+	now       int64
+	unordered bool
 }
 
 func (r bruteReader) Now() (int64, bool) { return r.now, true }
@@ -123,14 +128,14 @@ func (r bruteReader) Count(op string, args []int64) (n int64, err error) {
 	return n, r.Scan(op, args, func(rel.RowID) bool { n++; return true })
 }
 
-func (r bruteReader) Ordered(fn func(rel.RowID) bool) error {
+func (r bruteReader) Ordered(fn func(rid rel.RowID, lo, hi int64) bool) error {
 	rids := make([]rel.RowID, 0, len(r.rows))
 	for rid := range r.rows {
 		rids = append(rids, rid)
 	}
-	sort.Slice(rids, func(i, j int) bool { return r.rows[rids[i]][0] < r.rows[rids[j]][0] })
+	sort.Slice(rids, func(i, j int) bool { return (r.rows[rids[i]][0] < r.rows[rids[j]][0]) != r.unordered })
 	for _, rid := range rids {
-		if !fn(rid) {
+		if iv := r.rows[rid]; !fn(rid, iv[0], iv[1]) {
 			break
 		}
 	}

@@ -405,6 +405,11 @@ func newJoinOverPlan(p *selectPlan, binds map[string]interface{}) (joinExec, []i
 	if err := p.fillBinds(env, binds); err != nil {
 		return nil, nil, nil, err
 	}
+	if p.count {
+		sp := p.sources[0]
+		ns := &nodeStats{labelFn: func() string { return indexCountLine(sp) }}
+		return &indexCountNode{sp: sp, env: env, ns: ns}, env, nil, nil
+	}
 	rids := make([]rel.RowID, len(p.sources))
 	srcs := make([]execNode, len(p.sources))
 	scanStats := make([]*nodeStats, len(p.sources))
@@ -424,6 +429,42 @@ func newJoinOverPlan(p *selectPlan, binds map[string]interface{}) (joinExec, []i
 	return j, env, rids, nil
 }
 
+// indexCountNode is the index-only COUNT(*) of a single source served by
+// a domain-index operator with no other conjunct: Count asks the bound
+// Reader for the number of matching rows, so no leaf row is pulled and
+// no heap row is fetched.
+type indexCountNode struct {
+	sp  *srcPlan
+	env []int64
+	ns  *nodeStats
+}
+
+func (n *indexCountNode) statsNode() *nodeStats  { return n.ns }
+func (n *indexCountNode) Open(ec *execCtx) error { return nil }
+func (n *indexCountNode) Close() error           { return nil }
+
+func (n *indexCountNode) Next(ec *execCtx) (bool, error) {
+	return false, fmt.Errorf("sql: internal: an index-only count emits no rows")
+}
+
+func (n *indexCountNode) Count(ec *execCtx) (int64, error) {
+	if start := ec.startTimer(); !start.IsZero() {
+		defer n.ns.timeFrom(start)
+	}
+	args := make([]int64, len(n.sp.customArgs))
+	for k, f := range n.sp.customArgs {
+		args[k] = f(n.env)
+	}
+	ec.stats.indexProbes.Add(1)
+	n.ns.addProbes(1)
+	c, err := n.sp.reader.Count(n.sp.customOp, args)
+	if err != nil {
+		return 0, err
+	}
+	n.ns.addRowsOut(c)
+	return c, nil
+}
+
 // projectNode computes the output row of one select block.
 type projectNode struct {
 	in      execNode
@@ -432,7 +473,7 @@ type projectNode struct {
 	out     []int64
 }
 
-func newProjectOverPlan(p *selectPlan, binds map[string]interface{}) (*projectNode, error) {
+func newProjectOverPlan(p *selectPlan, binds map[string]interface{}) (rowNode, error) {
 	join, env, _, err := newJoinOverPlan(p, binds)
 	if err != nil {
 		return nil, err

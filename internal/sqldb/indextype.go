@@ -111,8 +111,12 @@ type Reader interface {
 	// callback (access methods with a parallel counting path use it).
 	Count(op string, args []int64) (int64, error)
 	// Ordered streams every indexed row id in ascending order of the
-	// indexed interval's lower bound. Called only when HasOrdered is true.
-	Ordered(fn func(rid rel.RowID) bool) error
+	// indexed interval's lower bound, with the row's true (lower, upper)
+	// values — the bounds the base row holds, not an index-internal
+	// encoding — so a consumer that needs only the bounds (a counting
+	// merge join) never fetches the row. Called only when HasOrdered is
+	// true.
+	Ordered(fn func(rid rel.RowID, lo, hi int64) bool) error
 	// Now returns the evaluation time of now-relative intervals as of the
 	// bound state; ok is false when the access method keeps no clock.
 	Now() (now int64, ok bool)

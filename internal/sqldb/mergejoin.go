@@ -1,7 +1,10 @@
 package sqldb
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -84,17 +87,20 @@ func (g *gaplessSet) size() int { return len(g.row) }
 // rows (for env binding and post filters), the join bounds in dedicated
 // arrays (the sweep touches only these — the cache layout the paper's
 // gapless hash is about), and a by-upper-bound permutation driving
-// endpoint-ordered eviction and the BEFORE/AFTER prefix modes.
+// endpoint-ordered eviction and the BEFORE/AFTER prefix modes. A counting
+// join binds no pairs, so it keeps the bounds only (w = 0: no rows, no
+// rids).
 type mjSide struct {
-	sp      *srcPlan
-	w       int
-	rows    []int64
-	rids    []rel.RowID
-	lo, hi  []int64
-	byHi    []int32
-	n       int
-	ordered bool // this drain actually used the ordered feed
-	ns      *nodeStats
+	sp         *srcPlan
+	w          int
+	rows       []int64
+	rids       []rel.RowID
+	lo, hi     []int64
+	byHi       []int32
+	n          int
+	ordered    bool // this drain actually used the ordered feed
+	boundsOnly bool // ...and took the bounds from it, fetching no rows
+	ns         *nodeStats
 }
 
 func (s *mjSide) release() {
@@ -114,6 +120,9 @@ func (b sideByLo) Swap(i, j int) {
 	s := b.s
 	s.lo[i], s.lo[j] = s.lo[j], s.lo[i]
 	s.hi[i], s.hi[j] = s.hi[j], s.hi[i]
+	if s.w == 0 {
+		return
+	}
 	s.rids[i], s.rids[j] = s.rids[j], s.rids[i]
 	ri, rj := s.rows[i*s.w:(i+1)*s.w], s.rows[j*s.w:(j+1)*s.w]
 	for k := range ri {
@@ -127,7 +136,7 @@ func (s *mjSide) buildByHi() {
 		s.byHi[i] = int32(i)
 	}
 	hi := s.hi
-	sort.Slice(s.byHi, func(i, j int) bool { return hi[s.byHi[i]] < hi[s.byHi[j]] })
+	slices.SortFunc(s.byHi, func(a, b int32) int { return cmp.Compare(hi[a], hi[b]) })
 }
 
 // sweep emission modes.
@@ -145,7 +154,8 @@ type mjMatch func(sLo, sHi, bLo, bHi int64) bool
 // mergeJoinNode executes a selectPlan with a non-nil mergeSpec. It is a
 // pipeline breaker on both inputs: Open drains and orders the two sides,
 // Next sweeps lazily — the active sets advance only as pairs are pulled,
-// so a LIMIT or early Close stops mid-sweep.
+// so a LIMIT or early Close stops mid-sweep. Under a counting plan
+// (selectPlan.count) the consumer calls Count instead of Next.
 type mergeJoinNode struct {
 	p    *selectPlan
 	m    *mergeSpec
@@ -201,9 +211,8 @@ func newMergeJoinNode(p *selectPlan, binds map[string]interface{}) (*mergeJoinNo
 		s := side
 		side.ns = &nodeStats{labelFn: func() string { return mjFeedLabel(s) }}
 	}
-	op := p.merge.opName
 	n.ns = &nodeStats{
-		labelFn:  func() string { return "INTERVAL MERGE JOIN (" + op + ")" },
+		labelFn:  func() string { return mergeJoinLine(p) },
 		children: []*nodeStats{n.left.ns, n.right.ns},
 	}
 	n.configure()
@@ -216,9 +225,29 @@ func newMergeJoinNode(p *selectPlan, binds map[string]interface{}) (*mergeJoinNo
 // renders what happened.
 func mjFeedLabel(s *mjSide) string {
 	if s.ordered {
-		return fmt.Sprintf("ORDERED DOMAIN INDEX SCAN %s (LOWER)", strings.ToUpper(s.sp.custom.Name()))
+		return orderedFeedLine(s.sp.custom, s.boundsOnly)
 	}
 	return "SORT BY LOWER (" + accessLine(s.sp) + ")"
+}
+
+// mergeJoinLine is the plan line of a merge join: COUNT marks the
+// counting sweep, which adds up pairs instead of emitting them.
+func mergeJoinLine(p *selectPlan) string {
+	if p.count {
+		return "INTERVAL MERGE JOIN COUNT (" + p.merge.opName + ")"
+	}
+	return "INTERVAL MERGE JOIN (" + p.merge.opName + ")"
+}
+
+// orderedFeedLine names a zero-sort feed off a start-sorted domain index;
+// BOUNDS ONLY marks one that took each row's bounds from the index entry
+// and fetched no row.
+func orderedFeedLine(ci Index, boundsOnly bool) string {
+	what := "LOWER"
+	if boundsOnly {
+		what = "LOWER, BOUNDS ONLY"
+	}
+	return fmt.Sprintf("ORDERED DOMAIN INDEX SCAN %s (%s)", strings.ToUpper(ci.Name()), what)
 }
 
 // configure specializes the sweep for the plan's relation.
@@ -276,6 +305,7 @@ func (n *mergeJoinNode) Open(ec *execCtx) error {
 	}
 	n.reset()
 	n.left.ordered, n.right.ordered = false, false
+	n.left.boundsOnly, n.right.boundsOnly = false, false
 	if err := n.drainSide(ec, &n.left, true); err != nil {
 		return err
 	}
@@ -312,26 +342,49 @@ func (n *mergeJoinNode) reset() {
 // drainSide materializes one input in ascending lower-bound order:
 // through the side's ordered index stream when one is wired (already
 // sorted — zero sort work), else by draining the source's access path and
-// sorting, with the sorted rows accounted as spills. Subject-side
-// now-relative rows resolve against the side's table clock (frozen by the
-// view under snapshot cursors); invalid results are dropped exactly like
-// the nested-loops Allen runner drops them.
+// sorting, with the sorted rows accounted as spills. A counting join's
+// side without a filter of its own takes the bounds the ordered stream
+// delivers and fetches no row at all. Subject-side now-relative rows
+// resolve against the side's table clock (frozen by the view under
+// snapshot cursors); invalid results are dropped exactly like the
+// nested-loops Allen runner drops them. The counters are added once per
+// drain, and the context is polled every 1024 rows.
 func (n *mergeJoinNode) drainSide(ec *execCtx, side *mjSide, subject bool) error {
 	sp := side.sp
-	side.w = len(sp.cols)
+	width := len(sp.cols)
+	side.w = width
+	if n.p.count {
+		side.w = 0
+	}
 	now := sp.now
-	add := func(rid rel.RowID, row []int64) {
-		ec.stats.leafRows.Add(1)
-		side.ns.addLeafRows(1)
-		copy(n.env[sp.base:sp.base+side.w], row)
-		for _, f := range sp.filters {
-			if f(n.env) == 0 {
-				ec.stats.residualDrops.Add(1)
-				side.ns.addResidual(1)
-				return
+	var leaf, residual int64
+	defer func() {
+		ec.stats.leafRows.Add(leaf)
+		side.ns.addLeafRows(leaf)
+		ec.stats.residualDrops.Add(residual)
+		side.ns.addResidual(residual)
+		side.ns.addRowsOut(int64(side.n))
+	}()
+	// poll reports the context's error at every 1024th leaf row.
+	poll := func() error {
+		if leaf&1023 != 0 {
+			return nil
+		}
+		return ctxErr(ec.ctx)
+	}
+	// add admits one leaf row with its join bounds; row is nil on a
+	// bounds-only feed.
+	add := func(rid rel.RowID, row []int64, lo, hi int64) {
+		leaf++
+		if len(sp.filters) > 0 {
+			copy(n.env[sp.base:sp.base+width], row)
+			for _, f := range sp.filters {
+				if f(n.env) == 0 {
+					residual++
+					return
+				}
 			}
 		}
-		lo, hi := row[sp.mjLo], row[sp.mjHi]
 		if subject {
 			if hi == interval.NowMarker {
 				hi = now
@@ -339,8 +392,7 @@ func (n *mergeJoinNode) drainSide(ec *execCtx, side *mjSide, subject bool) error
 			if lo > hi {
 				// Born in the future of the evaluation time (or malformed):
 				// consumed, never emitted — the accessAllen runner's rule.
-				ec.stats.residualDrops.Add(1)
-				side.ns.addResidual(1)
+				residual++
 				return
 			}
 		} else if lo > hi {
@@ -355,33 +407,41 @@ func (n *mergeJoinNode) drainSide(ec *execCtx, side *mjSide, subject bool) error
 				panic(sqlRuntimeError{err.Error()})
 			}
 		}
-		side.rows = append(side.rows, row...)
-		side.rids = append(side.rids, rid)
+		if side.w > 0 {
+			side.rows = append(side.rows, row...)
+			side.rids = append(side.rids, rid)
+		}
 		side.lo = append(side.lo, lo)
 		side.hi = append(side.hi, hi)
 		side.n++
-		side.ns.addRowsOut(1)
 	}
 
 	if sp.reader != nil {
 		ec.stats.indexProbes.Add(1)
 		side.ns.addProbes(1)
-		buf := make([]int64, sp.tab.Schema().NumCols())
-		prev, seen := int64(0), false
-		mono := true
+		boundsOnly := n.p.count && len(sp.filters) == 0
+		var buf []int64
+		if !boundsOnly {
+			buf = make([]int64, sp.tab.Schema().NumCols())
+		}
+		prev, mono := int64(math.MinInt64), true
 		var inner error
-		err := sp.reader.Ordered(func(rid rel.RowID) bool {
-			if inner = ctxErr(ec.ctx); inner != nil {
+		err := sp.reader.Ordered(func(rid rel.RowID, lo, hi int64) bool {
+			if inner = poll(); inner != nil {
 				return false
+			}
+			if lo < prev {
+				mono = false
+			}
+			prev = lo
+			if boundsOnly {
+				add(rid, nil, lo, hi)
+				return true
 			}
 			if inner = sp.tab.GetRawInto(rid, buf); inner != nil {
 				return false
 			}
-			if seen && buf[sp.mjLo] < prev {
-				mono = false
-			}
-			prev, seen = buf[sp.mjLo], true
-			add(rid, buf)
+			add(rid, buf, buf[sp.mjLo], buf[sp.mjHi])
 			return true
 		})
 		if inner != nil {
@@ -390,7 +450,7 @@ func (n *mergeJoinNode) drainSide(ec *execCtx, side *mjSide, subject bool) error
 		if err != nil {
 			return err
 		}
-		side.ordered = mono
+		side.ordered, side.boundsOnly = mono, mono && boundsOnly
 		if !mono {
 			// Defensive: an ordered stream that lied still joins correctly.
 			side.sortByLo()
@@ -401,22 +461,22 @@ func (n *mergeJoinNode) drainSide(ec *execCtx, side *mjSide, subject bool) error
 
 	if sp.coll != nil {
 		for ri, row := range sp.coll.Rows {
-			if err := ctxErr(ec.ctx); err != nil {
+			if err := poll(); err != nil {
 				return err
 			}
-			if len(row) != side.w {
+			if len(row) != width {
 				return fmt.Errorf("sql: collection :%s row %d has %d columns, want %d",
-					sp.ref.Collection, ri, len(row), side.w)
+					sp.ref.Collection, ri, len(row), width)
 			}
-			add(0, row)
+			add(0, row, row[sp.mjLo], row[sp.mjHi])
 		}
 	} else {
 		var inner error
 		err := sp.tab.Scan(func(rid rel.RowID, row []int64) bool {
-			if inner = ctxErr(ec.ctx); inner != nil {
+			if inner = poll(); inner != nil {
 				return false
 			}
-			add(rid, row)
+			add(rid, row, row[sp.mjLo], row[sp.mjHi])
 			return true
 		})
 		if inner != nil {
@@ -498,6 +558,62 @@ func (n *mergeJoinNode) bindPair(l, r int32) {
 	copy(n.env[rs.base:rs.base+n.right.w], n.right.rows[int(r)*n.right.w:])
 	n.rids[n.m.left] = n.left.rids[l]
 	n.rids[n.m.right] = n.right.rids[r]
+}
+
+// Count runs the whole sweep of an opened counting join and returns its
+// pair count without emitting a pair: each emission scan adds its length
+// when every scanned partner matches (INTERSECTS, the BEFORE/AFTER
+// prefixes), else the hits of the relation's match in a tight loop. No
+// pair is bound and no post filter runs — a counting plan has none. The
+// sweep counters keep their meaning: SweepPairs is the count.
+func (n *mergeJoinNode) Count(ec *execCtx) (int64, error) {
+	if start := ec.startTimer(); !start.IsZero() {
+		defer n.ns.timeFrom(start)
+	}
+	if n.done || !n.opened {
+		return 0, nil
+	}
+	var total int64
+	for scans := 0; n.advance(ec); scans++ {
+		if scans&1023 == 0 {
+			if err := ctxErr(ec.ctx); err != nil {
+				return 0, err
+			}
+		}
+		total += n.countScan()
+	}
+	n.scanning, n.done = false, true
+	ec.stats.sweepPairs.Add(total)
+	n.ns.addPairs(total)
+	n.ns.addRowsOut(total)
+	return total, nil
+}
+
+// countScan counts the pairs of the emission scan advance just started:
+// what nextPair would yield one at a time.
+func (n *mergeJoinNode) countScan() int64 {
+	if n.mode != modeSweep || n.m.intersect {
+		return int64(n.scanLen)
+	}
+	var c int64
+	if n.scanOnR {
+		sLo, sHi := n.left.lo[n.fixed], n.left.hi[n.fixed]
+		lo, hi := n.activeR.lo[:n.scanLen], n.activeR.hi[:n.scanLen]
+		for i := range lo {
+			if n.matchL(sLo, sHi, lo[i], hi[i]) {
+				c++
+			}
+		}
+		return c
+	}
+	bLo, bHi := n.right.lo[n.fixed], n.right.hi[n.fixed]
+	lo, hi := n.activeL.lo[:n.scanLen], n.activeL.hi[:n.scanLen]
+	for i := range lo {
+		if n.matchR(lo[i], hi[i], bLo, bHi) {
+			c++
+		}
+	}
+	return c
 }
 
 // nextPair lazily yields the next matching pair of the current scan.

@@ -8,11 +8,13 @@ import "container/list"
 // at instantiation — so a statement whose shape does not depend on the
 // bind *values* can be planned once and re-instantiated per execution.
 //
-// Eligibility is syntactic (stmtCacheable): every union block must be a
-// plain SELECT — no GROUP BY, no aggregates, no TABLE(:name) transient
-// sources. Grouped blocks compile per-execution aggregate state into the
-// plan, and transient sources resolve a bind-supplied relation at plan
-// time; both would leak one execution's state into the next.
+// Eligibility is syntactic (stmtCacheable): no union block may have a
+// GROUP BY or a TABLE(:name) transient source. Grouped blocks compile
+// per-execution aggregate state into the plan, and transient sources
+// resolve a bind-supplied relation at plan time; both would leak one
+// execution's state into the next. Ungrouped aggregates are cacheable:
+// their plan holds only compiled item templates and the plan-time
+// counting decision, and each execution builds fresh accumulators.
 //
 // Cached entries hold live storage handles (*rel.Table, *rel.Index,
 // Index). DML never invalidates those — tables are stable objects
@@ -126,11 +128,11 @@ func clonePlan(p *selectPlan) *selectPlan {
 	return &q
 }
 
-// stmtCacheable reports whether every union block of s is a plain SELECT
-// whose plan is execution-independent (see the package comment above).
+// stmtCacheable reports whether every union block of s has an
+// execution-independent plan (see the package comment above).
 func stmtCacheable(s *SelectStmt) bool {
 	for blk := s; blk != nil; blk = blk.Union {
-		if len(blk.GroupBy) > 0 || isAggregate(blk) {
+		if len(blk.GroupBy) > 0 {
 			return false
 		}
 		for _, ref := range blk.From {

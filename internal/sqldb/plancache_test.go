@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -96,10 +97,11 @@ func TestPlanCacheDisableAndResize(t *testing.T) {
 func TestPlanCacheIneligibleStatements(t *testing.T) {
 	e := planCacheEngine(t)
 	h0, m0, _, n0 := e.PlanCacheStats()
-	// Aggregates and GROUP BY are not cacheable and must not touch the
-	// counters either.
-	mustExec(t, e, "SELECT count(*) FROM t", nil)
+	// GROUP BY and transient sources are not cacheable and must not touch
+	// the counters either.
 	mustExec(t, e, "SELECT k, count(*) FROM t GROUP BY k", nil)
+	mustExec(t, e, "SELECT count(*) FROM TABLE(:ks) g, t WHERE t.k = g.k",
+		map[string]interface{}{"ks": &Transient{Cols: []string{"k"}, Rows: [][]int64{{1}}}})
 	h1, m1, _, n1 := e.PlanCacheStats()
 	if h1 != h0 || m1 != m0 || n1 != n0 {
 		t.Fatalf("ineligible statements moved cache stats: %d/%d/%d -> %d/%d/%d",
@@ -149,5 +151,44 @@ func TestPlanCacheMissingBindOnHit(t *testing.T) {
 	// A cached plan instantiated without its bind must still error.
 	if _, err := e.Exec(q, nil); err == nil {
 		t.Fatal("missing bind on cache hit did not error")
+	}
+}
+
+func TestPlanCacheUngroupedAggregate(t *testing.T) {
+	// An ungrouped aggregate is cacheable: the plan keeps the compiled
+	// items and the plan-time counting decision, and each execution counts
+	// afresh — a row inserted between runs shows in the cached run.
+	e := mergeEngine(t, 30, 25)
+	q := "SELECT count(*) FROM a x, b y WHERE intersects(x.alo, x.ahi, y.blo, y.bhi)"
+	run := func() (int64, bool) {
+		t.Helper()
+		rows, err := e.Query(context.Background(), q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rows.Close()
+		if !rows.Next() {
+			t.Fatalf("no count row: %v", rows.Err())
+		}
+		return rows.Row()[0], rows.CachedPlan()
+	}
+	n1, cached1 := run()
+	if cached1 {
+		t.Fatal("first run claims a cached plan")
+	}
+	na := mustExec(t, e, "SELECT count(*) FROM a", nil).Rows[0][0]
+	// Intersects every row of a: the count grows by exactly |a|.
+	mustExec(t, e, "INSERT INTO b VALUES (0, 1000, 9999)", nil)
+	n2, cached2 := run()
+	if !cached2 {
+		t.Fatal("second COUNT(*) join did not reuse the cached plan")
+	}
+	if n2 != n1+na {
+		t.Fatalf("cached count after INSERT = %d, want %d + %d", n2, n1, na)
+	}
+	mustExec(t, e, "EXPLAIN ANALYZE "+q, nil)
+	r := mustExec(t, e, "EXPLAIN ANALYZE "+q, nil)
+	if !strings.Contains(r.Plan, "(cached plan)") || !strings.Contains(r.Plan, "INTERVAL MERGE JOIN COUNT (INTERSECTS)") {
+		t.Fatalf("cached counting plan not shown:\n%s", r.Plan)
 	}
 }

@@ -229,7 +229,11 @@ func (e *Engine) buildRowsLocked(ctx context.Context, s *SelectStmt, sqlText str
 		if cacheHit {
 			return clonePlan(cached[blockIdx]), nil
 		}
-		plan, err := e.planSelect(blk, binds)
+		planBlock := e.planSelect
+		if isAggregate(blk) {
+			planBlock = e.planAggregate
+		}
+		plan, err := planBlock(blk, binds)
 		if err != nil {
 			return nil, err
 		}
@@ -260,13 +264,6 @@ func (e *Engine) buildRowsLocked(ctx context.Context, s *SelectStmt, sqlText str
 			}
 			bn, bcols = gn, gcols
 			noteStrategy(plan)
-		} else if isAggregate(blk) {
-			an, acols, plan, err := e.buildAggregate(blk, binds, v)
-			if err != nil {
-				return nil, err
-			}
-			bn, bcols = an, acols
-			noteStrategy(plan)
 		} else {
 			plan, err := nextPlan(blk)
 			if err != nil {
@@ -275,11 +272,15 @@ func (e *Engine) buildRowsLocked(ctx context.Context, s *SelectStmt, sqlText str
 			if err := bindPlan(plan, &v.readState); err != nil {
 				return nil, err
 			}
-			pn, err := newProjectOverPlan(plan, binds)
+			if len(plan.aggs) > 0 {
+				bn, err = newAggregateNode(plan, binds)
+			} else {
+				bn, err = newProjectOverPlan(plan, binds)
+			}
 			if err != nil {
 				return nil, err
 			}
-			bn, bcols = pn, plan.outCols
+			bcols = plan.outCols
 			noteStrategy(plan)
 		}
 		if blk.Distinct {

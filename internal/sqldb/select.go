@@ -107,6 +107,15 @@ type selectPlan struct {
 	// compiled ALLEN_* residuals that resolve now-relative rows.
 	bindSlots map[string]int
 	nowSlots  map[int]int
+
+	// aggs are the compiled items of an ungrouped aggregating block (see
+	// planAggregate): templates that each execution copies into fresh
+	// accumulators. count marks a block whose lone COUNT(*) needs no row
+	// at all — a merge join without post filters counts its sweep, a lone
+	// domain-index source without filters calls Reader.Count. Both are
+	// decided at plan time, so a cached plan keeps them.
+	aggs  []*aggState
+	count bool
 }
 
 // bindSlot returns the absolute env position of bind :name, allocating a
@@ -1059,17 +1068,17 @@ func (e *Engine) explain(s *SelectStmt, binds map[string]interface{}) (string, e
 			// Grouped and aggregating blocks plan their FROM/WHERE as a
 			// SELECT * input under the aggregation sink, exactly as
 			// execution does.
-			plan, err := e.planSelect(&SelectStmt{
-				Items: []SelectItem{{Star: true}},
-				From:  blk.From,
-				Where: blk.Where,
-			}, binds)
-			if err != nil {
-				return "", err
-			}
+			var plan *selectPlan
+			var err error
 			sink := "AGGREGATE"
 			if len(blk.GroupBy) > 0 {
 				sink = "HASH GROUP BY"
+				plan, err = e.planInput(blk, binds)
+			} else {
+				plan, err = e.planAggregate(blk, binds)
+			}
+			if err != nil {
+				return "", err
 			}
 			sb.WriteString(strings.Repeat("  ", bi) + sink + "\n")
 			printJoin(&sb, plan, bi+1)
@@ -1085,16 +1094,20 @@ func (e *Engine) explain(s *SelectStmt, binds map[string]interface{}) (string, e
 }
 
 // printJoin renders a block's join tree: the interval merge join with its
-// two ordered feeds, or the left-deep nested-loop tree NL(NL(s0,s1),s2).
+// two ordered feeds, an index-only count, or the left-deep nested-loop
+// tree NL(NL(s0,s1),s2).
 func printJoin(sb *strings.Builder, p *selectPlan, indent int) {
-	if p.merge != nil {
-		fmt.Fprintf(sb, "%sINTERVAL MERGE JOIN (%s)\n", strings.Repeat("  ", indent), p.merge.opName)
+	switch {
+	case p.merge != nil:
+		sb.WriteString(strings.Repeat("  ", indent) + mergeJoinLine(p) + "\n")
 		pad := strings.Repeat("  ", indent+1)
-		sb.WriteString(pad + mergeFeedLine(p.sources[p.merge.left]) + "\n")
-		sb.WriteString(pad + mergeFeedLine(p.sources[p.merge.right]) + "\n")
-		return
+		sb.WriteString(pad + mergeFeedLine(p.sources[p.merge.left], p.count) + "\n")
+		sb.WriteString(pad + mergeFeedLine(p.sources[p.merge.right], p.count) + "\n")
+	case p.count:
+		sb.WriteString(strings.Repeat("  ", indent) + indexCountLine(p.sources[0]) + "\n")
+	default:
+		printNested(sb, p.sources, indent)
 	}
-	printNested(sb, p.sources, indent)
 }
 
 // printNested renders the left-deep nested-loop tree NL(NL(s0,s1),s2)...
@@ -1110,13 +1123,19 @@ func printNested(sb *strings.Builder, sources []*srcPlan, indent int) {
 }
 
 // mergeFeedLine names one merge-join feed: a zero-sort ordered stream off
-// a start-sorted domain index, or an explicit sort over the source's
+// a start-sorted domain index — bounds only when the join counts and the
+// side has no filter of its own — or an explicit sort over the source's
 // ordinary access path.
-func mergeFeedLine(sp *srcPlan) string {
+func mergeFeedLine(sp *srcPlan, count bool) string {
 	if sp.custom != nil {
-		return fmt.Sprintf("ORDERED DOMAIN INDEX SCAN %s (LOWER)", strings.ToUpper(sp.custom.Name()))
+		return orderedFeedLine(sp.custom, count && len(sp.filters) == 0)
 	}
 	return "SORT BY LOWER (" + accessLine(sp) + ")"
+}
+
+// indexCountLine names an index-only COUNT(*) of a domain-index operator.
+func indexCountLine(sp *srcPlan) string {
+	return fmt.Sprintf("DOMAIN INDEX COUNT %s (%s)", strings.ToUpper(sp.custom.Name()), strings.ToUpper(sp.customOp))
 }
 
 // evalConst evaluates an expression that may reference only literals and
