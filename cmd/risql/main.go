@@ -438,7 +438,7 @@ func runSlow(eng *sqldb.Engine, arg string) {
 
 // printHelp lists the interval operators the engine serves (\help).
 func printHelp() {
-	fmt.Println("  interval operators (served by a domain index / collection access method):")
+	fmt.Println("  interval operators (an intersection scan on any domain index, a plain predicate without one):")
 	fmt.Println("    INTERSECTS(lower, upper, qlo, qhi)      rows whose interval intersects [qlo, qhi]")
 	fmt.Println("    CONTAINS_POINT(lower, upper, p)         rows whose interval contains p")
 	fmt.Println("  Allen §4.5 operators, ALLEN_<relation>(lower, upper, qlo, qhi) — row interval")

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strings"
 
-	"ritree/internal/interval"
 	"ritree/internal/rel"
 	"ritree/internal/sqldb"
 )
@@ -196,12 +195,6 @@ func (c *Collection) Delete(iv Interval, id int64) (bool, error) {
 	return true, c.db.eng.DeleteRowID(c.name, found)
 }
 
-// Operator names served by every interval indextype.
-const (
-	opIntersects    = "intersects"
-	opContainsPoint = "contains_point"
-)
-
 // scanRows streams the base row of every interval the access method
 // reports as intersecting q; return false from fn to stop early. A row id
 // whose row is gone (rel.ErrNoSuchRow) is skipped; any other read failure
@@ -210,7 +203,7 @@ const (
 func (c *Collection) scanRows(rd sqldb.Reader, q Interval, fn func(rid rel.RowID, row []int64) bool) error {
 	row := make([]int64, 3)
 	var readErr error
-	err := rd.Scan(opIntersects, []int64{q.Lower, q.Upper}, func(rid rel.RowID) bool {
+	err := rd.Scan(q, func(rid rel.RowID) bool {
 		if err := c.tab.GetRawInto(rid, row); err != nil {
 			if errors.Is(err, rel.ErrNoSuchRow) {
 				return true
@@ -226,56 +219,21 @@ func (c *Collection) scanRows(rd sqldb.Reader, q Interval, fn func(rid rel.RowID
 	return err
 }
 
-// intersectingFuncLocked streams ids of intervals intersecting q through
-// the access method, mapping row ids to the base relation. Caller holds
-// the DB lock (read or write).
-func (c *Collection) intersectingFuncLocked(q Interval, fn func(id int64) bool) error {
+// IntersectingFunc streams the ids of intervals intersecting q in no
+// particular order; return false from fn to stop early. fn runs under the
+// DB read lock and must not call mutating methods. An inverted q is an
+// error, as it is in SQL.
+func (c *Collection) IntersectingFunc(q Interval, fn func(id int64) bool) error {
+	if err := sqldb.IntersectsQuery(q); err != nil {
+		return err
+	}
+	c.db.mu.RLock()
+	defer c.db.mu.RUnlock()
 	rd, err := c.reader()
 	if err != nil {
 		return err
 	}
 	return c.scanRows(rd, q, func(_ rel.RowID, row []int64) bool { return fn(row[2]) })
-}
-
-// queryRelationFuncLocked streams ids with "i r q": the access method
-// runs the generating intersection query of the predicate and the exact
-// relation filters the candidate rows (paper §4.5, uniform across access
-// methods). Caller holds the DB lock.
-func (c *Collection) queryRelationFuncLocked(r Relation, q Interval, fn func(id int64) bool) error {
-	if !q.Valid() {
-		return fmt.Errorf("ritree: invalid query interval %v", q)
-	}
-	region, ok := interval.GeneratingRegion(r, q)
-	if !ok {
-		return nil
-	}
-	rd, err := c.reader()
-	if err != nil {
-		return err
-	}
-	now, _ := rd.Now()
-	return c.scanRows(rd, region, func(_ rel.RowID, row []int64) bool {
-		iv := NewInterval(row[0], row[1])
-		if iv.Upper == NowMarker {
-			iv.Upper = now
-			if !iv.Valid() {
-				return true // born in the future of the evaluation time
-			}
-		}
-		if r.Holds(iv, q) {
-			return fn(row[2])
-		}
-		return true
-	})
-}
-
-// IntersectingFunc streams the ids of intervals intersecting q in no
-// particular order; return false from fn to stop early. fn runs under the
-// DB read lock and must not call mutating methods.
-func (c *Collection) IntersectingFunc(q Interval, fn func(id int64) bool) error {
-	c.db.mu.RLock()
-	defer c.db.mu.RUnlock()
-	return c.intersectingFuncLocked(q, fn)
 }
 
 // Intersecting returns the ids of all intervals intersecting q, ascending.
@@ -293,13 +251,16 @@ func (c *Collection) Intersecting(q Interval) ([]int64, error) {
 // access method's counting path (the sharded HINT fans one goroutine per
 // shard).
 func (c *Collection) CountIntersecting(q Interval) (int64, error) {
+	if err := sqldb.IntersectsQuery(q); err != nil {
+		return 0, err
+	}
 	c.db.mu.RLock()
 	defer c.db.mu.RUnlock()
 	rd, err := c.reader()
 	if err != nil {
 		return 0, err
 	}
-	return rd.Count(opIntersects, []int64{q.Lower, q.Upper})
+	return rd.Count(q)
 }
 
 // Stab returns the ids of all intervals containing the point p, ascending.
@@ -308,14 +269,16 @@ func (c *Collection) Stab(p int64) ([]int64, error) {
 }
 
 // Query returns the ids of all intervals i with "i r q" for any of
-// Allen's thirteen relations, ascending.
+// Allen's thirteen relations, ascending. It drains Scan(Related(r, q)),
+// so it reads a snapshot through the SQL operator like every ALLEN_*
+// query.
 func (c *Collection) Query(r Relation, q Interval) ([]int64, error) {
-	c.db.mu.RLock()
 	var ids []int64
-	err := c.queryRelationFuncLocked(r, q, func(id int64) bool { ids = append(ids, id); return true })
-	c.db.mu.RUnlock()
-	if err != nil {
-		return nil, err
+	for id, err := range c.Scan(context.Background(), Related(r, q)) {
+		if err != nil {
+			return nil, err
+		}
+		ids = append(ids, id)
 	}
 	slices.Sort(ids)
 	return ids, nil

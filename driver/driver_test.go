@@ -326,18 +326,13 @@ func TestPreparedReuseAcrossTransactions(t *testing.T) {
 	}
 }
 
-// TestTxnConflictOverWire provokes a first-committer-wins conflict and
-// asserts the database/sql error satisfies errors.Is(ritree.ErrTxnConflict)
-// through the wire.
-func TestTxnConflictOverWire(t *testing.T) {
-	rdb, dsn := startServer(t)
-	db := openSQL(t, dsn)
-	db.SetMaxOpenConns(2)
-	seed(t, db)
-
-	// SQL writes join the open transaction, so the conflicting writer is
-	// a programmatic collection insert — exactly the auto-commit path the
-	// engine's first-committer-wins check detects.
+// conflictingCommit provokes a first-committer-wins conflict through db
+// and returns the error of its COMMIT. SQL writes join the open
+// transaction, so the conflicting writer is a programmatic collection
+// insert on rdb — exactly the auto-commit path the engine's check
+// detects.
+func conflictingCommit(t *testing.T, db *sql.DB, rdb *ritree.DB) error {
+	t.Helper()
 	col, err := rdb.CreateCollection("resv")
 	if err != nil {
 		t.Fatal(err)
@@ -352,15 +347,13 @@ func TestTxnConflictOverWire(t *testing.T) {
 	if err := col.Insert(ritree.NewInterval(50, 60), 3); err != nil {
 		t.Fatal(err)
 	}
-	err = tx.Commit()
-	if !errors.Is(err, ritree.ErrTxnConflict) {
-		t.Fatalf("commit error = %v, want ErrTxnConflict", err)
-	}
+	return tx.Commit()
 }
 
-// TestEmbeddedTxnConflict: same conflict through the mem:// DSN, with
-// the native DB reached through Connector.DB for the concurrent writer.
-func TestEmbeddedTxnConflict(t *testing.T) {
+// embeddedConflict is conflictingCommit through the mem:// DSN, with the
+// native DB reached through Connector.DB for the concurrent writer.
+func embeddedConflict(t *testing.T) error {
+	t.Helper()
 	connector, err := (&ritreedriver.Driver{}).OpenConnector("mem://")
 	if err != nil {
 		t.Fatal(err)
@@ -371,22 +364,29 @@ func TestEmbeddedTxnConflict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := rdb.CreateCollection("resv")
-	if err != nil {
-		t.Fatal(err)
-	}
+	return conflictingCommit(t, db, rdb)
+}
 
-	tx, err := db.Begin()
-	if err != nil {
-		t.Fatal(err)
+// TestTxnConflictOverWire provokes a first-committer-wins conflict and
+// asserts the database/sql error satisfies errors.Is(ritree.ErrTxnConflict)
+// through the wire, with the same text as the embedded error.
+func TestTxnConflictOverWire(t *testing.T) {
+	rdb, dsn := startServer(t)
+	db := openSQL(t, dsn)
+	db.SetMaxOpenConns(2)
+	seed(t, db)
+	err := conflictingCommit(t, db, rdb)
+	if !errors.Is(err, ritree.ErrTxnConflict) {
+		t.Fatalf("commit error = %v, want ErrTxnConflict", err)
 	}
-	if _, err := tx.Exec("INSERT INTO resv VALUES (30, 40, 2)"); err != nil {
-		t.Fatal(err)
+	if want := embeddedConflict(t); err.Error() != want.Error() {
+		t.Fatalf("remote conflict reads %q, embedded %q", err, want)
 	}
-	if err := col.Insert(ritree.NewInterval(50, 60), 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); !errors.Is(err, ritree.ErrTxnConflict) {
+}
+
+// TestEmbeddedTxnConflict: the same conflict through the mem:// DSN.
+func TestEmbeddedTxnConflict(t *testing.T) {
+	if err := embeddedConflict(t); !errors.Is(err, ritree.ErrTxnConflict) {
 		t.Fatalf("commit error = %v, want ErrTxnConflict", err)
 	}
 }

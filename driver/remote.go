@@ -87,10 +87,18 @@ func (r *remote) roundTripLocked(typ byte, payload []byte) (byte, []byte, error)
 // mapWireErr reconstructs sentinel errors from protocol codes.
 func mapWireErr(err error) error {
 	if we, ok := err.(*wire.WireError); ok && we.Code == wire.CodeTxnConflict {
-		return fmt.Errorf("%s: %w", we.Msg, ritree.ErrTxnConflict)
+		return conflictError{we.Msg}
 	}
 	return err
 }
+
+// conflictError is a transaction conflict reported by the server: its
+// text is the server's message, which already names the conflict, and it
+// unwraps to ritree.ErrTxnConflict.
+type conflictError struct{ msg string }
+
+func (e conflictError) Error() string { return e.msg }
+func (e conflictError) Unwrap() error { return ritree.ErrTxnConflict }
 
 func toWireBinds(binds map[string]interface{}) map[string]int64 {
 	if len(binds) == 0 {

@@ -718,8 +718,8 @@ func TestCollectionsAgreeWithReference(t *testing.T) {
 			}
 		}
 	}
-	// One Allen sweep through the collections (detailed relation matrices
-	// live in the per-package tests).
+	// One Allen sweep through the collections (the detailed relation
+	// matrix is the root package's TestAllenSQLCrosscheckMatrix).
 	q := interval.New(100000, 110000)
 	for r := interval.Before; r <= interval.After; r++ {
 		var want []int64

@@ -604,21 +604,6 @@ func TestShardedParallelQueriesMatchSingleShard(t *testing.T) {
 			t.Fatalf("query %v: counts %d vs %d", q, na, nb)
 		}
 	}
-	// Allen relations through the same parallel path.
-	q := interval.New(100000, 120000)
-	for r := interval.Before; r <= interval.After; r++ {
-		a, err := one.QueryRelation(r, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := many.QueryRelation(r, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(a, b) {
-			t.Fatalf("%v: single %d ids, sharded %d ids", r, len(a), len(b))
-		}
-	}
 }
 
 func TestMergeAscending(t *testing.T) {

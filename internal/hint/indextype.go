@@ -21,8 +21,8 @@ import (
 //	CREATE INDEX resv_iv ON Reservations (arrival, departure) INDEXTYPE IS hint
 //
 // the engine transparently maintains the main-memory HINT on every INSERT
-// and DELETE against the base table and rewrites the INTERSECTS and
-// CONTAINS_POINT operators into HINT scans.
+// and DELETE against the base table and runs every interval operator
+// (INTERSECTS, CONTAINS_POINT, ALLEN_*) as a HINT intersection scan.
 //
 // Where the core Index fixes its domain up front, the indextype adapts it
 // to the table: column values are mapped into the index through an offset
@@ -37,14 +37,6 @@ import (
 // since; only a missing or doubtful snapshot falls back to rebuilding
 // from the base table. Custom-index definitions persist in the relational
 // catalog, so sqldb.Engine.AttachCatalogIndexes does that on reopen.
-
-// OperatorIntersects is the SQL operator name served by the indextype:
-// INTERSECTS(lowerCol, upperCol, :qlo, :qhi).
-const OperatorIntersects = "intersects"
-
-// OperatorContainsPoint is the stabbing operator:
-// CONTAINS_POINT(lowerCol, upperCol, :p).
-const OperatorContainsPoint = "contains_point"
 
 // IndexTypeName is the name used in INDEXTYPE IS clauses.
 const IndexTypeName = "hint"
@@ -537,12 +529,6 @@ func (ix *indexType) Table() string { return ix.table }
 // Columns implements sqldb.Index.
 func (ix *indexType) Columns() []string { return append([]string(nil), ix.cols...) }
 
-// HasOperator implements sqldb.Index.
-func (ix *indexType) HasOperator(op string) bool {
-	op = strings.ToLower(op)
-	return op == OperatorIntersects || op == OperatorContainsPoint
-}
-
 // HasOrdered implements sqldb.Index: the flat layout keeps every
 // original-class segment sorted by start.
 func (ix *indexType) HasOrdered() bool { return true }
@@ -606,28 +592,6 @@ func (ix *indexType) Apply(ins, del []sqldb.Entry) error {
 	return nil
 }
 
-// parseOpBounds resolves an operator invocation into query bounds.
-func parseOpBounds(op string, args []int64) (qlo, qhi int64, err error) {
-	switch strings.ToLower(op) {
-	case OperatorIntersects:
-		if len(args) != 2 {
-			return 0, 0, fmt.Errorf("hint indextype: INTERSECTS needs (:lo, :hi), got %d args", len(args))
-		}
-		qlo, qhi = args[0], args[1]
-	case OperatorContainsPoint:
-		if len(args) != 1 {
-			return 0, 0, fmt.Errorf("hint indextype: CONTAINS_POINT needs (:p), got %d args", len(args))
-		}
-		qlo, qhi = args[0], args[0]
-	default:
-		return 0, 0, fmt.Errorf("hint indextype: unknown operator %q", op)
-	}
-	if qlo > qhi {
-		return 0, 0, fmt.Errorf("hint indextype: inverted query bounds [%d, %d]", qlo, qhi)
-	}
-	return qlo, qhi, nil
-}
-
 // reader is the index bound to one relational state: the geometry offset
 // and the shards' generations frozen when the Reader was made — those are
 // immutable, so the reader keeps answering from them while the live index
@@ -652,37 +616,31 @@ func (ix *indexType) Reader(db *rel.DB) (sqldb.Reader, error) {
 	return &reader{off: ix.off, six: ix.ix.freeze(), tab: tab, hiPos: ix.hiPos}, nil
 }
 
-// query resolves an operator invocation into the query interval in index
-// coordinates (bounds are shifted like row bounds) and its true start.
-// A start beyond the saturation range (qlo > maxAbsBound) is the far
-// tail: saturated stored ends cannot be ordered against it in index
-// coordinates. Every indexed start is within ±2^59, so the only possible
-// matches are rows whose end saturated (true end beyond 2^59) — the
-// shifted scan finds exactly those — and each must be verified against
-// the base row's true endpoint, keeping the operator exact.
-func (r *reader) query(op string, args []int64) (q interval.Interval, qlo int64, err error) {
-	qlo, qhi, err := parseOpBounds(op, args)
-	return interval.New(sat(qlo)-r.off, sat(qhi)-r.off), qlo, err
+// shift maps a query interval into index coordinates, like row bounds.
+func (r *reader) shift(q interval.Interval) interval.Interval {
+	return interval.New(sat(q.Lower)-r.off, sat(q.Upper)-r.off)
 }
 
-// Scan implements sqldb.Reader: the operator dispatch. Bounds beyond the
-// saturation range match exactly the rows a linear scan would (starts are
-// exact within ±2^59, far-tail uppers collapse together above every
-// admissible start). The callback contract makes this path sequential
-// across shards; Count fans out in parallel instead.
-func (r *reader) Scan(op string, args []int64, fn func(rid rel.RowID) bool) error {
-	q, qlo, err := r.query(op, args)
-	if err != nil {
-		return err
-	}
-	if qlo <= maxAbsBound {
-		return r.six.IntersectingFunc(q, func(id int64) bool { return fn(rel.RowID(id)) })
+// Scan implements sqldb.Reader. Bounds beyond the saturation range match
+// exactly the rows a linear scan would: starts are exact within ±2^59,
+// and far-tail uppers collapse together above every admissible start. A
+// query start beyond that range (q.Lower > maxAbsBound) is the far tail:
+// saturated stored ends cannot be ordered against it in index
+// coordinates. Every indexed start is within ±2^59, so the only possible
+// matches are rows whose end saturated (true end beyond 2^59) — the
+// shifted scan finds exactly those — and each is verified against the
+// base row's true endpoint, keeping the answer exact. The callback
+// contract makes this path sequential across shards; Count fans out in
+// parallel instead.
+func (r *reader) Scan(q interval.Interval, fn func(rid rel.RowID) bool) error {
+	if q.Lower <= maxAbsBound {
+		return r.six.IntersectingFunc(r.shift(q), func(id int64) bool { return fn(rel.RowID(id)) })
 	}
 	// Per-invocation buffer — one Reader may serve several cursors at once.
 	// A vanished row is skipped; a row that cannot be read fails the scan.
 	row := make([]int64, r.tab.Schema().NumCols())
 	var readErr error
-	err = r.six.IntersectingFunc(q, func(id int64) bool {
+	err := r.six.IntersectingFunc(r.shift(q), func(id int64) bool {
 		if err := r.tab.GetRawInto(rel.RowID(id), row); err != nil {
 			if errors.Is(err, rel.ErrNoSuchRow) {
 				return true
@@ -690,7 +648,7 @@ func (r *reader) Scan(op string, args []int64, fn func(rid rel.RowID) bool) erro
 			readErr = err
 			return false
 		}
-		if row[r.hiPos] < qlo {
+		if row[r.hiPos] < q.Lower {
 			return true
 		}
 		return fn(rel.RowID(id))
@@ -705,17 +663,13 @@ func (r *reader) Scan(op string, args []int64, fn func(rid rel.RowID) bool) erro
 // per-shard fan-out (one goroutine per shard with the counts summed),
 // which a single streaming callback cannot use. Far-tail query starts
 // need per-row verification and take the streaming path.
-func (r *reader) Count(op string, args []int64) (int64, error) {
-	q, qlo, err := r.query(op, args)
-	if err != nil {
-		return 0, err
-	}
-	if qlo > maxAbsBound {
+func (r *reader) Count(q interval.Interval) (int64, error) {
+	if q.Lower > maxAbsBound {
 		var n int64
-		err := r.Scan(op, args, func(rel.RowID) bool { n++; return true })
+		err := r.Scan(q, func(rel.RowID) bool { n++; return true })
 		return n, err
 	}
-	return r.six.CountIntersecting(q)
+	return r.six.CountIntersecting(r.shift(q))
 }
 
 // Ordered implements sqldb.Reader: every indexed row id in ascending order

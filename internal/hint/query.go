@@ -2,7 +2,6 @@ package hint
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"ritree/internal/interval"
@@ -36,12 +35,6 @@ import (
 // unresolvable sort-order conflict). A query endpoint aligned with a
 // partition boundary skips the comparisons on its side entirely.
 func (x *Index) IntersectingFunc(q interval.Interval, fn func(id int64) bool) error {
-	return x.intersectingEntries(q, func(e entry) bool { return fn(e.id) })
-}
-
-// intersectingEntries is the shared streaming core behind the public
-// query functions; fn receives each qualifying stored copy exactly once.
-func (x *Index) intersectingEntries(q interval.Interval, fn func(e entry) bool) error {
 	if !q.Valid() {
 		return fmt.Errorf("hint: invalid query %v", q)
 	}
@@ -66,7 +59,7 @@ func (x *Index) intersectingEntries(q interval.Interval, fn func(e entry) bool) 
 
 	emit := func(s []entry) bool {
 		for i := range s {
-			if !fn(s[i]) {
+			if !fn(s[i].id) {
 				return false
 			}
 		}
@@ -77,7 +70,7 @@ func (x *Index) intersectingEntries(q interval.Interval, fn func(e entry) bool) 
 	// exploit).
 	scanEndGE := func(s []entry, bound int64) bool {
 		for i := range s {
-			if s[i].hi >= bound && !fn(s[i]) {
+			if s[i].hi >= bound && !fn(s[i].id) {
 				return false
 			}
 		}
@@ -219,41 +212,4 @@ func (x *Index) intersectingEntries(q interval.Interval, fn func(e entry) bool) 
 		t >>= 1
 	}
 	return nil
-}
-
-// QueryRelationFunc streams the id of every stored interval i for which
-// the Allen relation "i r q" holds, in no particular order; return false
-// from fn to stop early. Evaluation follows the RI-tree paper's §4.5
-// strategy, shared across access methods: run the generating intersection
-// query of the predicate (interval.GeneratingRegion), then apply the exact
-// relation as a residual filter on the candidates' true endpoints. HINT
-// stores those endpoints in its entries, so no base-table lookup is
-// needed; stored infinite uppers keep the +∞ sentinel, which compares
-// greater than any finite bound, giving the natural semantics.
-func (x *Index) QueryRelationFunc(r interval.Relation, q interval.Interval, fn func(id int64) bool) error {
-	if !q.Valid() {
-		return fmt.Errorf("hint: invalid query %v", q)
-	}
-	region, ok := interval.GeneratingRegion(r, q)
-	if !ok {
-		return nil
-	}
-	return x.intersectingEntries(region, func(e entry) bool {
-		if r.Holds(interval.New(e.lo, e.hi), q) {
-			return fn(e.id)
-		}
-		return true
-	})
-}
-
-// QueryRelation returns the ids of all stored intervals i with "i r q",
-// sorted ascending.
-func (x *Index) QueryRelation(r interval.Relation, q interval.Interval) ([]int64, error) {
-	var ids []int64
-	err := x.QueryRelationFunc(r, q, func(id int64) bool { ids = append(ids, id); return true })
-	if err != nil {
-		return nil, err
-	}
-	slices.Sort(ids)
-	return ids, nil
 }

@@ -282,21 +282,6 @@ func queryShardsParallel[T any](s *Sharded, query func(ix *Index) (T, error)) ([
 	return results, nil
 }
 
-// collectParallel fans an id-collecting query over the shards in
-// parallel and k-way merges the per-shard sorted slices into one
-// ascending id list, preserving the ascending-id contract of the
-// single-shard API.
-func (s *Sharded) collectParallel(query func(ix *Index) ([]int64, error)) ([]int64, error) {
-	results, err := queryShardsParallel(s, query)
-	if err != nil {
-		return nil, err
-	}
-	if len(results) == 1 {
-		return results[0], nil
-	}
-	return mergeAscending(results), nil
-}
-
 // mergeAscending merges sorted id slices into one ascending slice. The
 // shard count is small, so a linear min-scan per output element beats a
 // heap on real workloads; empty inputs are dropped up front.
@@ -333,10 +318,14 @@ func mergeAscending(lists [][]int64) []int64 {
 }
 
 // Intersecting returns the ids of all intervals intersecting q, ascending.
-// Shards are queried in parallel and their sorted results merged, so the
-// output order matches the single-shard index exactly.
+// Shards are queried in parallel and their sorted results k-way merged,
+// so the output order matches the single-shard index exactly.
 func (s *Sharded) Intersecting(q interval.Interval) ([]int64, error) {
-	return s.collectParallel(func(ix *Index) ([]int64, error) { return ix.Intersecting(q) })
+	results, err := queryShardsParallel(s, func(ix *Index) ([]int64, error) { return ix.Intersecting(q) })
+	if err != nil {
+		return nil, err
+	}
+	return mergeAscending(results), nil
 }
 
 // CountIntersecting returns the number of intervals intersecting q,
@@ -353,12 +342,6 @@ func (s *Sharded) CountIntersecting(q interval.Interval) (int64, error) {
 		n += c
 	}
 	return n, nil
-}
-
-// QueryRelation returns the ids of all intervals i with "i r q", sorted
-// ascending, querying the shards in parallel.
-func (s *Sharded) QueryRelation(r interval.Relation, q interval.Interval) ([]int64, error) {
-	return s.collectParallel(func(ix *Index) ([]int64, error) { return ix.QueryRelation(r, q) })
 }
 
 // Count returns the number of live intervals across all shards.

@@ -3,7 +3,6 @@ package ritree
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"ritree/internal/interval"
 	"ritree/internal/obs"
@@ -17,17 +16,10 @@ import (
 //	CREATE INDEX resv_iv ON Reservations (arrival, departure) INDEXTYPE IS ritree
 //
 // the engine transparently maintains a hidden RI-tree on every INSERT and
-// DELETE against the base table, and rewrites the INTERSECTS operator in
-// WHERE clauses into an RI-tree scan — "end users can use the Relational
-// Interval Tree just like a built-in index".
-
-// OperatorIntersects is the SQL operator name served by the indextype:
-// INTERSECTS(lowerCol, upperCol, :qlo, :qhi).
-const OperatorIntersects = "intersects"
-
-// OperatorContainsPoint is the stabbing operator:
-// CONTAINS_POINT(lowerCol, upperCol, :p).
-const OperatorContainsPoint = "contains_point"
+// DELETE against the base table, and runs every interval operator in
+// WHERE clauses (INTERSECTS, CONTAINS_POINT, ALLEN_*) as an RI-tree
+// intersection scan — "end users can use the Relational Interval Tree just
+// like a built-in index".
 
 // IndexTypeName is the name used in INDEXTYPE IS clauses.
 const IndexTypeName = "ritree"
@@ -250,12 +242,6 @@ func (ix *indexType) Table() string { return ix.table }
 // Columns implements sqldb.Index.
 func (ix *indexType) Columns() []string { return append([]string(nil), ix.cols...) }
 
-// HasOperator implements sqldb.Index.
-func (ix *indexType) HasOperator(op string) bool {
-	op = strings.ToLower(op)
-	return op == OperatorIntersects || op == OperatorContainsPoint
-}
-
 // HasOrdered implements sqldb.Index: the tree clusters by fork node, not
 // by lower bound, so merge joins sort its side explicitly.
 func (ix *indexType) HasOrdered() bool { return false }
@@ -329,23 +315,6 @@ func (ix *indexType) SetNow(now int64) error {
 // the page store and are durable with every commit.
 func (ix *indexType) Persist() error { return nil }
 
-// opQuery resolves an operator invocation into the query interval.
-func opQuery(op string, args []int64) (interval.Interval, error) {
-	switch strings.ToLower(op) {
-	case OperatorIntersects:
-		if len(args) != 2 {
-			return interval.Interval{}, fmt.Errorf("ritree indextype: INTERSECTS needs (:lo, :hi), got %d args", len(args))
-		}
-		return interval.New(args[0], args[1]), nil
-	case OperatorContainsPoint:
-		if len(args) != 1 {
-			return interval.Interval{}, fmt.Errorf("ritree indextype: CONTAINS_POINT needs (:p), got %d args", len(args))
-		}
-		return interval.Point(args[0]), nil
-	}
-	return interval.Interval{}, fmt.Errorf("ritree indextype: unknown operator %q", op)
-}
-
 // reader is the index bound to one relational state: a Tree over that
 // state's hidden relations.
 type reader struct{ t *Tree }
@@ -373,23 +342,15 @@ func (ix *indexType) Reader(db *rel.DB) (sqldb.Reader, error) {
 	return reader{t}, nil
 }
 
-// Scan implements sqldb.Reader: the operator dispatch.
-func (r reader) Scan(op string, args []int64, fn func(rid rel.RowID) bool) error {
-	q, err := opQuery(op, args)
-	if err != nil {
-		return err
-	}
+// Scan implements sqldb.Reader: the Figure 9 two-fold intersection query.
+func (r reader) Scan(q interval.Interval, fn func(rid rel.RowID) bool) error {
 	return r.t.IntersectingFunc(q, func(id int64) bool {
 		return fn(rel.RowID(id))
 	})
 }
 
 // Count implements sqldb.Reader.
-func (r reader) Count(op string, args []int64) (int64, error) {
-	q, err := opQuery(op, args)
-	if err != nil {
-		return 0, err
-	}
+func (r reader) Count(q interval.Interval) (int64, error) {
 	return r.t.CountIntersecting(q)
 }
 

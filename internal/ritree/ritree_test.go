@@ -551,44 +551,6 @@ func TestTemporalNowAndInfinity(t *testing.T) {
 	}
 }
 
-func TestQueryRelationAgainstBruteForce(t *testing.T) {
-	tr, _ := newTestTree(t, Options{})
-	b := &brute{}
-	rng := rand.New(rand.NewSource(12))
-	for i := 0; i < 800; i++ {
-		lo := rng.Int63n(512)
-		iv := interval.New(lo, lo+rng.Int63n(64))
-		tr.Insert(iv, int64(i))
-		b.insert(iv, int64(i))
-	}
-	queries := []interval.Interval{
-		interval.New(100, 150),
-		interval.New(0, 0),
-		interval.New(200, 200),
-		interval.New(50, 400),
-		interval.New(511, 575),
-	}
-	for _, q := range queries {
-		for r := interval.Relation(0); int(r) < interval.NumRelations; r++ {
-			got, err := tr.QueryRelation(r, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want []int64
-			for i, iv := range b.ivs {
-				if r.Holds(iv, q) {
-					want = append(want, b.ids[i])
-				}
-			}
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			if !equalIDs(got, want) {
-				t.Fatalf("relation %v, query %v: got %d ids, want %d (got %v want %v)",
-					r, q, len(got), len(want), got, want)
-			}
-		}
-	}
-}
-
 func TestHeightIndependentOfN(t *testing.T) {
 	// §3.5: "In any case, the tree height does not depend on the number of
 	// intervals."

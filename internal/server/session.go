@@ -299,21 +299,23 @@ func (s *session) fetch(id, max uint64) error {
 	return s.reply(wire.MsgRowBatch, wire.EncodeRowBatch(batch, done))
 }
 
-// exec runs a non-cursor statement and tracks transaction ownership: a
-// successful BEGIN claims the engine's transaction for this session so
-// teardown knows to roll it back.
+// exec runs a non-cursor statement and tracks transaction ownership from
+// what the statement did: a BEGIN claims the engine's transaction for
+// this session so teardown knows to roll it back, and any COMMIT or
+// ROLLBACK — a failed COMMIT too, which has already released it — gives
+// it up.
 func (s *session) exec(sql string, wireBinds map[string]int64) error {
 	res, err := s.srv.db.Exec(sql, toBinds(wireBinds))
-	if err != nil {
-		return s.replyErr(err)
-	}
-	if st, perr := sqldb.Parse(sql); perr == nil {
-		switch st.(type) {
-		case *sqldb.BeginStmt:
+	if res != nil {
+		switch res.Txn {
+		case sqldb.TxnBegun:
 			s.txnOpen = true
-		case *sqldb.CommitStmt, *sqldb.RollbackStmt:
+		case sqldb.TxnEnded:
 			s.txnOpen = false
 		}
+	}
+	if err != nil {
+		return s.replyErr(err)
 	}
 	b := wire.AppendVarint(nil, res.Affected)
 	b = wire.AppendString(b, res.Plan)

@@ -237,7 +237,7 @@ func (e *Engine) planAggregate(s *SelectStmt, binds map[string]interface{}) (*se
 			plan.count = len(plan.merge.post) == 0
 		case len(plan.sources) == 1:
 			sp := plan.sources[0]
-			plan.count = sp.kind == accessCustom && len(sp.filters) == 0
+			plan.count = sp.kind == accessDomain && !sp.op.exact && len(sp.filters) == 0
 		}
 	}
 	return plan, nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"ritree/internal/interval"
 	"ritree/internal/obs"
 	"ritree/internal/rel"
 )
@@ -69,9 +70,6 @@ func (x *BruteIndex) Persist() error                    { return nil }
 func (x *BruteIndex) BindMetrics(*obs.Registry, string) {}
 func (x *BruteIndex) SetNow(now int64) error            { x.now = now; return nil }
 func (x *BruteIndex) Len() int                          { return len(x.rows) }
-func (x *BruteIndex) HasOperator(op string) bool {
-	return op == "intersects" || op == "contains_point"
-}
 
 // Apply refuses inverted intervals, after validating the whole batch.
 func (x *BruteIndex) Apply(ins, del []Entry) error {
@@ -114,18 +112,20 @@ type bruteReader struct {
 
 func (r bruteReader) Now() (int64, bool) { return r.now, true }
 
-func (r bruteReader) Scan(op string, args []int64, fn func(rel.RowID) bool) error {
-	qlo, qhi := args[0], args[len(args)-1]
+func (r bruteReader) Scan(q interval.Interval, fn func(rel.RowID) bool) error {
 	for rid, iv := range r.rows {
-		if iv[0] <= qhi && qlo <= iv[1] && !fn(rid) {
+		if iv[1] == interval.NowMarker {
+			iv[1] = r.now
+		}
+		if interval.New(iv[0], iv[1]).Intersects(q) && !fn(rid) {
 			break
 		}
 	}
 	return nil
 }
 
-func (r bruteReader) Count(op string, args []int64) (n int64, err error) {
-	return n, r.Scan(op, args, func(rel.RowID) bool { n++; return true })
+func (r bruteReader) Count(q interval.Interval) (n int64, err error) {
+	return n, r.Scan(q, func(rel.RowID) bool { n++; return true })
 }
 
 func (r bruteReader) Ordered(fn func(rid rel.RowID, lo, hi int64) bool) error {

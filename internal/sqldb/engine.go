@@ -33,6 +33,38 @@ type Result struct {
 	Affected int64
 	// Plan is the execution plan text (EXPLAIN only).
 	Plan string
+	// Txn is what the statement did to the explicit transaction. Exec
+	// reports it beside an error too, so a caller tracking who owns the
+	// transaction never re-parses the statement.
+	Txn TxnEffect
+}
+
+// TxnEffect is what one statement did to the engine's explicit
+// transaction.
+type TxnEffect int8
+
+const (
+	// TxnUnchanged: not BEGIN, COMMIT or ROLLBACK, or a BEGIN that failed.
+	TxnUnchanged TxnEffect = iota
+	// TxnBegun: a BEGIN opened the transaction.
+	TxnBegun
+	// TxnEnded: a COMMIT or ROLLBACK ran, failed ones included — a COMMIT
+	// that fails has already given the transaction up, and one that found
+	// none had nothing to give up.
+	TxnEnded
+)
+
+// txnEffect classifies a statement that ran with outcome err.
+func txnEffect(st Statement, err error) TxnEffect {
+	switch st.(type) {
+	case *BeginStmt:
+		if err == nil {
+			return TxnBegun
+		}
+	case *CommitStmt, *RollbackStmt:
+		return TxnEnded
+	}
+	return TxnUnchanged
 }
 
 // Engine executes SQL statements against a rel.DB. One Engine corresponds
@@ -126,7 +158,8 @@ func (e *Engine) SetMergeJoinEnabled(on bool) {
 // *Transient). A SELECT is Query drained into the Result. Write statements
 // outside an explicit transaction auto-commit: their pages reach the WAL
 // (group commit) before Exec returns, and the cached snapshot view is
-// invalidated so later readers see them.
+// invalidated so later readers see them. A statement other than SELECT
+// that parsed returns a Result even when it fails, carrying only Txn.
 func (e *Engine) Exec(sql string, binds map[string]interface{}) (*Result, error) {
 	st, err := Parse(sql)
 	if err != nil {
@@ -151,6 +184,7 @@ func (e *Engine) Exec(sql string, binds map[string]interface{}) (*Result, error)
 	start := time.Now()
 	e.capStats, e.capPlan = ExecStats{}, nil
 	res, err := e.execStmt(st, sql, binds)
+	txn := txnEffect(st, err)
 	var seq uint64
 	var cerr error
 	if e.txn == nil && stmtWrites(st) {
@@ -164,17 +198,18 @@ func (e *Engine) Exec(sql string, binds map[string]interface{}) (*Result, error)
 		e.observeStmt(sql, stmtKind(st), len(binds), time.Since(start), e.capStats, e.capPlan)
 	}
 	e.mu.Unlock()
+	if err == nil {
+		err = cerr
+	}
+	if err == nil {
+		// Group-commit durability wait happens outside mu, so concurrent
+		// statements batch into the same fsync instead of serializing on it.
+		err = e.db.Store().WaitDurable(seq)
+	}
 	if err != nil {
-		return nil, err
+		return &Result{Txn: txn}, err
 	}
-	if cerr != nil {
-		return nil, cerr
-	}
-	// Group-commit durability wait happens outside mu, so concurrent
-	// statements batch into the same fsync instead of serializing on it.
-	if werr := e.db.Store().WaitDurable(seq); werr != nil {
-		return nil, werr
-	}
+	res.Txn = txn
 	return res, nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"iter"
 	"sort"
 
-	"ritree/internal/interval"
 	"ritree/internal/rel"
 )
 
@@ -111,7 +110,7 @@ func (s *srcScan) Open(ec *execCtx) error {
 		return nil
 	}
 	switch s.sp.kind {
-	case accessIndexRange, accessCustom, accessAllen:
+	case accessIndexRange, accessDomain:
 		// One probe per binding: the inner side of a nested-loops join
 		// probes its index once per outer row.
 		ec.stats.indexProbes.Add(1)
@@ -241,58 +240,31 @@ func (s *srcScan) bind() (scanRunner, error) {
 			return err
 		}, nil
 
-	case accessCustom:
-		args := make([]int64, len(sp.customArgs))
-		for k, f := range sp.customArgs {
-			args[k] = f(s.env)
-		}
-		return func(emit func(rel.RowID, []int64) bool) error {
-			var inner error
-			err := sp.reader.Scan(sp.customOp, args, func(rid rel.RowID) bool {
-				if inner = sp.tab.GetRawInto(rid, s.rowBuf); inner != nil {
-					return false
-				}
-				return emit(rid, s.rowBuf)
-			})
-			if inner != nil {
-				return inner
-			}
-			return err
-		}, nil
-
-	case accessAllen:
-		q, err := allenQuery(sp.allenRel, sp.customArgs[0](s.env), sp.customArgs[1](s.env))
+	case accessDomain:
+		q, err := sp.op.query(sp.opArgs, s.env)
 		if err != nil {
-			return nil, fmt.Errorf("sql: %s", err)
+			return nil, err
 		}
-		region, ok := interval.GeneratingRegion(sp.allenRel, q)
+		region, ok := sp.op.region(q)
 		if !ok {
 			return nil, nil // no interval can satisfy the relation
 		}
-		// Now-relative rows (§4.6) evaluate against the table's clock,
-		// exactly as Collection.Query does.
-		now := sp.now
-		r := sp.allenRel
+		// The region scan is the whole answer of INTERSECTS and
+		// CONTAINS_POINT. An Allen relation is checked on each candidate,
+		// now-relative rows (§4.6) against the table's clock, exactly as
+		// the residual form compile builds does.
+		op, now := sp.op, sp.now
 		return func(emit func(rel.RowID, []int64) bool) error {
 			var inner error
-			err := sp.reader.Scan(opIntersects, []int64{region.Lower, region.Upper}, func(rid rel.RowID) bool {
+			err := sp.reader.Scan(region, func(rid rel.RowID) bool {
 				if inner = sp.tab.GetRawInto(rid, s.rowBuf); inner != nil {
 					return false
 				}
-				iv := interval.New(s.rowBuf[sp.allenLoPos], s.rowBuf[sp.allenHiPos])
-				if iv.Upper == interval.NowMarker {
-					iv.Upper = now
-					if !iv.Valid() {
-						// Consumed, never emitted: born in the future of the
-						// evaluation time.
-						s.dropResidual()
-						return true
-					}
-				}
-				if !r.Holds(iv, q) {
-					// Residual: a candidate from the generating region with
-					// the wrong exact relation. Count it — it cost a scan
-					// step and a heap fetch even though it is dropped here.
+				if op.exact && !op.holds(s.rowBuf[sp.opLo], s.rowBuf[sp.opHi], now, q) {
+					// Residual: a candidate of the region that fails the
+					// exact relation (or is born in the future of the
+					// evaluation time). Count it — it cost a scan step and
+					// a heap fetch even though it is dropped here.
 					s.dropResidual()
 					return true
 				}
@@ -451,13 +423,13 @@ func (n *indexCountNode) Count(ec *execCtx) (int64, error) {
 	if start := ec.startTimer(); !start.IsZero() {
 		defer n.ns.timeFrom(start)
 	}
-	args := make([]int64, len(n.sp.customArgs))
-	for k, f := range n.sp.customArgs {
-		args[k] = f(n.env)
+	q, err := n.sp.op.query(n.sp.opArgs, n.env)
+	if err != nil {
+		return 0, err
 	}
 	ec.stats.indexProbes.Add(1)
 	n.ns.addProbes(1)
-	c, err := n.sp.reader.Count(n.sp.customOp, args)
+	c, err := n.sp.reader.Count(q)
 	if err != nil {
 		return 0, err
 	}

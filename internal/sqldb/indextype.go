@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"ritree/internal/interval"
 	"ritree/internal/obs"
 	"ritree/internal/rel"
 )
@@ -53,9 +54,10 @@ type Entry struct {
 	Row []int64
 }
 
-// Index is an attached user-defined index. The engine triggers its
-// maintenance on DML against the base table and routes the operators it
-// advertises to a Reader.
+// Index is an attached user-defined index over an interval's (lower,
+// upper) columns. The engine triggers its maintenance on DML against the
+// base table and plans every interval operator (operators.go) as an
+// intersection query on a Reader.
 type Index interface {
 	// Name returns the index name.
 	Name() string
@@ -63,8 +65,6 @@ type Index interface {
 	Table() string
 	// Columns returns the indexed column names, in order.
 	Columns() []string
-	// HasOperator reports whether the index serves the named operator.
-	HasOperator(op string) bool
 	// HasOrdered reports whether Readers of this index stream row ids in
 	// ascending order of the indexed interval's lower bound — the zero-sort
 	// feed of the interval merge join, which sorts explicitly otherwise.
@@ -104,12 +104,15 @@ type Index interface {
 // be safe for concurrent use — several cursors of one view may scan at
 // once.
 type Reader interface {
-	// Scan evaluates op with the given (non-column) arguments and streams
-	// the row ids of matching base rows; fn returning false stops it.
-	Scan(op string, args []int64, fn func(rid rel.RowID) bool) error
+	// Scan streams the row id of every indexed row whose interval
+	// intersects q — the one query the paper's access methods answer
+	// (§4.5 reduces every interval operator to it); fn returning false
+	// stops it. The engine validates q first (q.Lower <= q.Upper). A
+	// now-relative row (§4.6) intersects q as [lower, now].
+	Scan(q interval.Interval, fn func(rid rel.RowID) bool) error
 	// Count returns the number of rows Scan would stream, without the
 	// callback (access methods with a parallel counting path use it).
-	Count(op string, args []int64) (int64, error)
+	Count(q interval.Interval) (int64, error)
 	// Ordered streams every indexed row id in ascending order of the
 	// indexed interval's lower bound, with the row's true (lower, upper)
 	// values — the bounds the base row holds, not an index-internal

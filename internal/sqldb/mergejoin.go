@@ -234,9 +234,9 @@ func mjFeedLabel(s *mjSide) string {
 // counting sweep, which adds up pairs instead of emitting them.
 func mergeJoinLine(p *selectPlan) string {
 	if p.count {
-		return "INTERVAL MERGE JOIN COUNT (" + p.merge.opName + ")"
+		return "INTERVAL MERGE JOIN COUNT (" + p.merge.op.name + ")"
 	}
-	return "INTERVAL MERGE JOIN (" + p.merge.opName + ")"
+	return "INTERVAL MERGE JOIN (" + p.merge.op.name + ")"
 }
 
 // orderedFeedLine names a zero-sort feed off a start-sorted domain index;
@@ -252,11 +252,11 @@ func orderedFeedLine(ci Index, boundsOnly bool) string {
 
 // configure specializes the sweep for the plan's relation.
 func (n *mergeJoinNode) configure() {
-	if n.m.intersect {
+	if !n.m.op.exact {
 		n.emitL, n.emitR = true, true
 		return
 	}
-	switch n.m.rel {
+	switch n.m.op.rel {
 	case interval.Before:
 		n.mode = modeBefore
 	case interval.After:
@@ -391,21 +391,17 @@ func (n *mergeJoinNode) drainSide(ec *execCtx, side *mjSide, subject bool) error
 			}
 			if lo > hi {
 				// Born in the future of the evaluation time (or malformed):
-				// consumed, never emitted — the accessAllen runner's rule.
+				// consumed, never emitted — intervalOp.holds's rule.
 				residual++
 				return
 			}
 		} else if lo > hi {
-			// Query-side bounds fault like allenQuery on the residual and
-			// index-served paths — the answer must not depend on the join
-			// strategy. (Query-side NowMarker stays a plain magnitude, as
-			// those paths treat it.)
-			if n.m.intersect {
-				panic(sqlRuntimeError{fmt.Sprintf("INTERSECTS got the inverted query interval [%d, %d]", lo, hi)})
-			}
-			if _, err := allenQuery(n.m.rel, lo, hi); err != nil {
-				panic(sqlRuntimeError{err.Error()})
-			}
+			// Query-side bounds fault as on the residual and index-served
+			// paths — the answer must not depend on the join strategy.
+			// (Query-side NowMarker stays a plain magnitude, as those paths
+			// treat it.)
+			_, err := n.m.op.bounds(lo, hi)
+			panic(err)
 		}
 		if side.w > 0 {
 			side.rows = append(side.rows, row...)
@@ -592,7 +588,7 @@ func (n *mergeJoinNode) Count(ec *execCtx) (int64, error) {
 // countScan counts the pairs of the emission scan advance just started:
 // what nextPair would yield one at a time.
 func (n *mergeJoinNode) countScan() int64 {
-	if n.mode != modeSweep || n.m.intersect {
+	if n.mode != modeSweep || !n.m.op.exact {
 		return int64(n.scanLen)
 	}
 	var c int64

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"ritree/internal/interval"
 	"ritree/internal/rel"
 )
 
@@ -24,11 +23,10 @@ const (
 	accessFull accessKind = iota
 	accessIndexRange
 	accessCollection
-	accessCustom
-	// accessAllen serves an ALLEN_* operator through a domain index's
-	// INTERSECTS scan over the relation's generating region (§4.5), with
-	// the exact relation applied as a residual filter by the executor.
-	accessAllen
+	// accessDomain serves an interval operator (operators.go) through a
+	// domain index: one intersection scan over the operator's region, and
+	// for an Allen relation the exact relation as a residual check (§4.5).
+	accessDomain
 )
 
 // srcPlan is the access plan for one FROM source.
@@ -47,24 +45,22 @@ type srcPlan struct {
 	lows  []evalFn
 	highs []evalFn
 
-	// custom is the domain index serving this source: the operator scan
-	// of an accessCustom / accessAllen source, or — on a side of an
-	// interval merge join — the index streaming it in lower-bound order
-	// (nil there: explicit sort fallback). reader is that index bound to
-	// the state this execution reads, and now the table's now-relative
-	// clock in that state; both are set by bindPlan, per execution.
-	custom     Index
-	reader     Reader
-	now        int64
-	customOp   string
-	customArgs []evalFn
+	// custom is the domain index serving this source: the region scan of
+	// an accessDomain source, or — on a side of an interval merge join —
+	// the index streaming it in lower-bound order (nil there: explicit
+	// sort fallback). reader is that index bound to the state this
+	// execution reads, and now the table's now-relative clock in that
+	// state; both are set by bindPlan, per execution.
+	custom Index
+	reader Reader
+	now    int64
 
-	// Allen access (kind == accessAllen): the relation, the query-bound
-	// argument functions (customArgs holds them), and the row positions of
-	// the indexed (lower, upper) columns for the residual check.
-	allenRel   interval.Relation
-	allenLoPos int
-	allenHiPos int
+	// Domain-index access (kind == accessDomain): the operator, its
+	// compiled query arguments, and the row positions of the indexed
+	// (lower, upper) columns the residual check reads.
+	op         *intervalOp
+	opArgs     []evalFn
+	opLo, opHi int
 
 	filters []evalFn // predicates checked once this source is bound
 
@@ -74,17 +70,15 @@ type srcPlan struct {
 }
 
 // mergeSpec describes an interval merge join between two sources: the
-// predicate linking them (one of the 13 extended Allen relations, or
+// operator linking them (one of the 13 extended Allen relations, or
 // plain INTERSECTS), which source binds the subject (lower, upper)
 // arguments and which the query arguments, and the residual filters that
 // reference both sides.
 type mergeSpec struct {
-	rel       interval.Relation
-	intersect bool // plain INTERSECTS instead of an exact Allen relation
-	opName    string
-	left      int // source index of the subject (args[0:2]) side
-	right     int // source index of the query (args[2:4]) side
-	post      []evalFn
+	op    *intervalOp
+	left  int // source index of the subject (args[0:2]) side
+	right int // source index of the query (args[2:4]) side
+	post  []evalFn
 }
 
 // selectPlan is a compiled single SELECT block. Compiled expressions
@@ -104,7 +98,7 @@ type selectPlan struct {
 	// compile call (source bases are assigned first), so positions are
 	// stable for the plan's lifetime. nowSlots shares the tail: it maps a
 	// source index to the slot carrying that source's now-clock, for the
-	// compiled ALLEN_* residuals that resolve now-relative rows.
+	// compiled interval-operator residuals that resolve now-relative rows.
 	bindSlots map[string]int
 	nowSlots  map[int]int
 
@@ -336,8 +330,8 @@ func (p *selectPlan) detectMergeJoin(conjuncts []*conjunct) error {
 		if !ok || c.used || len(call.Args) != 4 {
 			continue
 		}
-		r, isAllen := allenRelation(call.Name)
-		if !isAllen && strings.ToLower(call.Name) != opIntersects {
+		op := lookupOp(call.Name)
+		if op == nil || op.point {
 			continue
 		}
 		var si, pos [4]int
@@ -357,13 +351,7 @@ func (p *selectPlan) detectMergeJoin(conjuncts []*conjunct) error {
 		if !cols || si[0] != si[1] || si[2] != si[3] || si[0] == si[2] {
 			continue
 		}
-		m := &mergeSpec{
-			rel:       r,
-			intersect: !isAllen,
-			opName:    strings.ToUpper(call.Name),
-			left:      si[0],
-			right:     si[2],
-		}
+		m := &mergeSpec{op: op, left: si[0], right: si[2]}
 		ls, rs := p.sources[m.left], p.sources[m.right]
 		ls.mjLo, ls.mjHi = pos[0], pos[1]
 		rs.mjLo, rs.mjHi = pos[2], pos[3]
@@ -633,55 +621,54 @@ func (p *selectPlan) compile(ex Expr, maxSrc int) (evalFn, error) {
 		}
 		return nil, fmt.Errorf("sql: unsupported operator %q", x.Op)
 	case *CallExpr:
-		// The ALLEN_* operators evaluate as plain predicates over any
-		// expressions (the residual form): this serves sources without a
-		// domain index (transient collections, extra Allen conjuncts after
-		// one drove the access path). Index-served evaluation through the
-		// generating region is chosen by chooseAccess before compilation
-		// gets here.
-		if r, ok := allenRelation(x.Name); ok {
-			if len(x.Args) != 4 {
-				return nil, fmt.Errorf("sql: %s needs (lower, upper, :qlo, :qhi), got %d args",
-					strings.ToUpper(x.Name), len(x.Args))
-			}
-			fns := make([]evalFn, 4)
-			for i, a := range x.Args {
-				f, err := p.compile(a, maxSrc)
-				if err != nil {
-					return nil, err
-				}
-				fns[i] = f
-			}
-			// Now-relative rows (§4.6) must evaluate against the same
-			// clock here as on the index-served path, or the answer would
-			// depend on which conjunct drove the access plan: when the
-			// upper argument is a column, its source's clock resolves the
-			// NowMarker sentinel (otherwise now = 0, like the executor).
-			nowAt := -1
-			if ce, ok := x.Args[1].(*ColumnExpr); ok {
-				if si, _, err := p.resolve(ce); err == nil {
-					nowAt = p.nowSlot(si)
-				}
-			}
-			return func(env []int64) int64 {
-				q, err := allenQuery(r, fns[2](env), fns[3](env))
-				if err != nil {
-					panic(sqlRuntimeError{err.Error()})
-				}
-				iv := interval.New(fns[0](env), fns[1](env))
-				if iv.Upper == interval.NowMarker {
-					iv.Upper = 0
-					if nowAt >= 0 {
-						iv.Upper = env[nowAt]
-					}
-					if !iv.Valid() {
-						return 0 // born in the future of the evaluation time
-					}
-				}
-				return b2i(r.Holds(iv, q))
-			}, nil
+		// Every interval operator evaluates as a plain predicate over any
+		// expressions: the form for sources without a domain index
+		// (transient collections, un-indexed tables, the outer side of a
+		// join) and for conjuncts after the one that drove the access path.
+		// chooseAccess picks the index-served form before compilation gets
+		// here.
+		op := lookupOp(x.Name)
+		if op == nil {
+			return nil, fmt.Errorf("sql: unknown operator %s (the interval operators are INTERSECTS, CONTAINS_POINT and ALLEN_*)", x.Name)
 		}
-		return nil, fmt.Errorf("sql: operator %s is not supported by any index of the queried table (extensible operators must be served by a DOMAIN INDEX, §5)", x.Name)
+		if len(x.Args) != op.arity() {
+			want := "(lower, upper, :qlo, :qhi)"
+			if op.point {
+				want = "(lower, upper, :p)"
+			}
+			return nil, fmt.Errorf("sql: %s needs %s, got %d args", op.name, want, len(x.Args))
+		}
+		fns := make([]evalFn, len(x.Args))
+		for i, a := range x.Args {
+			f, err := p.compile(a, maxSrc)
+			if err != nil {
+				return nil, err
+			}
+			fns[i] = f
+		}
+		// Now-relative rows (§4.6) must evaluate against the same clock
+		// here as on the index-served path, or the answer would depend on
+		// which conjunct drove the access plan: when the upper argument is
+		// a column, its source's clock resolves the NowMarker sentinel
+		// (otherwise now = 0, like the executor).
+		nowAt := -1
+		if ce, ok := x.Args[1].(*ColumnExpr); ok {
+			if si, _, err := p.resolve(ce); err == nil {
+				nowAt = p.nowSlot(si)
+			}
+		}
+		lo, hi, args := fns[0], fns[1], fns[2:]
+		return func(env []int64) int64 {
+			q, err := op.query(args, env)
+			if err != nil {
+				panic(err)
+			}
+			var now int64
+			if nowAt >= 0 {
+				now = env[nowAt]
+			}
+			return b2i(op.holds(lo(env), hi(env), now, q))
+		}, nil
 	}
 	return nil, fmt.Errorf("sql: unsupported expression %T", ex)
 }
@@ -697,14 +684,7 @@ func b2i(b bool) int64 {
 // with an expression evaluable from earlier sources. It returns the
 // operator and the value expression.
 func (p *selectPlan) sargable(c *conjunct, si int, col string) (string, Expr, Expr, bool) {
-	colMatches := func(ex Expr) bool {
-		ce, ok := ex.(*ColumnExpr)
-		if !ok {
-			return false
-		}
-		csi, _, err := p.resolve(ce)
-		return err == nil && csi == si && strings.EqualFold(ce.Column, col)
-	}
+	colMatches := func(ex Expr) bool { return p.isColumn(ex, si, col) }
 	evaluableBefore := func(ex Expr) bool {
 		m, err := p.maxSource(ex)
 		return err == nil && m < si
@@ -730,126 +710,70 @@ func (p *selectPlan) sargable(c *conjunct, si int, col string) (string, Expr, Ex
 	return "", nil, nil, false
 }
 
-// chooseAccess selects the cheapest available access path for source si.
-func (e *Engine) chooseAccess(p *selectPlan, sp *srcPlan, si int, conjuncts []*conjunct) error {
-	// Extensible indexing first: an operator conjunct served by a domain
-	// index on this table (paper §5).
-	for _, c := range conjuncts {
-		call, ok := c.ex.(*CallExpr)
-		if !ok || c.used {
-			continue
-		}
-		for _, ci := range e.customByTb[sp.ref.Name] {
-			if !ci.HasOperator(call.Name) {
-				continue
-			}
-			idxCols := ci.Columns()
-			if len(call.Args) < len(idxCols) {
-				continue
-			}
-			match := true
-			for k, col := range idxCols {
-				ce, ok := call.Args[k].(*ColumnExpr)
-				if !ok || !strings.EqualFold(ce.Column, col) {
-					match = false
-					break
-				}
-				if csi, _, err := p.resolve(ce); err != nil || csi != si {
-					match = false
-					break
-				}
-			}
-			if !match {
-				continue
-			}
-			var args []evalFn
-			argOK := true
-			for _, a := range call.Args[len(idxCols):] {
-				m, err := p.maxSource(a)
-				if err != nil || m >= si {
-					argOK = false
-					break
-				}
-				f, err := p.compile(a, si-1)
-				if err != nil {
-					return err
-				}
-				args = append(args, f)
-			}
-			if !argOK {
-				continue
-			}
-			sp.kind = accessCustom
-			sp.custom = ci
-			sp.customOp = call.Name
-			sp.customArgs = args
-			c.used = true
-			return nil
+// isColumn reports whether ex is a reference to column col of source si.
+func (p *selectPlan) isColumn(ex Expr, si int, col string) bool {
+	ce, ok := ex.(*ColumnExpr)
+	if !ok || !strings.EqualFold(ce.Column, col) {
+		return false
+	}
+	csi, _, err := p.resolve(ce)
+	return err == nil && csi == si
+}
+
+// domainMatch returns the interval operator of conjunct c and a domain
+// index of source si that serves it: the operator's column arguments are
+// the index's (lower, upper) columns of si, and its query arguments are
+// bound by earlier sources. The index is nil when there is none.
+func (p *selectPlan) domainMatch(c *conjunct, sp *srcPlan, si int) (*intervalOp, Index) {
+	call, ok := c.ex.(*CallExpr)
+	if !ok || c.used {
+		return nil, nil
+	}
+	op := lookupOp(call.Name)
+	if op == nil || len(call.Args) != op.arity() {
+		return nil, nil
+	}
+	for _, a := range call.Args[2:] {
+		if m, err := p.maxSource(a); err != nil || m >= si {
+			return nil, nil
 		}
 	}
+	for _, ci := range p.eng.customByTb[sp.ref.Name] {
+		cols := ci.Columns()
+		if len(cols) == 2 && p.isColumn(call.Args[0], si, cols[0]) && p.isColumn(call.Args[1], si, cols[1]) {
+			return op, ci
+		}
+	}
+	return nil, nil
+}
 
-	// ALLEN_* operators over a domain index: any index serving INTERSECTS
-	// on the referenced (lower, upper) columns evaluates all thirteen
-	// relations through the shared generating-region path (§4.5) — the
-	// scan runs INTERSECTS over the region derived from the relation, and
-	// the executor applies the exact relation as a residual filter. No
-	// per-access-method code is involved.
+// chooseAccess selects the cheapest available access path for source si.
+func (e *Engine) chooseAccess(p *selectPlan, sp *srcPlan, si int, conjuncts []*conjunct) error {
+	// Extensible indexing first (paper §5): an interval operator over a
+	// domain index of this table runs as the index's region scan. An
+	// operator the scan answers exactly (INTERSECTS, CONTAINS_POINT) is
+	// preferred to an Allen relation that needs the residual check.
+	var pick *conjunct
+	var pickOp *intervalOp
+	var pickIx Index
 	for _, c := range conjuncts {
-		call, ok := c.ex.(*CallExpr)
-		if !ok || c.used {
-			continue
+		if op, ci := p.domainMatch(c, sp, si); ci != nil && (pick == nil || pickOp.exact && !op.exact) {
+			pick, pickOp, pickIx = c, op, ci
 		}
-		r, isAllen := allenRelation(call.Name)
-		if !isAllen || len(call.Args) != 4 {
-			continue
+	}
+	if pick != nil {
+		for _, a := range pick.ex.(*CallExpr).Args[2:] {
+			f, err := p.compile(a, si-1)
+			if err != nil {
+				return err
+			}
+			sp.opArgs = append(sp.opArgs, f)
 		}
-		for _, ci := range e.customByTb[sp.ref.Name] {
-			idxCols := ci.Columns()
-			if len(idxCols) != 2 || !ci.HasOperator(opIntersects) {
-				continue
-			}
-			match := true
-			for k, col := range idxCols {
-				ce, ok := call.Args[k].(*ColumnExpr)
-				if !ok || !strings.EqualFold(ce.Column, col) {
-					match = false
-					break
-				}
-				if csi, _, err := p.resolve(ce); err != nil || csi != si {
-					match = false
-					break
-				}
-			}
-			if !match {
-				continue
-			}
-			var args []evalFn
-			argOK := true
-			for _, a := range call.Args[2:] {
-				m, err := p.maxSource(a)
-				if err != nil || m >= si {
-					argOK = false
-					break
-				}
-				f, err := p.compile(a, si-1)
-				if err != nil {
-					return err
-				}
-				args = append(args, f)
-			}
-			if !argOK {
-				continue
-			}
-			sp.kind = accessAllen
-			sp.custom = ci
-			sp.customOp = strings.ToLower(call.Name)
-			sp.customArgs = args
-			sp.allenRel = r
-			sp.allenLoPos = sp.tab.Schema().ColIndex(idxCols[0])
-			sp.allenHiPos = sp.tab.Schema().ColIndex(idxCols[1])
-			c.used = true
-			return nil
-		}
+		cols := pickIx.Columns()
+		sp.kind, sp.custom, sp.op = accessDomain, pickIx, pickOp
+		sp.opLo, sp.opHi = sp.tab.Schema().ColIndex(cols[0]), sp.tab.Schema().ColIndex(cols[1])
+		pick.used = true
+		return nil
 	}
 
 	// Built-in composite indexes: the longest usable equality prefix, one
@@ -1135,7 +1059,7 @@ func mergeFeedLine(sp *srcPlan, count bool) string {
 
 // indexCountLine names an index-only COUNT(*) of a domain-index operator.
 func indexCountLine(sp *srcPlan) string {
-	return fmt.Sprintf("DOMAIN INDEX COUNT %s (%s)", strings.ToUpper(sp.custom.Name()), strings.ToUpper(sp.customOp))
+	return fmt.Sprintf("DOMAIN INDEX COUNT %s (%s)", strings.ToUpper(sp.custom.Name()), sp.op.name)
 }
 
 // evalConst evaluates an expression that may reference only literals and
@@ -1187,11 +1111,12 @@ func accessLine(sp *srcPlan) string {
 		return "COLLECTION ITERATOR :" + strings.ToUpper(sp.ref.Collection)
 	case accessIndexRange:
 		return "INDEX RANGE SCAN " + strings.ToUpper(sp.ix.Name())
-	case accessCustom:
-		return fmt.Sprintf("DOMAIN INDEX %s (%s)", strings.ToUpper(sp.custom.Name()), strings.ToUpper(sp.customOp))
-	case accessAllen:
-		return fmt.Sprintf("DOMAIN INDEX %s (%s VIA INTERSECTS REGION + RESIDUAL)",
-			strings.ToUpper(sp.custom.Name()), strings.ToUpper(sp.customOp))
+	case accessDomain:
+		if sp.op.exact {
+			return fmt.Sprintf("DOMAIN INDEX %s (%s VIA INTERSECTS REGION + RESIDUAL)",
+				strings.ToUpper(sp.custom.Name()), sp.op.name)
+		}
+		return fmt.Sprintf("DOMAIN INDEX %s (%s)", strings.ToUpper(sp.custom.Name()), sp.op.name)
 	default:
 		return "TABLE ACCESS FULL " + strings.ToUpper(sp.ref.Name)
 	}

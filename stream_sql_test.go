@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -18,10 +17,13 @@ func sqlAllenOp(r Relation) string {
 }
 
 // TestAllenSQLCrosscheckMatrix verifies the acceptance matrix: all
-// thirteen ALLEN_* SQL operators return exactly the ids the materialized
-// Collection.Query baseline returns, on every built-in access method.
-// The data space is deliberately tiny so shared endpoints (meets,
-// starts, finishes, equals) occur often.
+// thirteen ALLEN_* SQL operators return exactly the ids a brute-force
+// filter over the inserted rows returns, on every built-in access method.
+// hint_sharded runs with one shard and with seven, so its parallel
+// fan-out must answer like a single shard. Two inputs: a tiny data space
+// where shared endpoints (meets, starts, finishes, equals) occur often,
+// and 800 random rows over [0, 575] probed by five queries, points and a
+// query past the data included.
 func TestAllenSQLCrosscheckMatrix(t *testing.T) {
 	db, err := OpenMemory()
 	if err != nil {
@@ -29,65 +31,84 @@ func TestAllenSQLCrosscheckMatrix(t *testing.T) {
 	}
 	defer db.Close()
 
+	type input struct{ ivs, queries []Interval }
 	rng := rand.New(rand.NewSource(7))
-	var ivs []Interval
-	var ids []int64
+	var small input
 	for i := 0; i < 300; i++ {
 		lo := int64(rng.Intn(60))
-		hi := lo + int64(rng.Intn(20))
-		ivs = append(ivs, NewInterval(lo, hi))
-		ids = append(ids, int64(i+1))
+		small.ivs = append(small.ivs, NewInterval(lo, lo+int64(rng.Intn(20))))
 	}
 	// Edge shapes: duplicates of the query intervals, points, containers.
-	for i, iv := range []Interval{NewInterval(20, 30), NewInterval(20, 30), Point(25), NewInterval(0, 90), NewInterval(30, 42)} {
-		ivs = append(ivs, iv)
-		ids = append(ids, int64(1000+i))
+	small.ivs = append(small.ivs, NewInterval(20, 30), NewInterval(20, 30), Point(25), NewInterval(0, 90), NewInterval(30, 42))
+	small.queries = []Interval{NewInterval(20, 30), Point(25), NewInterval(0, 5), NewInterval(55, 90)}
+	rng = rand.New(rand.NewSource(12))
+	var wide input
+	for i := 0; i < 800; i++ {
+		lo := rng.Int63n(512)
+		wide.ivs = append(wide.ivs, NewInterval(lo, lo+rng.Int63n(64)))
 	}
-	queries := []Interval{NewInterval(20, 30), Point(25), NewInterval(0, 5), NewInterval(55, 90)}
+	wide.queries = []Interval{NewInterval(100, 150), Point(0), Point(200), NewInterval(50, 400), NewInterval(511, 575)}
 
-	for _, method := range []string{AccessMethodRITree, AccessMethodHINT, AccessMethodHINTSharded} {
-		c, err := db.CreateCollection("m_"+method, AccessMethod(method))
-		if err != nil {
-			t.Fatal(err)
+	methods := []struct {
+		name string
+		opts []CollectionOption
+	}{
+		{"ritree", []CollectionOption{AccessMethod(AccessMethodRITree)}},
+		{"hint", []CollectionOption{AccessMethod(AccessMethodHINT)}},
+		{"hint_sharded1", []CollectionOption{AccessMethod(AccessMethodHINTSharded), WithMethodParam("shards", "1")}},
+		{"hint_sharded7", []CollectionOption{AccessMethod(AccessMethodHINTSharded), WithMethodParam("shards", "7")}},
+	}
+	for in, data := range []input{small, wide} {
+		ids := make([]int64, len(data.ivs))
+		for i := range ids {
+			ids[i] = int64(i + 1)
 		}
-		if err := c.BulkLoad(ivs, ids); err != nil {
-			t.Fatal(err)
-		}
-		for r := Relation(0); int(r) < interval.NumRelations; r++ {
-			for _, q := range queries {
-				want, err := c.Query(r, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sql := fmt.Sprintf("SELECT id FROM m_%s WHERE %s(lower, upper, :a, :b)", method, sqlAllenOp(r))
-				rows, err := db.Query(context.Background(), sql,
-					map[string]interface{}{"a": q.Lower, "b": q.Upper})
-				if err != nil {
-					t.Fatalf("%s %s: %v", method, sqlAllenOp(r), err)
-				}
-				var got []int64
-				for rows.Next() {
-					got = append(got, rows.Row()[0])
-				}
-				if err := rows.Err(); err != nil {
-					t.Fatalf("%s %s: %v", method, sqlAllenOp(r), err)
-				}
-				slices.Sort(got)
-				if !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
-					t.Fatalf("%s: %s(%v) via SQL = %v, Collection.Query = %v",
-						method, sqlAllenOp(r), q, got, want)
+		for _, m := range methods {
+			name := fmt.Sprintf("m%d_%s", in, m.name)
+			c, err := db.CreateCollection(name, m.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.BulkLoad(data.ivs, ids); err != nil {
+				t.Fatal(err)
+			}
+			for r := Relation(0); int(r) < interval.NumRelations; r++ {
+				for _, q := range data.queries {
+					var want []int64
+					for i, iv := range data.ivs {
+						if r.Holds(iv, q) {
+							want = append(want, ids[i])
+						}
+					}
+					sql := fmt.Sprintf("SELECT id FROM %s WHERE %s(lower, upper, :a, :b)", name, sqlAllenOp(r))
+					rows, err := db.Query(context.Background(), sql,
+						map[string]interface{}{"a": q.Lower, "b": q.Upper})
+					if err != nil {
+						t.Fatalf("%s %s: %v", name, sqlAllenOp(r), err)
+					}
+					var got []int64
+					for rows.Next() {
+						got = append(got, rows.Row()[0])
+					}
+					if err := rows.Err(); err != nil {
+						t.Fatalf("%s %s: %v", name, sqlAllenOp(r), err)
+					}
+					slices.Sort(got)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: %s(%v) via SQL = %v, brute force %v", name, sqlAllenOp(r), q, got, want)
+					}
 				}
 			}
-		}
-		// The plan must route through the domain index's generating-region
-		// scan, not a full table scan.
-		plan, err := db.Exec(fmt.Sprintf(
-			"EXPLAIN SELECT id FROM m_%s WHERE allen_during(lower, upper, 20, 30)", method), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(plan.Plan, "VIA INTERSECTS REGION") {
-			t.Fatalf("%s: ALLEN plan is not index-served:\n%s", method, plan.Plan)
+			// The plan must route through the domain index's generating-region
+			// scan, not a full table scan.
+			plan, err := db.Exec(fmt.Sprintf(
+				"EXPLAIN SELECT id FROM %s WHERE allen_during(lower, upper, 20, 30)", name), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(plan.Plan, "VIA INTERSECTS REGION") {
+				t.Fatalf("%s: ALLEN plan is not index-served:\n%s", name, plan.Plan)
+			}
 		}
 	}
 }
