@@ -314,7 +314,7 @@ func (db *DB) Query(ctx context.Context, sql string, binds map[string]interface{
 // (Insert, InsertMany, Delete) remain auto-commit — they are exactly the
 // concurrent writers Commit detects.
 func (db *DB) Begin() (*Txn, error) {
-	if _, err := db.eng.Exec("BEGIN", nil); err != nil {
+	if _, err := db.Exec("BEGIN", nil); err != nil {
 		return nil, err
 	}
 	return &Txn{db: db}, nil
@@ -332,12 +332,14 @@ type Txn struct {
 }
 
 // Exec runs one SQL statement inside the transaction: SELECTs read the
-// transaction's snapshot, INSERT/DELETE are buffered until Commit.
+// transaction's snapshot, INSERT/DELETE are buffered until Commit. Like
+// DB.Exec it takes the database lock, because COMMIT changes the pages
+// the synchronous collection reads walk.
 func (t *Txn) Exec(sql string, binds map[string]interface{}) (*Result, error) {
 	if t.done {
 		return nil, fmt.Errorf("ritree: transaction already finished")
 	}
-	return t.db.eng.Exec(sql, binds)
+	return t.db.Exec(sql, binds)
 }
 
 // Commit validates and applies the transaction's buffered writes,
@@ -348,7 +350,7 @@ func (t *Txn) Commit() error {
 		return fmt.Errorf("ritree: transaction already finished")
 	}
 	t.done = true
-	_, err := t.db.eng.Exec("COMMIT", nil)
+	_, err := t.db.Exec("COMMIT", nil)
 	return err
 }
 
@@ -359,7 +361,7 @@ func (t *Txn) Rollback() error {
 		return nil
 	}
 	t.done = true
-	_, err := t.db.eng.Exec("ROLLBACK", nil)
+	_, err := t.db.Exec("ROLLBACK", nil)
 	return err
 }
 

@@ -266,7 +266,7 @@ func decodeSnapshot(data []byte) (*Sharded, snapshotInfo, error) {
 	var tasks []entTask
 	sds := make([]shardDecode, info.shards)
 	for si := range sds {
-		sd, err := decodeShard(r, info.bits, info.m, narrow, &tasks)
+		sd, err := decodeShard(r, info.m, narrow, &tasks)
 		if err != nil {
 			return nil, info, err
 		}
@@ -295,10 +295,16 @@ func decodeSnapshot(data []byte) (*Sharded, snapshotInfo, error) {
 		arena = arena[n:]
 	}
 	runTasks(tasks, narrow)
+	// Only now, with the whole payload validated, does each shard allocate
+	// its eager partition-pointer tables: a damaged blob costs its walk.
 	gens := make([]*Index, len(sds))
 	for i, sd := range sds {
-		sd.x.installFlat(sd.flat, sd.count, sd.entries, sd.replicas)
-		gens[i] = sd.x
+		x, err := New(Options{Bits: info.bits, Levels: info.m})
+		if err != nil {
+			return nil, info, err
+		}
+		x.installFlat(sd.flat, sd.count, sd.entries, sd.replicas)
+		gens[i] = x
 	}
 	return newShardedFromGens(gens), info, nil
 }
@@ -372,19 +378,14 @@ func runTasks(tasks []entTask, narrow bool) {
 // arrays fill in parallel after the whole payload validates, and only
 // then does installFlat publish the flat form.
 type shardDecode struct {
-	x                        *Index
 	flat                     []flatLevel
 	count, entries, replicas int64
 }
 
 // decodeShard walks one shard's serialized form, validating all framing
 // and deferring the entry-array conversion into tasks.
-func decodeShard(r *snapReader, bits, m int, narrow bool, tasks *[]entTask) (shardDecode, error) {
+func decodeShard(r *snapReader, m int, narrow bool, tasks *[]entTask) (shardDecode, error) {
 	var sd shardDecode
-	x, err := New(Options{Bits: bits, Levels: m})
-	if err != nil {
-		return sd, err
-	}
 	count, entries, replicas := r.i64(), r.i64(), r.i64()
 	flat := make([]flatLevel, m+1)
 	var stored int64
@@ -405,7 +406,7 @@ func decodeShard(r *snapReader, bits, m int, narrow bool, tasks *[]entTask) (sha
 		return sd, fmt.Errorf("hint: snapshot shard counters inconsistent (stored=%d entries=%d count=%d replicas=%d)",
 			stored, entries, count, replicas)
 	}
-	return shardDecode{x: x, flat: flat, count: count, entries: entries, replicas: replicas}, nil
+	return shardDecode{flat: flat, count: count, entries: entries, replicas: replicas}, nil
 }
 
 // decodeFlatSub reconstructs one level+class, rebuilding the offset table
@@ -422,6 +423,10 @@ func decodeFlatSub(r *snapReader, fs *flatSub, P int64, narrow bool, tasks *[]en
 	}
 	if nparts < 1 || nparts > P || nparts > total {
 		return 0, fmt.Errorf("hint: snapshot class has %d nonempty partitions of %d", nparts, P)
+	}
+	if 8*nparts > int64(len(r.b)-r.pos) { // each table entry is 8 bytes
+		r.err = fmt.Errorf("hint: snapshot truncated in partition table")
+		return 0, r.err
 	}
 	fs.off = make([]int32, P+1)
 	fs.cnt = make([]int32, P)

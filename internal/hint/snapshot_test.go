@@ -1,8 +1,11 @@
 package hint
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ritree/internal/interval"
@@ -396,4 +399,69 @@ func TestSnapshotDropIndexRemovesBlob(t *testing.T) {
 	if _, found, _ := db.GetBlob("hintsnap.ev_iv"); found {
 		t.Fatal("DROP INDEX left the snapshot blob behind")
 	}
+}
+
+// TestSnapshotDamageAllocatesLittle: a blob whose checksum holds but
+// whose framing is bogus is refused before any shard allocates the eager
+// partition tables of the geometry it claims (2^23 pointers at m = 22).
+func TestSnapshotDamageAllocatesLittle(t *testing.T) {
+	s, _ := NewSharded(Options{Bits: 12, Levels: 10, Shards: 1})
+	if err := s.BulkLoad([]interval.Interval{interval.New(1, 5)}, []int64{1}); err != nil {
+		t.Fatal(err)
+	}
+	data, ok := encodeSnapshot(s, 0, 1, 42)
+	if !ok {
+		t.Fatal("encode refused")
+	}
+	bad := append([]byte(nil), data[:len(data)-4]...)
+	binary.LittleEndian.PutUint32(bad[8:], maxLevels)  // bits
+	binary.LittleEndian.PutUint32(bad[12:], maxLevels) // m
+	bad = binary.LittleEndian.AppendUint32(bad, crc32.ChecksumIEEE(bad))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := decodeSnapshot(bad)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 10-level shard decoded as a 22-level one")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("refusing it allocated %d bytes", n)
+	}
+}
+
+// FuzzDecodeSnapshot feeds arbitrary blobs to the HSNP decoder: every
+// defect must be an error, never a panic. Each input is decoded as given
+// (the CRC turns away almost every mutation) and again with its CRC
+// trailer recomputed, so the framing walk behind the checksum is fuzzed
+// too. The second pass skips geometries over m = 16 or 8 shards: their
+// eagerly allocated partition tables run to hundreds of MB, the real cost
+// of such an index rather than a decoder defect.
+func FuzzDecodeSnapshot(f *testing.F) {
+	for _, o := range []Options{{Bits: 10, Levels: 5, Shards: 2}, {Bits: 12, Levels: 6, Shards: 1}} {
+		s, err := NewSharded(o)
+		if err != nil {
+			f.Fatal(err)
+		}
+		ivs := []interval.Interval{interval.New(1, 5), interval.New(100, 300), interval.New(2, 900), interval.New(7, 7)}
+		if err := s.BulkLoad(ivs, []int64{1, 2, 3, 1 << 40}); err != nil {
+			f.Fatal(err)
+		}
+		data, ok := encodeSnapshot(s, -3, int64(len(ivs)), 42)
+		if !ok {
+			f.Fatal("encodeSnapshot refused an optimized index")
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _, _ = decodeSnapshot(data)
+		if len(data) < 24 {
+			return
+		}
+		if m, shards := binary.LittleEndian.Uint32(data[12:]), binary.LittleEndian.Uint32(data[16:]); m > 16 || shards > 8 {
+			return
+		}
+		fixed := append(data[:len(data)-4:len(data)-4], 0, 0, 0, 0)
+		binary.LittleEndian.PutUint32(fixed[len(fixed)-4:], crc32.ChecksumIEEE(fixed[:len(fixed)-4]))
+		_, _, _ = decodeSnapshot(fixed)
+	})
 }

@@ -237,7 +237,13 @@ func TestSnapshotReadersDoNotBlockWriters(t *testing.T) {
 					return
 				default:
 				}
+				// Acquire at a committed boundary, as the engine does: under
+				// the lock that serializes writers. A snapshot acquired
+				// between GetMut and CommitAsync would read the frame the
+				// writer is mutating.
+				mu.Lock()
 				snap, err := s.AcquireSnapshot()
+				mu.Unlock()
 				if err != nil {
 					t.Error(err)
 					return

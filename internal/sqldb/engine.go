@@ -95,13 +95,6 @@ type Engine struct {
 	// concatenation or registry map lookups. Atomic: observeStmt runs on
 	// reader goroutines without mu since cursors stopped holding it.
 	sqlMet atomic.Pointer[sqlMetrics]
-	// capStats/capPlan carry the cursor counters of the EXPLAIN ANALYZE
-	// currently executing under mu back to Exec's observation point
-	// (SELECT cursors observe themselves at Close). capPlan is a thunk so
-	// the per-operator tree is snapshotted only when slow-query capture
-	// actually fires.
-	capStats ExecStats
-	capPlan  func() PlanNodeStats
 	// mergeOff disables interval merge join planning (nested loops only):
 	// the benchmark/debug escape hatch. Zero value = merge join enabled.
 	// Guarded by mu.
@@ -182,8 +175,18 @@ func (e *Engine) Exec(sql string, binds map[string]interface{}) (*Result, error)
 	}
 	e.mu.Lock()
 	start := time.Now()
-	e.capStats, e.capPlan = ExecStats{}, nil
-	res, err := e.execStmt(st, sql, binds)
+	// An EXPLAIN ANALYZE hands back the counters of the cursor it ran
+	// (SELECT cursors observe themselves at Close).
+	var stats ExecStats
+	var plan func() PlanNodeStats
+	var res *Result
+	if ex, ok := st.(*ExplainStmt); ok && ex.Analyze {
+		var ps PlanNodeStats
+		res, stats, ps, err = e.explainAnalyze(ex.Query, sql, binds)
+		plan = func() PlanNodeStats { return ps }
+	} else {
+		res, err = e.execStmt(st, sql, binds)
+	}
 	txn := txnEffect(st, err)
 	var seq uint64
 	var cerr error
@@ -195,7 +198,7 @@ func (e *Engine) Exec(sql string, binds map[string]interface{}) (*Result, error)
 		seq, cerr = e.commitWriteLocked()
 	}
 	if err == nil {
-		e.observeStmt(sql, stmtKind(st), len(binds), time.Since(start), e.capStats, e.capPlan)
+		e.observeStmt(sql, stmtKind(st), len(binds), time.Since(start), stats, plan)
 	}
 	e.mu.Unlock()
 	if err == nil {
@@ -312,10 +315,7 @@ func (e *Engine) execStmt(st Statement, sql string, binds map[string]interface{}
 			return e.txnDelete(s, binds)
 		}
 		return e.execDelete(s, binds)
-	case *ExplainStmt:
-		if s.Analyze {
-			return e.explainAnalyze(s.Query, sql, binds)
-		}
+	case *ExplainStmt: // EXPLAIN ANALYZE runs from Exec
 		plan, err := e.explain(s.Query, binds)
 		if err != nil {
 			return nil, err
@@ -532,30 +532,29 @@ func (e *Engine) execDelete(s *DeleteStmt, binds map[string]interface{}) (*Resul
 // explainAnalyze really executes the query — through the same pipeline a
 // cursor would use, with per-operator timing enabled — and renders the
 // plan tree annotated with the measured counters. The query's rows are
-// discarded; the plan text is the result. Caller holds e.mu.
-func (e *Engine) explainAnalyze(s *SelectStmt, sql string, binds map[string]interface{}) (*Result, error) {
+// discarded; the plan text is the result, and the cursor's counters and
+// tree come back for the statement's observation. Caller holds e.mu.
+func (e *Engine) explainAnalyze(s *SelectStmt, sql string, binds map[string]interface{}) (*Result, ExecStats, PlanNodeStats, error) {
 	v, err := e.acquireViewLocked()
 	if err != nil {
-		return nil, err
+		return nil, ExecStats{}, PlanNodeStats{}, err
 	}
 	defer e.releaseView(v)
 	rows, err := e.buildRowsLocked(context.Background(), s, sql, binds, v)
 	if err != nil {
-		return nil, err
+		return nil, ExecStats{}, PlanNodeStats{}, err
 	}
 	rows.ec.timed = true
 	defer rows.Close()
 	for rows.Next() {
 	}
 	if err := rows.Err(); err != nil {
-		return nil, err
+		return nil, ExecStats{}, PlanNodeStats{}, err
 	}
 	ps := rows.PlanStats()
-	e.capStats, e.capPlan = rows.Stats(), func() PlanNodeStats { return ps }
-	plan := ps.Render()
+	header := "SELECT STATEMENT (ANALYZED)"
 	if rows.cachedPlan {
-		plan = strings.Replace(plan, "SELECT STATEMENT (ANALYZED)",
-			"SELECT STATEMENT (ANALYZED) (cached plan)", 1)
+		header += " (cached plan)"
 	}
-	return &Result{Plan: plan}, nil
+	return &Result{Plan: ps.render(header, true)}, rows.Stats(), ps, nil
 }

@@ -20,14 +20,13 @@ import (
 // materializing the full result, and a cancelled context surfaces
 // mid-scan as the cursor's error.
 
-// execCtx carries per-execution state shared by all nodes of one cursor.
-// stats is updated with atomic operations so Rows.Stats() can snapshot it
-// while another goroutine drives the cursor (see stats.go); timed enables
-// per-operator wall-clock collection (EXPLAIN ANALYZE only — time.Now
-// per row is the one instrumentation cost kept off the normal path).
+// execCtx carries per-execution state shared by all nodes of one cursor:
+// the context the leaf scans poll, and timed, which enables per-operator
+// wall-clock collection (EXPLAIN ANALYZE only — time.Now per row is the
+// one instrumentation cost kept off the normal path). The counters live
+// in each node's nodeStats (stats.go).
 type execCtx struct {
 	ctx   context.Context
-	stats cursorStats
 	timed bool
 }
 
@@ -61,6 +60,8 @@ type rowNode interface {
 	execNode
 	// Row returns the current output row, valid until the next Next call.
 	Row() []int64
+	// statsNode is the node's record in the plan tree.
+	statsNode() *nodeStats
 }
 
 // leafHit is one (rid, full base row) delivered by a leaf access path.
@@ -86,11 +87,6 @@ type srcScan struct {
 
 	rowBuf []int64 // GetRawInto buffer for rid-mapping access paths
 
-	// ec is the execution context of the open pipeline; scan runners use
-	// it to count leaf rows they consume without emitting (the Allen
-	// residual), keeping LeafRows an honest measure of scan work.
-	ec *execCtx
-
 	// ns is this scan's plan-tree stats record (nil-tolerant).
 	ns *nodeStats
 
@@ -101,7 +97,6 @@ type srcScan struct {
 
 func (s *srcScan) Open(ec *execCtx) error {
 	s.Close()
-	s.ec = ec
 	run, err := s.bind()
 	if err != nil {
 		return err
@@ -113,7 +108,6 @@ func (s *srcScan) Open(ec *execCtx) error {
 	case accessIndexRange, accessDomain:
 		// One probe per binding: the inner side of a nested-loops join
 		// probes its index once per outer row.
-		ec.stats.indexProbes.Add(1)
 		s.ns.addProbes(1)
 	}
 	scanErr := new(error)
@@ -144,7 +138,6 @@ func (s *srcScan) Next(ec *execCtx) (bool, error) {
 			s.Close()
 			return false, err
 		}
-		ec.stats.leafRows.Add(1)
 		s.ns.addLeafRows(1)
 		// The borrowed row slice is stable here: the producing scan is
 		// suspended inside its callback until the next pull.
@@ -161,7 +154,6 @@ func (s *srcScan) Next(ec *execCtx) (bool, error) {
 			s.ns.addRowsOut(1)
 			return true, nil
 		}
-		ec.stats.residualDrops.Add(1)
 		s.ns.addResidual(1)
 	}
 }
@@ -178,8 +170,6 @@ func (s *srcScan) Close() error {
 // emitting (the Allen exact-relation residual): it cost leaf-scan work,
 // so it counts as a leaf row and as a residual drop.
 func (s *srcScan) dropResidual() {
-	s.ec.stats.leafRows.Add(1)
-	s.ec.stats.residualDrops.Add(1)
 	s.ns.addLeafRows(1)
 	s.ns.addResidual(1)
 }
@@ -282,27 +272,23 @@ func (s *srcScan) bind() (scanRunner, error) {
 // joinNode drives the left-deep nested-loops join over the plan's
 // sources: advancing an outer source re-opens (rebinds) every source to
 // its right, exactly the correlation the recursive executor used to
-// express — but suspendable between rows.
+// express — but suspendable between rows. Its stats take EXPLAIN's
+// left-deep shape NL(NL(s0,s1),s2): nl[i] is the NESTED LOOPS node whose
+// inner side is source i (nl[0] is nil), counting the rebinds of source i
+// and the partial rows joined through it.
 type joinNode struct {
-	srcs  []execNode
+	srcs  []*srcScan
+	nl    []*nodeStats
 	depth int // deepest open source; -1 when exhausted or closed
-	ns    *nodeStats
 }
 
-// statsNode returns the plan-stats record representing this join: the
-// NESTED LOOPS node for a real join, or the lone scan's record when
-// there is only one source (matching EXPLAIN, which prints no join line
-// then).
+// statsNode returns the top NESTED LOOPS node, or the lone scan's record
+// when there is only one source (EXPLAIN prints no join line then).
 func (j *joinNode) statsNode() *nodeStats {
-	if j.ns != nil {
-		return j.ns
+	if last := len(j.srcs) - 1; last > 0 {
+		return j.nl[last]
 	}
-	if len(j.srcs) == 1 {
-		if sc, ok := j.srcs[0].(*srcScan); ok {
-			return sc.ns
-		}
-	}
-	return nil
+	return j.srcs[0].ns
 }
 
 func (j *joinNode) Open(ec *execCtx) error {
@@ -315,11 +301,11 @@ func (j *joinNode) Open(ec *execCtx) error {
 }
 
 func (j *joinNode) Next(ec *execCtx) (bool, error) {
+	last := len(j.srcs) - 1
 	if start := ec.startTimer(); !start.IsZero() {
-		defer j.ns.timeFrom(start)
+		defer j.nl[last].timeFrom(start)
 	}
 	i := j.depth
-	last := len(j.srcs) - 1
 	for i >= 0 {
 		ok, err := j.srcs[i].Next(ec)
 		if err != nil {
@@ -330,14 +316,13 @@ func (j *joinNode) Next(ec *execCtx) (bool, error) {
 			i--
 			continue
 		}
+		j.nl[i].addRowsOut(1)
 		if i == last {
 			j.depth = i
-			j.ns.addRowsOut(1)
 			return true, nil
 		}
 		i++
-		ec.stats.joinRebinds.Add(1)
-		j.ns.addRebinds(1)
+		j.nl[i].addRebinds(1)
 		if err := j.srcs[i].Open(ec); err != nil {
 			j.depth = i
 			return false, err
@@ -364,41 +349,40 @@ type joinExec interface {
 
 // newJoinOverPlan builds the scan+filter+join pipeline of a compiled
 // plan, returning the join node and the shared env / rids the scans
-// populate. The env carries the plan's bind tail, filled from this
-// execution's binds — the only per-execution state a (possibly cached)
-// plan needs. Every operator gets a nodeStats record labelled with its
-// EXPLAIN plan line, forming the tree EXPLAIN ANALYZE reports. Plans with
-// a mergeSpec execute as the interval merge join instead of nested loops.
-func newJoinOverPlan(p *selectPlan, binds map[string]interface{}) (joinExec, []int64, []rel.RowID, error) {
+// populate. The env's bind tail is the caller's to fill (fillBinds) — the
+// only per-execution state a (possibly cached) plan needs; EXPLAIN leaves
+// it empty, because it renders the tree without opening it. Every
+// operator gets a nodeStats record labelled with its plan line, forming
+// the tree EXPLAIN and EXPLAIN ANALYZE print. Plans with a mergeSpec
+// execute as the interval merge join instead of nested loops.
+func newJoinOverPlan(p *selectPlan) (joinExec, []int64, []rel.RowID) {
 	if p.merge != nil {
-		return newMergeJoinNode(p, binds)
+		return newMergeJoinNode(p)
 	}
 	env := make([]int64, p.envLen())
-	if err := p.fillBinds(env, binds); err != nil {
-		return nil, nil, nil, err
-	}
 	if p.count {
 		sp := p.sources[0]
 		ns := &nodeStats{labelFn: func() string { return indexCountLine(sp) }}
-		return &indexCountNode{sp: sp, env: env, ns: ns}, env, nil, nil
+		return &indexCountNode{sp: sp, env: env, ns: ns}, env, nil
 	}
 	rids := make([]rel.RowID, len(p.sources))
-	srcs := make([]execNode, len(p.sources))
-	scanStats := make([]*nodeStats, len(p.sources))
+	j := &joinNode{srcs: make([]*srcScan, len(p.sources)), nl: make([]*nodeStats, len(p.sources)), depth: -1}
 	for i, sp := range p.sources {
 		sc := &srcScan{sp: sp, idx: i, env: env, rids: rids,
 			ns: &nodeStats{labelFn: func() string { return accessLine(sp) }}}
 		if sp.kind != accessCollection && sp.tab != nil {
 			sc.rowBuf = make([]int64, sp.tab.Schema().NumCols())
 		}
-		srcs[i] = sc
-		scanStats[i] = sc.ns
+		j.srcs[i] = sc
+		if i > 0 {
+			outer := j.srcs[0].ns
+			if i > 1 {
+				outer = j.nl[i-1]
+			}
+			j.nl[i] = &nodeStats{label: "NESTED LOOPS", kind: kindNested, children: []*nodeStats{outer, sc.ns}}
+		}
 	}
-	j := &joinNode{srcs: srcs, depth: -1}
-	if len(srcs) > 1 {
-		j.ns = &nodeStats{label: "NESTED LOOPS", children: scanStats}
-	}
-	return j, env, rids, nil
+	return j, env, rids
 }
 
 // indexCountNode is the index-only COUNT(*) of a single source served by
@@ -427,7 +411,6 @@ func (n *indexCountNode) Count(ec *execCtx) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ec.stats.indexProbes.Add(1)
 	n.ns.addProbes(1)
 	c, err := n.sp.reader.Count(q)
 	if err != nil {
@@ -437,26 +420,42 @@ func (n *indexCountNode) Count(ec *execCtx) (int64, error) {
 	return c, nil
 }
 
-// projectNode computes the output row of one select block.
+// newBlockNode builds the pipeline of one block plan: its join under the
+// aggregation sink or the projection. fill fills the env's bind tail from
+// binds; EXPLAIN, which never opens the pipeline, does not.
+func newBlockNode(plan *selectPlan, binds map[string]interface{}, fill bool) (rowNode, error) {
+	join, env, _ := newJoinOverPlan(plan)
+	if fill {
+		if err := plan.fillBinds(env, binds); err != nil {
+			return nil, err
+		}
+	}
+	if len(plan.items) == 0 {
+		return &projectNode{joinExec: join, project: plan.project, env: env, out: make([]int64, len(plan.project))}, nil
+	}
+	n := &aggNode{join: join, env: env, keys: plan.groupBy, items: plan.items,
+		ns: &nodeStats{label: "AGGREGATE", children: []*nodeStats{join.statsNode()}}}
+	if len(plan.groupBy) > 0 {
+		n.ns.label, n.ns.kind = "HASH GROUP BY", kindGroup
+	}
+	if plan.count {
+		n.counter = join.(counterExec)
+	}
+	return n, nil
+}
+
+// projectNode computes the output row of one select block. It is a 1:1
+// pass-through with no plan line of its own: its input join stands for it
+// in the stats tree.
 type projectNode struct {
-	in      execNode
+	joinExec
 	project []evalFn
 	env     []int64
 	out     []int64
 }
 
-func newProjectOverPlan(p *selectPlan, binds map[string]interface{}) (rowNode, error) {
-	join, env, _, err := newJoinOverPlan(p, binds)
-	if err != nil {
-		return nil, err
-	}
-	return &projectNode{in: join, project: p.project, env: env, out: make([]int64, len(p.project))}, nil
-}
-
-func (n *projectNode) Open(ec *execCtx) error { return n.in.Open(ec) }
-
 func (n *projectNode) Next(ec *execCtx) (bool, error) {
-	ok, err := n.in.Next(ec)
+	ok, err := n.joinExec.Next(ec)
 	if !ok || err != nil {
 		return false, err
 	}
@@ -466,17 +465,7 @@ func (n *projectNode) Next(ec *execCtx) (bool, error) {
 	return true, nil
 }
 
-func (n *projectNode) Close() error { return n.in.Close() }
 func (n *projectNode) Row() []int64 { return n.out }
-
-// statsNode: projection is a 1:1 pass-through with no plan line of its
-// own; it is represented by its input join in the stats tree.
-func (n *projectNode) statsNode() *nodeStats {
-	if sn, ok := n.in.(interface{ statsNode() *nodeStats }); ok {
-		return sn.statsNode()
-	}
-	return nil
-}
 
 // concatNode streams its inputs in order — UNION ALL.
 type concatNode struct {
@@ -536,11 +525,16 @@ type sortKey struct {
 	desc bool
 }
 
-// sortNode is the ORDER BY sink — a pipeline breaker: it drains its
-// input on Open, sorts the materialized rows, and emits them in order.
+// sortNode is the ORDER BY sink — a pipeline breaker: Open drains its
+// input and orders the materialized rows, Next emits them. Unbounded, it
+// keeps every row and sorts stably. Bounded by ORDER BY + LIMIT k, it is
+// a top-k heap: a max-heap of the k best rows seen so far (root = the
+// worst survivor), which each input row either displaces or is dropped
+// against — O(n log k) with k rows retained.
 type sortNode struct {
 	in   rowNode
 	keys []sortKey
+	k    int64 // row bound; < 0: none
 	rows [][]int64
 	pos  int
 	ns   *nodeStats
@@ -548,11 +542,45 @@ type sortNode struct {
 
 func (n *sortNode) statsNode() *nodeStats { return n.ns }
 
+// less orders rows by the ORDER BY keys.
+func (n *sortNode) less(a, b []int64) bool {
+	for _, k := range n.keys {
+		if av, bv := a[k.idx], b[k.idx]; av != bv {
+			if k.desc {
+				return av > bv
+			}
+			return av < bv
+		}
+	}
+	return false
+}
+
+// siftDown restores the max-heap property at i over n.rows: every parent
+// sorts after (or equal to) its children, so rows[0] is the worst one.
+func (n *sortNode) siftDown(i int) {
+	for {
+		worst := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(n.rows) && n.less(n.rows[worst], n.rows[c]) {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		n.rows[i], n.rows[worst] = n.rows[worst], n.rows[i]
+		i = worst
+	}
+}
+
 func (n *sortNode) Open(ec *execCtx) error {
 	if start := ec.startTimer(); !start.IsZero() {
 		defer n.ns.timeFrom(start)
 	}
 	n.rows, n.pos = nil, 0
+	if n.k == 0 {
+		return nil // TOP-K 0: never open the input
+	}
 	if err := n.in.Open(ec); err != nil {
 		return err
 	}
@@ -564,26 +592,33 @@ func (n *sortNode) Open(ec *execCtx) error {
 		if !ok {
 			break
 		}
-		n.rows = append(n.rows, append([]int64(nil), n.in.Row()...))
+		row := n.in.Row()
+		switch {
+		case n.k < 0 || int64(len(n.rows)) < n.k:
+			n.rows = append(n.rows, append([]int64(nil), row...))
+			if int64(len(n.rows)) == n.k {
+				for i := len(n.rows)/2 - 1; i >= 0; i-- {
+					n.siftDown(i)
+				}
+			}
+		case n.less(row, n.rows[0]):
+			// The heap is full: a row survives only by beating the worst.
+			copy(n.rows[0], row)
+			n.siftDown(0)
+		}
 	}
 	_ = n.in.Close()
-	// The sort buffer is the pipeline's materialization cost: every
-	// buffered row is a spill row.
-	ec.stats.spillRows.Add(int64(len(n.rows)))
+	// The retained rows are the pipeline's materialization cost.
 	n.ns.addSpill(int64(len(n.rows)))
-	keys := n.keys
-	sort.SliceStable(n.rows, func(i, j int) bool {
-		for _, k := range keys {
-			a, b := n.rows[i][k.idx], n.rows[j][k.idx]
-			if a != b {
-				if k.desc {
-					return a > b
-				}
-				return a < b
-			}
-		}
-		return false
-	})
+	less := func(i, j int) bool { return n.less(n.rows[i], n.rows[j]) }
+	if n.k < 0 {
+		sort.SliceStable(n.rows, less)
+	} else {
+		// The heap shuffled input order, but ties already fought for
+		// survival through the same comparator, so a plain sort of the
+		// survivors is all the ordering the bounded sink promises.
+		sort.Slice(n.rows, less)
+	}
 	return nil
 }
 
@@ -630,9 +665,7 @@ func (n *distinctNode) Next(ec *execCtx) (bool, error) {
 		}
 		key := n.key[:0]
 		for _, v := range n.in.Row() {
-			u := uint64(v)
-			key = append(key, byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-				byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
+			key = appendKey(key, v)
 		}
 		n.key = key
 		// string(key) in the lookup does not allocate (map-access
@@ -644,6 +677,13 @@ func (n *distinctNode) Next(ec *execCtx) (bool, error) {
 		n.ns.addRowsOut(1)
 		return true, nil
 	}
+}
+
+// appendKey appends v's fixed-width encoding to a hash key.
+func appendKey(key []byte, v int64) []byte {
+	u := uint64(v)
+	return append(key, byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
+		byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
 }
 
 func (n *distinctNode) Close() error {
@@ -702,8 +742,8 @@ func drainPlan(plan *selectPlan, binds map[string]interface{}, emit func(env []i
 			panic(r)
 		}
 	}()
-	join, env, rids, err := newJoinOverPlan(plan, binds)
-	if err != nil {
+	join, env, rids := newJoinOverPlan(plan)
+	if err := plan.fillBinds(env, binds); err != nil {
 		return err
 	}
 	ec := &execCtx{ctx: context.Background()}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"regexp"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -304,5 +306,167 @@ func TestIndexOnlyCount(t *testing.T) {
 				t.Fatalf("EXPLAIN:\n%s", plan)
 			}
 		})
+	}
+}
+
+// planShapes are statements of every plan shape the executor builds, over
+// countEngine's tables a and b, with the binds they need.
+func planShapes() []struct {
+	name, sql string
+	binds     map[string]interface{}
+} {
+	fig9 := map[string]interface{}{
+		"leftnodes":  &sqldb.Transient{Cols: []string{"min", "max"}, Rows: [][]int64{{0, 20}, {40, 50}}},
+		"rightnodes": &sqldb.Transient{Cols: []string{"node"}, Rows: [][]int64{{30}, {31}}},
+		"lower":      int64(10), "upper": int64(40),
+	}
+	return []struct {
+		name, sql string
+		binds     map[string]interface{}
+	}{
+		{"domain index", "SELECT aid FROM a WHERE intersects(alo, ahi, :lo, :hi)", map[string]interface{}{"lo": 10, "hi": 30}},
+		{"figure 9", "SELECT a.aid FROM TABLE(:leftNodes) l, a WHERE a.alo BETWEEN l.min AND l.max AND a.ahi >= :lower " +
+			"UNION ALL SELECT a.aid FROM TABLE(:rightNodes) r, a WHERE a.alo = r.node AND a.ahi <= :upper", fig9},
+		{"three-source nested loops", "SELECT x.aid, z.aid FROM a x, b y, a z WHERE y.bid = x.aid + 1000 AND z.aid = x.aid", nil},
+		{"merge join", "SELECT x.aid, y.bid FROM a x, b y WHERE allen_overlaps(x.alo, x.ahi, y.blo, y.bhi)", nil},
+		{"counting merge join", "SELECT COUNT(*) FROM a x, b y WHERE intersects(x.alo, x.ahi, y.blo, y.bhi)", nil},
+		{"index-only count", "SELECT COUNT(*) FROM a WHERE intersects(alo, ahi, :lo, :hi)", map[string]interface{}{"lo": 10, "hi": 30}},
+		{"group by", "SELECT alo, count(*), max(ahi) FROM a GROUP BY alo", nil},
+		{"order by", "SELECT aid, alo FROM a ORDER BY alo DESC", nil},
+		{"top-k", "SELECT aid, alo FROM a ORDER BY 2, 1 LIMIT 5", nil},
+		{"distinct", "SELECT DISTINCT alo FROM a", nil},
+		{"limit 0", "SELECT aid FROM a LIMIT 0", nil},
+	}
+}
+
+// TestExplainMatchesAnalyze: EXPLAIN prints the tree of the pipeline a
+// cursor runs, so its lines are EXPLAIN ANALYZE's with the counters
+// stripped — for every plan shape, with ordered index feeds and with the
+// sort fallback.
+func TestExplainMatchesAnalyze(t *testing.T) {
+	counters := regexp.MustCompile(` \(rows=[^()]*\)$`)
+	for _, method := range []string{"hint", "ritree"} {
+		e := countEngine(t, method, 40)
+		e.MustExec("CREATE INDEX a_lohi ON a (alo, ahi)", nil)
+		for _, sh := range planShapes() {
+			plan, err := e.Exec("EXPLAIN "+sh.sql, sh.binds)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", method, sh.name, err)
+			}
+			analyzed, err := e.Exec("EXPLAIN ANALYZE "+sh.sql, sh.binds)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", method, sh.name, err)
+			}
+			want := strings.Split(strings.TrimSuffix(plan.Plan, "\n"), "\n")
+			got := strings.Split(strings.TrimSuffix(analyzed.Plan, "\n"), "\n")
+			if want[0] != "SELECT STATEMENT" || !strings.HasPrefix(got[0], "SELECT STATEMENT (ANALYZED)") {
+				t.Fatalf("%s/%s: headers %q / %q", method, sh.name, want[0], got[0])
+			}
+			for i := range got {
+				got[i] = counters.ReplaceAllString(got[i], "")
+			}
+			if !slices.Equal(want[1:], got[1:]) {
+				t.Fatalf("%s/%s: EXPLAIN\n%s\nis not EXPLAIN ANALYZE without counters\n%s", method, sh.name, plan.Plan, analyzed.Plan)
+			}
+		}
+	}
+	// The left-deep shape of three sources and the feeds of both methods.
+	for method, feed := range map[string]string{
+		"hint":   "ORDERED DOMAIN INDEX SCAN A_IV (LOWER)",
+		"ritree": "SORT BY LOWER (TABLE ACCESS FULL A)",
+	} {
+		e := countEngine(t, method, 10)
+		plan := e.MustExec("EXPLAIN "+planShapes()[3].sql, nil).Plan
+		if !strings.Contains(plan, "\n    "+feed+"\n") {
+			t.Fatalf("%s: merge feed %q missing:\n%s", method, feed, plan)
+		}
+		plan = e.MustExec("EXPLAIN "+planShapes()[2].sql, nil).Plan
+		if want := "SELECT STATEMENT\n  NESTED LOOPS\n    NESTED LOOPS\n      TABLE ACCESS FULL A\n      TABLE ACCESS FULL B\n    TABLE ACCESS FULL A\n"; plan != want {
+			t.Fatalf("three-source plan:\n%s\nwant\n%s", plan, want)
+		}
+	}
+}
+
+// foldPlan folds an executed plan tree the way ExecStats is defined: the
+// root's rows, sums of the other counts, the largest active-set peak, the
+// join strategy from the plan, the merge feeds' spills as sort rows and
+// the HASH GROUP BY rows as groups.
+func foldPlan(ps sqldb.PlanNodeStats) sqldb.ExecStats {
+	st := sqldb.ExecStats{RowsOut: ps.RowsOut}
+	var walk func(n sqldb.PlanNodeStats)
+	walk = func(n sqldb.PlanNodeStats) {
+		st.LeafRows += n.LeafRows
+		st.IndexProbes += n.Probes
+		st.JoinRebinds += n.Rebinds
+		st.ResidualDrops += n.Residual
+		st.SpillRows += n.Spill
+		st.SweepPairs += n.Pairs
+		st.SweepActivePeak = max(st.SweepActivePeak, n.ActivePeak)
+		switch {
+		case strings.HasPrefix(n.Label, "INTERVAL MERGE JOIN"):
+			st.JoinStrategy = "merge"
+			for _, c := range n.Children {
+				st.SweepSortRows += c.Spill
+			}
+		case n.Label == "NESTED LOOPS" && st.JoinStrategy == "":
+			st.JoinStrategy = "nested_loops"
+		case n.Label == "HASH GROUP BY":
+			st.GroupedRows += n.RowsOut
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(ps)
+	return st
+}
+
+// TestExecStatsIsPlanFold: Rows.Stats() is the fold of Rows.PlanStats(),
+// before the first row, mid-stream (read from a second goroutine while
+// the reading one waits) and after the last; and both may be read while
+// another goroutine drives the cursor.
+func TestExecStatsIsPlanFold(t *testing.T) {
+	for _, method := range []string{"hint", "ritree"} {
+		e := countEngine(t, method, 40)
+		e.MustExec("CREATE INDEX a_lohi ON a (alo, ahi)", nil)
+		for _, sh := range planShapes() {
+			rows, err := e.Query(context.Background(), sh.sql, sh.binds)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", method, sh.name, err)
+			}
+			check := func(when string) {
+				if st, fold := rows.Stats(), foldPlan(rows.PlanStats()); st != fold {
+					t.Errorf("%s/%s %s: Stats() = %+v, fold of PlanStats() = %+v", method, sh.name, when, st, fold)
+				}
+			}
+			check("before the first row")
+			paused, resume := make(chan struct{}), make(chan struct{})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				<-paused
+				check("mid-stream")
+				close(resume)
+				for i := 0; i < 100; i++ { // concurrent reads while Next runs
+					_, _ = rows.Stats(), rows.PlanStats()
+				}
+			}()
+			n := 0
+			for rows.Next() {
+				if n++; n == 2 {
+					close(paused)
+					<-resume
+				}
+			}
+			if n < 2 {
+				close(paused)
+				<-resume
+			}
+			<-done
+			if err := rows.Err(); err != nil {
+				t.Fatalf("%s/%s: %v", method, sh.name, err)
+			}
+			check("after the last row")
+		}
 	}
 }

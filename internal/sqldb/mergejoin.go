@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"ritree/internal/interval"
 	"ritree/internal/rel"
@@ -91,16 +92,18 @@ func (g *gaplessSet) size() int { return len(g.row) }
 // join binds no pairs, so it keeps the bounds only (w = 0: no rows, no
 // rids).
 type mjSide struct {
-	sp         *srcPlan
-	w          int
-	rows       []int64
-	rids       []rel.RowID
-	lo, hi     []int64
-	byHi       []int32
-	n          int
-	ordered    bool // this drain actually used the ordered feed
-	boundsOnly bool // ...and took the bounds from it, fetching no rows
-	ns         *nodeStats
+	sp     *srcPlan
+	w      int
+	rows   []int64
+	rids   []rel.RowID
+	lo, hi []int64
+	byHi   []int32
+	n      int
+	// unordered records that the side's ordered stream turned out not to
+	// be and the drain fell back to sorting. Atomic: the feed's plan line
+	// reads it, and PlanStats may run on another goroutine.
+	unordered atomic.Bool
+	ns        *nodeStats
 }
 
 func (s *mjSide) release() {
@@ -192,40 +195,38 @@ type mergeJoinNode struct {
 }
 
 // newMergeJoinNode builds the merge-join pipeline of a compiled plan.
-// The bind tail is filled up front: drainSide evaluates per-side filters
-// against n.env before the sweep starts, so bind slots must hold this
-// execution's values from the beginning.
-func newMergeJoinNode(p *selectPlan, binds map[string]interface{}) (*mergeJoinNode, []int64, []rel.RowID, error) {
+// The caller fills the bind tail before Open: drainSide evaluates
+// per-side filters against n.env before the sweep starts.
+func newMergeJoinNode(p *selectPlan) (*mergeJoinNode, []int64, []rel.RowID) {
 	n := &mergeJoinNode{
 		p:    p,
 		m:    p.merge,
 		env:  make([]int64, p.envLen()),
 		rids: make([]rel.RowID, len(p.sources)),
 	}
-	if err := p.fillBinds(n.env, binds); err != nil {
-		return nil, nil, nil, err
-	}
 	n.left.sp = p.sources[p.merge.left]
 	n.right.sp = p.sources[p.merge.right]
 	for _, side := range [2]*mjSide{&n.left, &n.right} {
 		s := side
-		side.ns = &nodeStats{labelFn: func() string { return mjFeedLabel(s) }}
+		side.ns = &nodeStats{labelFn: func() string { return s.feedLine(p.count) }}
 	}
 	n.ns = &nodeStats{
 		labelFn:  func() string { return mergeJoinLine(p) },
+		kind:     kindMerge,
 		children: []*nodeStats{n.left.ns, n.right.ns},
 	}
 	n.configure()
-	return n, n.env, n.rids, nil
+	return n, n.env, n.rids
 }
 
-// mjFeedLabel names a feed after the drain that actually ran (the sort
-// fallback engages dynamically when an ordered stream turns out not to
-// be): the flag is set by Open and survives Close, so EXPLAIN ANALYZE
-// renders what happened.
-func mjFeedLabel(s *mjSide) string {
-	if s.ordered {
-		return orderedFeedLine(s.sp.custom, s.boundsOnly)
+// feedLine names a feed: a zero-sort ordered stream off a start-sorted
+// domain index — bounds only when the join counts and the side has no
+// filter of its own — or an explicit sort over the source's ordinary
+// access path. It shows the planned feed until a drain falls back to the
+// sort; that fact survives Close, so EXPLAIN ANALYZE renders what ran.
+func (s *mjSide) feedLine(count bool) string {
+	if s.sp.custom != nil && !s.unordered.Load() {
+		return orderedFeedLine(s.sp.custom, count && len(s.sp.filters) == 0)
 	}
 	return "SORT BY LOWER (" + accessLine(s.sp) + ")"
 }
@@ -304,8 +305,8 @@ func (n *mergeJoinNode) Open(ec *execCtx) error {
 		defer n.ns.timeFrom(start)
 	}
 	n.reset()
-	n.left.ordered, n.right.ordered = false, false
-	n.left.boundsOnly, n.right.boundsOnly = false, false
+	n.left.unordered.Store(false)
+	n.right.unordered.Store(false)
 	if err := n.drainSide(ec, &n.left, true); err != nil {
 		return err
 	}
@@ -359,9 +360,7 @@ func (n *mergeJoinNode) drainSide(ec *execCtx, side *mjSide, subject bool) error
 	now := sp.now
 	var leaf, residual int64
 	defer func() {
-		ec.stats.leafRows.Add(leaf)
 		side.ns.addLeafRows(leaf)
-		ec.stats.residualDrops.Add(residual)
 		side.ns.addResidual(residual)
 		side.ns.addRowsOut(int64(side.n))
 	}()
@@ -413,7 +412,6 @@ func (n *mergeJoinNode) drainSide(ec *execCtx, side *mjSide, subject bool) error
 	}
 
 	if sp.reader != nil {
-		ec.stats.indexProbes.Add(1)
 		side.ns.addProbes(1)
 		boundsOnly := n.p.count && len(sp.filters) == 0
 		var buf []int64
@@ -446,11 +444,11 @@ func (n *mergeJoinNode) drainSide(ec *execCtx, side *mjSide, subject bool) error
 		if err != nil {
 			return err
 		}
-		side.ordered, side.boundsOnly = mono, mono && boundsOnly
 		if !mono {
 			// Defensive: an ordered stream that lied still joins correctly.
+			side.unordered.Store(true)
 			side.sortByLo()
-			n.countSort(ec, side)
+			side.ns.addSpill(int64(side.n))
 		}
 		return nil
 	}
@@ -483,23 +481,15 @@ func (n *mergeJoinNode) drainSide(ec *execCtx, side *mjSide, subject bool) error
 		}
 	}
 	side.sortByLo()
-	n.countSort(ec, side)
+	// The sorted rows are the feed's spill, and the cursor's sweep
+	// sort-rows (ExecStats folds a merge join's feed spills into them).
+	side.ns.addSpill(int64(side.n))
 	return nil
 }
 
-// countSort accounts an explicit sort of one feed: the sorted rows are
-// both sweep sort-rows (the join-level counter benches watch) and spills
-// of the feed node (the materialization EXPLAIN ANALYZE shows).
-func (n *mergeJoinNode) countSort(ec *execCtx, side *mjSide) {
-	ec.stats.spillRows.Add(int64(side.n))
-	ec.stats.sweepSortRows.Add(int64(side.n))
-	side.ns.addSpill(int64(side.n))
-}
-
-func (n *mergeJoinNode) notePeak(ec *execCtx) {
+func (n *mergeJoinNode) notePeak() {
 	if p := int64(n.activeL.size() + n.activeR.size()); p > n.peak {
 		n.peak = p
-		storeMax(&ec.stats.sweepActivePeak, p)
 		n.ns.setActive(p)
 	}
 }
@@ -520,7 +510,6 @@ func (n *mergeJoinNode) Next(ec *execCtx) (bool, error) {
 			if !ok {
 				n.scanning = false
 			} else {
-				ec.stats.sweepPairs.Add(1)
 				n.ns.addPairs(1)
 				n.bindPair(l, r)
 				pass := true
@@ -534,12 +523,11 @@ func (n *mergeJoinNode) Next(ec *execCtx) (bool, error) {
 					n.ns.addRowsOut(1)
 					return true, nil
 				}
-				ec.stats.residualDrops.Add(1)
 				n.ns.addResidual(1)
 				continue
 			}
 		}
-		if !n.advance(ec) {
+		if !n.advance() {
 			n.done = true
 			return false, nil
 		}
@@ -570,7 +558,7 @@ func (n *mergeJoinNode) Count(ec *execCtx) (int64, error) {
 		return 0, nil
 	}
 	var total int64
-	for scans := 0; n.advance(ec); scans++ {
+	for scans := 0; n.advance(); scans++ {
 		if scans&1023 == 0 {
 			if err := ctxErr(ec.ctx); err != nil {
 				return 0, err
@@ -579,7 +567,6 @@ func (n *mergeJoinNode) Count(ec *execCtx) (int64, error) {
 		total += n.countScan()
 	}
 	n.scanning, n.done = false, true
-	ec.stats.sweepPairs.Add(total)
 	n.ns.addPairs(total)
 	n.ns.addRowsOut(total)
 	return total, nil
@@ -659,7 +646,7 @@ func (n *mergeJoinNode) nextPair() (int32, int32, bool) {
 // ends (touching intervals are co-active in the closed model), left
 // starts before right starts (so equal-lower pairs emit exactly once, at
 // the right start).
-func (n *mergeJoinNode) advance(ec *execCtx) bool {
+func (n *mergeJoinNode) advance() bool {
 	switch n.mode {
 	case modeBefore:
 		return n.advanceBefore()
@@ -710,7 +697,7 @@ func (n *mergeJoinNode) advance(ec *execCtx) bool {
 			n.li++
 			if n.emitR {
 				n.activeL.add(r, L.lo[r], L.hi[r])
-				n.notePeak(ec)
+				n.notePeak()
 			}
 			if n.emitL && n.activeR.size() > 0 {
 				n.scanning, n.scanOnR = true, true
@@ -722,7 +709,7 @@ func (n *mergeJoinNode) advance(ec *execCtx) bool {
 			n.ri++
 			if n.emitL {
 				n.activeR.add(r, R.lo[r], R.hi[r])
-				n.notePeak(ec)
+				n.notePeak()
 			}
 			if n.emitR && n.activeL.size() > 0 {
 				n.scanning, n.scanOnR = true, false

@@ -9,12 +9,11 @@ import "container/list"
 // bind *values* can be planned once and re-instantiated per execution.
 //
 // Eligibility is syntactic (stmtCacheable): no union block may have a
-// GROUP BY or a TABLE(:name) transient source. Grouped blocks compile
-// per-execution aggregate state into the plan, and transient sources
-// resolve a bind-supplied relation at plan time; both would leak one
-// execution's state into the next. Ungrouped aggregates are cacheable:
-// their plan holds only compiled item templates and the plan-time
-// counting decision, and each execution builds fresh accumulators.
+// TABLE(:name) transient source, which resolves a bind-supplied relation
+// at plan time and would leak one execution's state into the next.
+// Aggregating blocks, grouped or not, are cacheable: their plan holds
+// only compiled key and item templates and the plan-time counting
+// decision, and each execution builds fresh accumulators.
 //
 // Cached entries hold live storage handles (*rel.Table, *rel.Index,
 // Index). DML never invalidates those — tables are stable objects
@@ -132,9 +131,6 @@ func clonePlan(p *selectPlan) *selectPlan {
 // execution-independent plan (see the package comment above).
 func stmtCacheable(s *SelectStmt) bool {
 	for blk := s; blk != nil; blk = blk.Union {
-		if len(blk.GroupBy) > 0 {
-			return false
-		}
 		for _, ref := range blk.From {
 			if ref.Collection != "" {
 				return false

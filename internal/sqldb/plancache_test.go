@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -97,9 +98,8 @@ func TestPlanCacheDisableAndResize(t *testing.T) {
 func TestPlanCacheIneligibleStatements(t *testing.T) {
 	e := planCacheEngine(t)
 	h0, m0, _, n0 := e.PlanCacheStats()
-	// GROUP BY and transient sources are not cacheable and must not touch
-	// the counters either.
-	mustExec(t, e, "SELECT k, count(*) FROM t GROUP BY k", nil)
+	// Transient sources are not cacheable and must not touch the counters
+	// either.
 	mustExec(t, e, "SELECT count(*) FROM TABLE(:ks) g, t WHERE t.k = g.k",
 		map[string]interface{}{"ks": &Transient{Cols: []string{"k"}, Rows: [][]int64{{1}}}})
 	h1, m1, _, n1 := e.PlanCacheStats()
@@ -190,5 +190,34 @@ func TestPlanCacheUngroupedAggregate(t *testing.T) {
 	r := mustExec(t, e, "EXPLAIN ANALYZE "+q, nil)
 	if !strings.Contains(r.Plan, "(cached plan)") || !strings.Contains(r.Plan, "INTERVAL MERGE JOIN COUNT (INTERSECTS)") {
 		t.Fatalf("cached counting plan not shown:\n%s", r.Plan)
+	}
+}
+
+func TestPlanCacheGroupBy(t *testing.T) {
+	// A GROUP BY plan holds only key and item templates, so it is cached:
+	// the second run is a hit with identical groups, and DDL purges it.
+	e := planCacheEngine(t)
+	q := "SELECT k, count(*), sum(v), min(v) FROM t WHERE v >= :min GROUP BY k ORDER BY 1"
+	binds := map[string]interface{}{"min": 12}
+	r1 := mustExec(t, e, q, binds)
+	h1, m1, _, _ := e.PlanCacheStats()
+	r2 := mustExec(t, e, q, binds)
+	h2, m2, _, _ := e.PlanCacheStats()
+	if h2 != h1+1 || m2 != m1 {
+		t.Fatalf("second GROUP BY run: hits %d->%d misses %d->%d, want a hit", h1, h2, m1, m2)
+	}
+	if len(r1.Rows) != 10 || !reflect.DeepEqual(r1.Rows, r2.Rows) {
+		t.Fatalf("cached groups differ:\n%v\n%v", r1.Rows, r2.Rows)
+	}
+	mustExec(t, e, "CREATE TABLE u (a int)", nil)
+	if _, _, _, n := e.PlanCacheStats(); n != 0 {
+		t.Fatalf("DDL did not purge the cache: %d entries", n)
+	}
+	r3 := mustExec(t, e, q, binds)
+	if _, m3, _, _ := e.PlanCacheStats(); m3 != m2+1 {
+		t.Fatalf("run after DDL: misses %d->%d, want a re-plan", m2, m3)
+	}
+	if !reflect.DeepEqual(r1.Rows, r3.Rows) {
+		t.Fatalf("re-planned groups differ:\n%v\n%v", r1.Rows, r3.Rows)
 	}
 }

@@ -35,7 +35,8 @@ type Rows struct {
 	err    error
 	opened bool
 	closed bool
-	// planRoot is the root of the per-operator stats tree (PlanStats).
+	// planRoot is the root of the per-operator stats tree: the one set of
+	// counters behind Stats and PlanStats.
 	planRoot *nodeStats
 	// cachedPlan records that this cursor executes a plan-cache hit (an
 	// EXPLAIN ANALYZE annotation and a driver-visible fact).
@@ -66,7 +67,6 @@ func (r *Rows) Next() bool {
 		_ = r.Close()
 		return false
 	}
-	r.ec.stats.rowsOut.Add(1)
 	return true
 }
 
@@ -115,20 +115,15 @@ func (r *Rows) Scan(dest ...*int64) error {
 // context surfaces here as its context error.
 func (r *Rows) Err() error { return r.err }
 
-// Stats returns the work counters of this cursor (see ExecStats). The
-// counters are maintained atomically, so Stats may be called from a
-// different goroutine than the one driving Next.
-func (r *Rows) Stats() ExecStats { return r.ec.stats.snapshot() }
+// Stats returns the work counters of this cursor (see ExecStats): the
+// fold of its plan tree. The counters are maintained atomically, so Stats
+// may be called from a different goroutine than the one driving Next.
+func (r *Rows) Stats() ExecStats { return r.planRoot.execStats() }
 
 // PlanStats returns the executed plan tree with per-operator counters —
 // the data behind EXPLAIN ANALYZE. Wall times are populated only when
 // the statement ran as EXPLAIN ANALYZE; the counters are always live.
-func (r *Rows) PlanStats() PlanNodeStats {
-	if r.planRoot == nil {
-		return PlanNodeStats{}
-	}
-	return snapshotNode(r.planRoot)
-}
+func (r *Rows) PlanStats() PlanNodeStats { return snapshotNode(r.planRoot) }
 
 // Close stops the pipeline — terminating any suspended access-method
 // scans — and releases the locks the cursor holds. Idempotent.
@@ -189,7 +184,7 @@ func (e *Engine) querySelect(ctx context.Context, sel *SelectStmt, sql string, b
 	start := time.Now()
 	nbinds := len(binds)
 	rows.onClose(func() {
-		e.observeStmt(sql, "select", nbinds, time.Since(start), rows.ec.stats.snapshot(), rows.PlanStats)
+		e.observeStmt(sql, "select", nbinds, time.Since(start), rows.Stats(), rows.PlanStats)
 	})
 	e.mu.Unlock()
 	return rows, nil
@@ -198,7 +193,8 @@ func (e *Engine) querySelect(ctx context.Context, sel *SelectStmt, sql string, b
 // buildRowsLocked compiles the union chain of s into a streaming
 // pipeline whose every plan is bound onto the view's snapshot handles.
 // Caller holds e.mu; the returned cursor releases nothing on Close unless
-// closers are registered.
+// closers are registered. A nil view builds the pipeline unbound, for
+// EXPLAIN to render and never open.
 //
 // sqlText keys the plan cache: eligible statements (stmtCacheable) reuse
 // their compiled per-block plans across executions, always through a
@@ -220,89 +216,52 @@ func (e *Engine) buildRowsLocked(ctx context.Context, s *SelectStmt, sqlText str
 		}
 	}
 	var templates []*selectPlan
-	blockIdx := 0
-	// nextPlan supplies one plain block's executable plan: a clone of the
-	// cached template on a hit, a fresh compilation (with a pristine clone
-	// recorded for the cache) otherwise.
-	nextPlan := func(blk *SelectStmt) (*selectPlan, error) {
-		defer func() { blockIdx++ }()
-		if cacheHit {
-			return clonePlan(cached[blockIdx]), nil
-		}
-		planBlock := e.planSelect
-		if isAggregate(blk) {
-			planBlock = e.planAggregate
-		}
-		plan, err := planBlock(blk, binds)
-		if err != nil {
-			return nil, err
-		}
-		if cacheKey != "" {
-			templates = append(templates, clonePlan(plan))
-		}
-		return plan, nil
-	}
 	var branches []rowNode
 	var cols []string
-	strategy := ""
-	// noteStrategy folds one block's plan into the cursor-level join
-	// strategy: merge wins over nested loops, which wins over none.
-	noteStrategy := func(plan *selectPlan) {
-		if plan.merge != nil {
-			strategy = "merge"
-		} else if len(plan.sources) > 1 && strategy != "merge" {
-			strategy = "nested_loops"
-		}
-	}
-	for blk := s; blk != nil; blk = blk.Union {
-		var bn rowNode
-		var bcols []string
-		if len(blk.GroupBy) > 0 {
-			gn, gcols, plan, err := e.buildGroupBy(blk, binds, v)
-			if err != nil {
-				return nil, err
-			}
-			bn, bcols = gn, gcols
-			noteStrategy(plan)
+	for blk, i := s, 0; blk != nil; blk, i = blk.Union, i+1 {
+		// One block's executable plan: a clone of the cached template on a
+		// hit, a fresh compilation (with a pristine clone recorded for the
+		// cache) otherwise.
+		var plan *selectPlan
+		if cacheHit {
+			plan = clonePlan(cached[i])
 		} else {
-			plan, err := nextPlan(blk)
-			if err != nil {
+			planBlock := e.planSelect
+			if len(blk.GroupBy) > 0 || isAggregate(blk) {
+				planBlock = e.planAggregate
+			}
+			var err error
+			if plan, err = planBlock(blk, binds); err != nil {
 				return nil, err
 			}
+			if cacheKey != "" {
+				templates = append(templates, clonePlan(plan))
+			}
+		}
+		if v != nil {
 			if err := bindPlan(plan, &v.readState); err != nil {
 				return nil, err
 			}
-			if len(plan.aggs) > 0 {
-				bn, err = newAggregateNode(plan, binds)
-			} else {
-				bn, err = newProjectOverPlan(plan, binds)
-			}
-			if err != nil {
-				return nil, err
-			}
-			bcols = plan.outCols
-			noteStrategy(plan)
+		}
+		bn, err := newBlockNode(plan, binds, v != nil)
+		if err != nil {
+			return nil, err
 		}
 		if blk.Distinct {
 			bn = &distinctNode{in: bn, ns: statsOver("DISTINCT", bn)}
 		}
 		if cols == nil {
-			cols = bcols
-		} else if len(cols) != len(bcols) {
-			return nil, fmt.Errorf("sql: UNION ALL branches project %d vs %d columns", len(cols), len(bcols))
+			cols = plan.outCols
+		} else if len(cols) != len(plan.outCols) {
+			return nil, fmt.Errorf("sql: UNION ALL branches project %d vs %d columns", len(cols), len(plan.outCols))
 		}
 		branches = append(branches, bn)
 	}
-	var root rowNode
-	if len(branches) == 1 {
-		root = branches[0]
-	} else {
-		cn := &concatNode{ins: branches}
-		cn.ns = &nodeStats{label: "UNION-ALL"}
+	root := branches[0]
+	if len(branches) > 1 {
+		cn := &concatNode{ins: branches, ns: &nodeStats{label: "UNION-ALL"}}
 		for _, b := range branches {
-			if child := statsNodeOf(b); child != nil {
-				cn.ns.children = append(cn.ns.children, child)
-			}
+			cn.ns.children = append(cn.ns.children, b.statsNode())
 		}
 		root = cn
 	}
@@ -322,20 +281,16 @@ func (e *Engine) buildRowsLocked(ctx context.Context, s *SelectStmt, sqlText str
 		if err != nil {
 			return nil, err
 		}
-		if limit >= 0 {
-			// ORDER BY + LIMIT k fuse into a bounded top-k heap: O(n log k)
-			// and k retained rows instead of a full sort feeding a limit.
-			k := limit
-			ns := statsOver("", root)
-			ns.labelFn = func() string { return fmt.Sprintf("SORT TOP-K %d", k) }
-			root = &topKNode{in: root, keys: keys, k: k, ns: ns}
+		// ORDER BY + LIMIT k fuse into one bounded sort: O(n log k) and k
+		// retained rows instead of a full sort feeding a limit.
+		sn := &sortNode{in: root, keys: keys, k: limit, ns: statsOver("SORT ORDER BY", root)}
+		if k := limit; k >= 0 {
+			sn.ns.labelFn = func() string { return fmt.Sprintf("SORT TOP-K %d", k) }
 			limit = -1
-		} else {
-			root = &sortNode{in: root, keys: keys, ns: statsOver("SORT ORDER BY", root)}
 		}
+		root = sn
 	}
-	if limit >= 0 {
-		n := limit
+	if n := limit; n >= 0 {
 		ns := statsOver("", root)
 		ns.labelFn = func() string { return fmt.Sprintf("LIMIT %d", n) }
 		root = &limitNode{in: root, n: n, ns: ns}
@@ -347,26 +302,22 @@ func (e *Engine) buildRowsLocked(ctx context.Context, s *SelectStmt, sqlText str
 			}
 		}
 	}
-	ec := &execCtx{ctx: ctx}
-	ec.stats.joinStrategy = strategy
-	return &Rows{root: root, ec: ec, cols: cols, planRoot: statsNodeOf(root), cachedPlan: cacheHit}, nil
+	return &Rows{root: root, ec: &execCtx{ctx: ctx}, cols: cols, planRoot: root.statsNode(), cachedPlan: cacheHit}, nil
 }
 
-// statsNodeOf extracts the plan-stats record of a node (nil when it has
-// none — e.g. a bare projection delegates to its join).
-func statsNodeOf(n rowNode) *nodeStats {
-	if sn, ok := n.(interface{ statsNode() *nodeStats }); ok {
-		return sn.statsNode()
+// explain renders the Figure 10-style execution plan of a SELECT: the
+// node tree of the very pipeline a cursor would run, built unbound and
+// never opened — EXPLAIN ANALYZE's tree without its counters.
+func (e *Engine) explain(s *SelectStmt, binds map[string]interface{}) (string, error) {
+	rows, err := e.buildRowsLocked(context.Background(), s, "", binds, nil)
+	if err != nil {
+		return "", err
 	}
-	return nil
+	return rows.PlanStats().render("SELECT STATEMENT", false), nil
 }
 
 // statsOver builds a stats record labelled label whose child is in's
 // record.
 func statsOver(label string, in rowNode) *nodeStats {
-	ns := &nodeStats{label: label}
-	if child := statsNodeOf(in); child != nil {
-		ns.children = []*nodeStats{child}
-	}
-	return ns
+	return &nodeStats{label: label, children: []*nodeStats{in.statsNode()}}
 }

@@ -102,14 +102,16 @@ type selectPlan struct {
 	bindSlots map[string]int
 	nowSlots  map[int]int
 
-	// aggs are the compiled items of an ungrouped aggregating block (see
-	// planAggregate): templates that each execution copies into fresh
-	// accumulators. count marks a block whose lone COUNT(*) needs no row
-	// at all — a merge join without post filters counts its sweep, a lone
-	// domain-index source without filters calls Reader.Count. Both are
-	// decided at plan time, so a cached plan keeps them.
-	aggs  []*aggState
-	count bool
+	// An aggregating block (planAggregate) has its compiled GROUP BY keys
+	// — none for an ungrouped aggregate — and one item per output column:
+	// templates that each execution copies into fresh accumulators. count
+	// marks a block whose lone COUNT(*) needs no row at all — a merge join
+	// without post filters counts its sweep, a lone domain-index source
+	// without filters calls Reader.Count. All are decided at plan time, so
+	// a cached plan keeps them.
+	groupBy []evalFn
+	items   []aggItem
+	count   bool
 }
 
 // bindSlot returns the absolute env position of bind :name, allocating a
@@ -230,7 +232,7 @@ func (e *Engine) planSelect(s *SelectStmt, binds map[string]interface{}) (*selec
 		split(s.Where)
 	}
 	for _, c := range conjuncts {
-		m, err := p.maxSource(c.ex)
+		_, m, err := p.sourcesOf(c.ex)
 		if err != nil {
 			return nil, err
 		}
@@ -376,11 +378,13 @@ func (p *selectPlan) detectMergeJoin(conjuncts []*conjunct) error {
 	return nil
 }
 
-// sourceMask returns a bitmask of the source indexes ex references.
-func (p *selectPlan) sourceMask(ex Expr) (uint, error) {
-	var mask uint
+// sourcesOf walks ex for the sources it references: a bitmask of their
+// indexes (of the first 64) and the highest one (-1 if none).
+func (p *selectPlan) sourcesOf(ex Expr) (mask uint64, last int, err error) {
+	last = -1
 	var walk func(Expr) error
 	walk = func(ex Expr) error {
+		var subs []Expr
 		switch x := ex.(type) {
 		case *ColumnExpr:
 			si, _, err := p.resolve(x)
@@ -388,32 +392,27 @@ func (p *selectPlan) sourceMask(ex Expr) (uint, error) {
 				return err
 			}
 			mask |= 1 << uint(si)
+			last = max(last, si)
 		case *UnaryExpr:
-			return walk(x.X)
+			subs = []Expr{x.X}
 		case *BinaryExpr:
-			if err := walk(x.L); err != nil {
-				return err
-			}
-			return walk(x.R)
+			subs = []Expr{x.L, x.R}
 		case *BetweenExpr:
-			for _, sub := range []Expr{x.X, x.Lo, x.Hi} {
-				if err := walk(sub); err != nil {
-					return err
-				}
-			}
+			subs = []Expr{x.X, x.Lo, x.Hi}
 		case *CallExpr:
-			for _, a := range x.Args {
-				if err := walk(a); err != nil {
-					return err
-				}
+			subs = x.Args
+		}
+		for _, sub := range subs {
+			if err := walk(sub); err != nil {
+				return err
 			}
 		}
 		return nil
 	}
 	if err := walk(ex); err != nil {
-		return 0, err
+		return 0, -1, err
 	}
-	return mask, nil
+	return mask, last, nil
 }
 
 // attachMergeFilters distributes the non-linking conjuncts of a merge
@@ -427,7 +426,7 @@ func (p *selectPlan) attachMergeFilters(conjuncts []*conjunct) error {
 		if c.used {
 			continue
 		}
-		mask, err := p.sourceMask(c.ex)
+		mask, _, err := p.sourcesOf(c.ex)
 		if err != nil {
 			return err
 		}
@@ -453,48 +452,6 @@ func (p *selectPlan) attachMergeFilters(conjuncts []*conjunct) error {
 		}
 	}
 	return nil
-}
-
-// maxSource returns the highest source index referenced by ex (-1 if none).
-func (p *selectPlan) maxSource(ex Expr) (int, error) {
-	max := -1
-	var walk func(Expr) error
-	walk = func(ex Expr) error {
-		switch x := ex.(type) {
-		case *ColumnExpr:
-			si, _, err := p.resolve(x)
-			if err != nil {
-				return err
-			}
-			if si > max {
-				max = si
-			}
-		case *UnaryExpr:
-			return walk(x.X)
-		case *BinaryExpr:
-			if err := walk(x.L); err != nil {
-				return err
-			}
-			return walk(x.R)
-		case *BetweenExpr:
-			for _, sub := range []Expr{x.X, x.Lo, x.Hi} {
-				if err := walk(sub); err != nil {
-					return err
-				}
-			}
-		case *CallExpr:
-			for _, a := range x.Args {
-				if err := walk(a); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := walk(ex); err != nil {
-		return -1, err
-	}
-	return max, nil
 }
 
 // resolve maps a column reference to (source index, env slot).
@@ -686,7 +643,7 @@ func b2i(b bool) int64 {
 func (p *selectPlan) sargable(c *conjunct, si int, col string) (string, Expr, Expr, bool) {
 	colMatches := func(ex Expr) bool { return p.isColumn(ex, si, col) }
 	evaluableBefore := func(ex Expr) bool {
-		m, err := p.maxSource(ex)
+		_, m, err := p.sourcesOf(ex)
 		return err == nil && m < si
 	}
 	switch x := c.ex.(type) {
@@ -734,7 +691,7 @@ func (p *selectPlan) domainMatch(c *conjunct, sp *srcPlan, si int) (*intervalOp,
 		return nil, nil
 	}
 	for _, a := range call.Args[2:] {
-		if m, err := p.maxSource(a); err != nil || m >= si {
+		if _, m, err := p.sourcesOf(a); err != nil || m >= si {
 			return nil, nil
 		}
 	}
@@ -949,112 +906,6 @@ func sortKeys(items []OrderItem, cols []string) ([]sortKey, error) {
 		}
 	}
 	return keys, nil
-}
-
-// explain renders the Figure 10-style execution plan of a SELECT,
-// including the streaming pipeline's explicit sinks (SORT, DISTINCT,
-// LIMIT) above the per-block join trees.
-func (e *Engine) explain(s *SelectStmt, binds map[string]interface{}) (string, error) {
-	var sb strings.Builder
-	sb.WriteString("SELECT STATEMENT\n")
-	indent := 1
-	switch {
-	case s.Limit != nil && len(s.OrderBy) > 0:
-		// ORDER BY + LIMIT k execute as one fused top-k heap sink.
-		n, err := evalConst(s.Limit, binds)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&sb, "%sSORT TOP-K %d\n", strings.Repeat("  ", indent), n)
-		indent++
-	case s.Limit != nil:
-		n, err := evalConst(s.Limit, binds)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&sb, "%sLIMIT %d\n", strings.Repeat("  ", indent), n)
-		indent++
-	case len(s.OrderBy) > 0:
-		sb.WriteString(strings.Repeat("  ", indent) + "SORT ORDER BY\n")
-		indent++
-	}
-	if s.Union != nil {
-		sb.WriteString(strings.Repeat("  ", indent) + "UNION-ALL\n")
-		indent++
-	}
-	for blk := s; blk != nil; blk = blk.Union {
-		bi := indent
-		if blk.Distinct {
-			sb.WriteString(strings.Repeat("  ", bi) + "DISTINCT\n")
-			bi++
-		}
-		if len(blk.GroupBy) > 0 || isAggregate(blk) {
-			// Grouped and aggregating blocks plan their FROM/WHERE as a
-			// SELECT * input under the aggregation sink, exactly as
-			// execution does.
-			var plan *selectPlan
-			var err error
-			sink := "AGGREGATE"
-			if len(blk.GroupBy) > 0 {
-				sink = "HASH GROUP BY"
-				plan, err = e.planInput(blk, binds)
-			} else {
-				plan, err = e.planAggregate(blk, binds)
-			}
-			if err != nil {
-				return "", err
-			}
-			sb.WriteString(strings.Repeat("  ", bi) + sink + "\n")
-			printJoin(&sb, plan, bi+1)
-			continue
-		}
-		plan, err := e.planSelect(blk, binds)
-		if err != nil {
-			return "", err
-		}
-		printJoin(&sb, plan, bi)
-	}
-	return sb.String(), nil
-}
-
-// printJoin renders a block's join tree: the interval merge join with its
-// two ordered feeds, an index-only count, or the left-deep nested-loop
-// tree NL(NL(s0,s1),s2).
-func printJoin(sb *strings.Builder, p *selectPlan, indent int) {
-	switch {
-	case p.merge != nil:
-		sb.WriteString(strings.Repeat("  ", indent) + mergeJoinLine(p) + "\n")
-		pad := strings.Repeat("  ", indent+1)
-		sb.WriteString(pad + mergeFeedLine(p.sources[p.merge.left], p.count) + "\n")
-		sb.WriteString(pad + mergeFeedLine(p.sources[p.merge.right], p.count) + "\n")
-	case p.count:
-		sb.WriteString(strings.Repeat("  ", indent) + indexCountLine(p.sources[0]) + "\n")
-	default:
-		printNested(sb, p.sources, indent)
-	}
-}
-
-// printNested renders the left-deep nested-loop tree NL(NL(s0,s1),s2)...
-func printNested(sb *strings.Builder, sources []*srcPlan, indent int) {
-	pad := strings.Repeat("  ", indent)
-	if len(sources) == 1 {
-		sb.WriteString(pad + accessLine(sources[0]) + "\n")
-		return
-	}
-	sb.WriteString(pad + "NESTED LOOPS\n")
-	printNested(sb, sources[:len(sources)-1], indent+1)
-	sb.WriteString(strings.Repeat("  ", indent+1) + accessLine(sources[len(sources)-1]) + "\n")
-}
-
-// mergeFeedLine names one merge-join feed: a zero-sort ordered stream off
-// a start-sorted domain index — bounds only when the join counts and the
-// side has no filter of its own — or an explicit sort over the source's
-// ordinary access path.
-func mergeFeedLine(sp *srcPlan, count bool) string {
-	if sp.custom != nil {
-		return orderedFeedLine(sp.custom, count && len(sp.filters) == 0)
-	}
-	return "SORT BY LOWER (" + accessLine(sp) + ")"
 }
 
 // indexCountLine names an index-only COUNT(*) of a domain-index operator.

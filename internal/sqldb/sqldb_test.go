@@ -355,3 +355,36 @@ func TestCommentsAndCase(t *testing.T) {
 		t.Fatalf("rows = %v", r.Rows)
 	}
 }
+
+// FuzzParse feeds arbitrary text to the lexer and parser: both must
+// answer with a statement or an error, never a panic.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"CREATE TABLE t (a int, b int)",
+		"CREATE INDEX tk ON t (k, v)",
+		"CREATE INDEX iv ON t (lo, hi) INDEXTYPE IS ritree",
+		"CREATE COLLECTION c USING hint WITH (bits = 20, levels = 10)",
+		"DROP COLLECTION c",
+		"DROP INDEX t_a",
+		"DROP TABLE t",
+		"INSERT INTO t VALUES (:lo, -:hi, 3 * (2 + 1))",
+		"DELETE FROM t WHERE a < 5 AND NOT b = 2",
+		"BEGIN", "COMMIT", "ROLLBACK",
+		"SELECT * FROM t WHERE a BETWEEN 1 AND 10 OR a NOT BETWEEN :x AND :y",
+		"SELECT DISTINCT x.a, y.* FROM t x, u y WHERE x.a = y.a ORDER BY 1 DESC, a LIMIT :n",
+		"SELECT id FROM iv WHERE intersects(lower, upper, :a, :b) LIMIT 10",
+		"SELECT count(*) FROM a x, b y WHERE allen_overlaps(x.lo, x.hi, y.lo, y.hi)",
+		"SELECT grp, count(*), sum(v), min(v), max(v) AS m FROM g GROUP BY grp ORDER BY 1",
+		"SELECT id FROM t, TABLE(:leftNodes) l WHERE t.node BETWEEN l.min AND l.max UNION ALL SELECT id FROM t WHERE contains_point(lo, hi, :p)",
+		"EXPLAIN SELECT a FROM t WHERE a = :x",
+		"EXPLAIN ANALYZE SELECT a/0 FROM t",
+		"SELECT a FROM t WHERE a ===",
+		"SELECT 'str' FROM t",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		_, _ = Parse(src)
+		_, _ = BindNames(src)
+	})
+}

@@ -7,65 +7,18 @@ import (
 	"time"
 )
 
-// Cursor- and operator-level execution statistics. Two granularities
-// share the same atomic counters:
-//
-//   - cursorStats aggregates over the whole cursor and backs Rows.Stats()
-//     — counters are atomic because Stats() is explicitly allowed while
-//     another goroutine drives Next (the torn-read fix).
-//   - nodeStats hangs one record off every operator of the pipeline and
-//     backs EXPLAIN ANALYZE / Rows.PlanStats().
+// Execution statistics. Every operator of the pipeline carries one
+// nodeStats record, and the records form the plan tree EXPLAIN prints.
+// That tree is the only set of counters: EXPLAIN ANALYZE and
+// Rows.PlanStats() snapshot it, and Rows.Stats() folds it into one
+// ExecStats.
 //
 // Counters are always on: each is a single uncontended atomic add on a
-// hot path that already does a heap fetch per row. Wall-clock timing is
-// not — time.Now() twice per row is the one cost that would break the
-// <=5% overhead budget, so it runs only when the execCtx is timed
-// (EXPLAIN ANALYZE).
-
-// cursorStats is the live, atomically updated form of ExecStats.
-// joinStrategy is a plain string: it is decided once at plan time, before
-// the cursor is handed out, and never written afterwards.
-type cursorStats struct {
-	leafRows        atomic.Int64
-	rowsOut         atomic.Int64
-	indexProbes     atomic.Int64
-	joinRebinds     atomic.Int64
-	residualDrops   atomic.Int64
-	spillRows       atomic.Int64
-	sweepPairs      atomic.Int64
-	sweepActivePeak atomic.Int64
-	sweepSortRows   atomic.Int64
-	groupedRows     atomic.Int64
-	joinStrategy    string
-}
-
-// storeMax raises a to at least v (several merge nodes of one cursor —
-// UNION ALL branches — may race on the shared peak).
-func storeMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// snapshot copies the counters into the exported value form.
-func (c *cursorStats) snapshot() ExecStats {
-	return ExecStats{
-		LeafRows:        c.leafRows.Load(),
-		RowsOut:         c.rowsOut.Load(),
-		IndexProbes:     c.indexProbes.Load(),
-		JoinRebinds:     c.joinRebinds.Load(),
-		ResidualDrops:   c.residualDrops.Load(),
-		SpillRows:       c.spillRows.Load(),
-		SweepPairs:      c.sweepPairs.Load(),
-		SweepActivePeak: c.sweepActivePeak.Load(),
-		SweepSortRows:   c.sweepSortRows.Load(),
-		GroupedRows:     c.groupedRows.Load(),
-		JoinStrategy:    c.joinStrategy,
-	}
-}
+// hot path that already does a heap fetch per row, and atomic because
+// Stats() and PlanStats() may run while another goroutine drives Next.
+// Wall-clock timing is not — time.Now() twice per row is the one cost
+// that would break the <=5% overhead budget, so it runs only when the
+// execCtx is timed (EXPLAIN ANALYZE).
 
 // ExecStats counts the work one cursor performed — the observable
 // evidence that LIMIT and early Close actually stop the leaf scans. It
@@ -103,7 +56,7 @@ type ExecStats struct {
 	// because a feed offered no ordered index stream; 0 means every feed
 	// came pre-sorted off its domain index.
 	SweepSortRows int64
-	// GroupedRows is the number of groups hash aggregation produced.
+	// GroupedRows is the number of groups hash aggregation emitted.
 	GroupedRows int64
 	// JoinStrategy names the join algorithm the plan used: "merge" for the
 	// interval merge join, "nested_loops" for multi-source plans joined by
@@ -111,11 +64,20 @@ type ExecStats struct {
 	JoinStrategy string
 }
 
-// nodeStats is the per-operator record of the pipeline. All fields are
-// atomic for the same reason as cursorStats; the struct is built once at
-// plan time and never reallocated, so child pointers need no locking. A
-// nil *nodeStats is valid and all methods are no-ops — operators that
-// render no plan line (projection) simply carry none.
+// nodeKind marks the nodes the ExecStats fold treats specially.
+type nodeKind uint8
+
+const (
+	kindPlain  nodeKind = iota
+	kindNested          // a NESTED LOOPS join
+	kindMerge           // an interval merge join; its children are its feeds
+	kindGroup           // a HASH GROUP BY sink; its rows are the groups
+)
+
+// nodeStats is the per-operator record of the pipeline. The struct is
+// built once with the pipeline and never reallocated, so child pointers
+// need no locking. A nil *nodeStats is valid and all methods are no-ops —
+// operators that render no plan line (projection) simply carry none.
 type nodeStats struct {
 	// label names the operator's plan line. Sites whose label needs
 	// formatting set labelFn instead, deferring the string build to the
@@ -123,6 +85,7 @@ type nodeStats struct {
 	// Sprintf here would cost every query what only analyzed ones use.
 	label    string
 	labelFn  func() string
+	kind     nodeKind
 	rowsOut  atomic.Int64
 	leafRows atomic.Int64
 	probes   atomic.Int64
@@ -173,6 +136,43 @@ func (n *nodeStats) addPairs(d int64) {
 func (n *nodeStats) setActive(v int64) {
 	if n != nil {
 		n.active.Store(v)
+	}
+}
+
+// execStats folds the tree rooted at n into the cursor's ExecStats: the
+// root's rows, sums of every other count, the largest active-set peak,
+// and the join strategy of the plan (a merge join wins over nested
+// loops). SweepSortRows are the spills of merge-join feeds and
+// GroupedRows the rows of HASH GROUP BY sinks.
+func (n *nodeStats) execStats() ExecStats {
+	st := ExecStats{RowsOut: n.rowsOut.Load()}
+	n.fold(&st)
+	return st
+}
+
+func (n *nodeStats) fold(st *ExecStats) {
+	st.LeafRows += n.leafRows.Load()
+	st.IndexProbes += n.probes.Load()
+	st.JoinRebinds += n.rebinds.Load()
+	st.ResidualDrops += n.residual.Load()
+	st.SpillRows += n.spill.Load()
+	st.SweepPairs += n.pairs.Load()
+	st.SweepActivePeak = max(st.SweepActivePeak, n.active.Load())
+	switch n.kind {
+	case kindMerge:
+		st.JoinStrategy = "merge"
+		for _, c := range n.children {
+			st.SweepSortRows += c.spill.Load()
+		}
+	case kindNested:
+		if st.JoinStrategy == "" {
+			st.JoinStrategy = "nested_loops"
+		}
+	case kindGroup:
+		st.GroupedRows += n.rowsOut.Load()
+	}
+	for _, c := range n.children {
+		c.fold(st)
 	}
 }
 
@@ -257,44 +257,50 @@ func snapshotNode(n *nodeStats) PlanNodeStats {
 //	SELECT STATEMENT (ANALYZED)
 //	  LIMIT 10 (rows=10 time=412µs)
 //	    DOMAIN INDEX IV_IDX (INTERSECTS) (rows=10 leaf=12 probes=1 residual=2)
-func (s PlanNodeStats) Render() string {
+func (s PlanNodeStats) Render() string { return s.render("SELECT STATEMENT (ANALYZED)", true) }
+
+// render writes header and then one line per operator; EXPLAIN prints the
+// same tree without counters.
+func (s PlanNodeStats) render(header string, counters bool) string {
 	var sb strings.Builder
-	sb.WriteString("SELECT STATEMENT (ANALYZED)\n")
-	renderNode(&sb, s, 1)
+	sb.WriteString(header + "\n")
+	renderNode(&sb, s, 1, counters)
 	return sb.String()
 }
 
-func renderNode(sb *strings.Builder, s PlanNodeStats, indent int) {
+func renderNode(sb *strings.Builder, s PlanNodeStats, indent int, counters bool) {
 	sb.WriteString(strings.Repeat("  ", indent))
 	sb.WriteString(s.Label)
-	sb.WriteString(" (")
-	fmt.Fprintf(sb, "rows=%d", s.RowsOut)
-	if s.LeafRows > 0 {
-		fmt.Fprintf(sb, " leaf=%d", s.LeafRows)
+	if counters {
+		fmt.Fprintf(sb, " (rows=%d", s.RowsOut)
+		if s.LeafRows > 0 {
+			fmt.Fprintf(sb, " leaf=%d", s.LeafRows)
+		}
+		if s.Probes > 0 {
+			fmt.Fprintf(sb, " probes=%d", s.Probes)
+		}
+		if s.Residual > 0 {
+			fmt.Fprintf(sb, " residual=%d", s.Residual)
+		}
+		if s.Rebinds > 0 {
+			fmt.Fprintf(sb, " rebinds=%d", s.Rebinds)
+		}
+		if s.Spill > 0 {
+			fmt.Fprintf(sb, " spill=%d", s.Spill)
+		}
+		if s.Pairs > 0 {
+			fmt.Fprintf(sb, " pairs=%d", s.Pairs)
+		}
+		if s.ActivePeak > 0 {
+			fmt.Fprintf(sb, " active=%d", s.ActivePeak)
+		}
+		if s.Elapsed > 0 {
+			fmt.Fprintf(sb, " time=%s", s.Elapsed.Round(time.Microsecond))
+		}
+		sb.WriteString(")")
 	}
-	if s.Probes > 0 {
-		fmt.Fprintf(sb, " probes=%d", s.Probes)
-	}
-	if s.Residual > 0 {
-		fmt.Fprintf(sb, " residual=%d", s.Residual)
-	}
-	if s.Rebinds > 0 {
-		fmt.Fprintf(sb, " rebinds=%d", s.Rebinds)
-	}
-	if s.Spill > 0 {
-		fmt.Fprintf(sb, " spill=%d", s.Spill)
-	}
-	if s.Pairs > 0 {
-		fmt.Fprintf(sb, " pairs=%d", s.Pairs)
-	}
-	if s.ActivePeak > 0 {
-		fmt.Fprintf(sb, " active=%d", s.ActivePeak)
-	}
-	if s.Elapsed > 0 {
-		fmt.Fprintf(sb, " time=%s", s.Elapsed.Round(time.Microsecond))
-	}
-	sb.WriteString(")\n")
+	sb.WriteString("\n")
 	for _, c := range s.Children {
-		renderNode(sb, c, indent+1)
+		renderNode(sb, c, indent+1, counters)
 	}
 }

@@ -17,6 +17,7 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -91,6 +92,8 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 }
 
 // ReadFrame reads one frame. The returned payload is freshly allocated.
+// Past the first 64 KiB the buffer grows as bytes arrive, so a corrupt or
+// hostile length prefix costs what the peer actually sent, not MaxFrame.
 func ReadFrame(r *bufio.Reader) (typ byte, payload []byte, err error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -99,9 +102,19 @@ func ReadFrame(r *bufio.Reader) (typ byte, payload []byte, err error) {
 	if n == 0 || n > MaxFrame {
 		return 0, nil, ErrFrameTooLarge
 	}
-	buf := make([]byte, n)
+	buf := make([]byte, min(n, 64<<10))
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return 0, nil, err
+	}
+	if rest := int64(n) - int64(len(buf)); rest > 0 {
+		b := bytes.NewBuffer(buf)
+		if _, err := io.CopyN(b, r, rest); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
+		}
+		buf = b.Bytes()
 	}
 	return buf[0], buf[1:], nil
 }
@@ -289,7 +302,8 @@ func DecodeRowBatch(payload []byte, ncols int) (rows [][]int64, done bool, err e
 	r := NewReader(payload)
 	done = r.Byte() == 1
 	n := r.Uvarint()
-	if r.err == nil && n > uint64(len(r.buf))+1 { // each row costs >= ncols bytes; guard n before allocating
+	// Each row costs at least ncols bytes: guard n before allocating.
+	if r.err == nil && (ncols < 0 || n > uint64(len(r.buf))/uint64(max(ncols, 1))+1) {
 		r.fail()
 	}
 	if r.err != nil {

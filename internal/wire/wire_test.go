@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -96,10 +98,82 @@ func TestWireErrorRoundTrip(t *testing.T) {
 	}
 }
 
+// allocated reports the bytes fn allocated.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestHostileLengthsAllocateLittle: a length prefix or row count the
+// bytes that follow cannot back costs about what arrived, not what it
+// claims.
+func TestHostileLengthsAllocateLittle(t *testing.T) {
+	frame := append(AppendUvarint(nil, MaxFrame), MsgRowBatch, 1, 2, 3)
+	var err error
+	if n := allocated(func() { _, _, err = ReadFrame(bufio.NewReader(bytes.NewReader(frame))) }); n > 1<<20 {
+		t.Fatalf("a %d-byte truncated frame allocated %d bytes", len(frame), n)
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated frame: err = %v", err)
+	}
+	batch := append([]byte{0}, AppendUvarint(nil, 4000)...)
+	batch = append(batch, make([]byte, 4000)...)
+	if n := allocated(func() { _, _, err = DecodeRowBatch(batch, 255) }); n > 1<<20 {
+		t.Fatalf("a %d-byte batch of 4000 rows × 255 columns allocated %d bytes", len(batch), n)
+	}
+	if err == nil {
+		t.Fatal("a batch too short for its rows decoded")
+	}
+}
+
 func TestFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write(AppendUvarint(nil, MaxFrame+1))
 	if _, _, err := ReadFrame(bufio.NewReader(&buf)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v", err)
 	}
+}
+
+// FuzzWireFrame reads arbitrary bytes as a stream of frames and decodes
+// every payload with each Reader getter and message decoder. Nothing may
+// panic, and a frame may not cost more memory than the bytes that arrived.
+func FuzzWireFrame(f *testing.F) {
+	frame := func(typ byte, payload []byte) []byte {
+		var b bytes.Buffer
+		if err := WriteFrame(&b, typ, payload); err != nil {
+			f.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	binds := AppendBinds(nil, map[string]int64{"k": -7, "v": 9})
+	f.Add(frame(MsgHello, AppendUvarint(nil, ProtoVersion)), uint8(0))
+	f.Add(frame(MsgQuery, append(AppendString(nil, "SELECT 1"), binds...)), uint8(0))
+	f.Add(frame(MsgParseOK, AppendStrings(AppendUvarint(nil, 42), []string{"a", "b", "c"})), uint8(0))
+	f.Add(frame(MsgRowBatch, EncodeRowBatch([][]int64{{1, -2, 3}, {1 << 40, 0, -1}}, true)), uint8(3))
+	f.Add(frame(MsgErr, EncodeErr(CodeTxnConflict, "conflict: table t changed")), uint8(0))
+	f.Add(append(AppendUvarint(nil, MaxFrame), MsgRowBatch), uint8(2))
+	f.Add(append([]byte{0}, AppendUvarint(nil, 1<<40)...), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, ncols uint8) {
+		br := bufio.NewReader(bytes.NewReader(data))
+		for {
+			_, payload, err := ReadFrame(br)
+			if err != nil {
+				return
+			}
+			if cap(payload) > 2*len(data)+64<<10 {
+				t.Fatalf("a %d-byte input allocated a %d-byte frame", len(data), cap(payload))
+			}
+			r := NewReader(payload)
+			_, _, _, _ = r.Uvarint(), r.Varint(), r.Byte(), r.String()
+			_, _ = r.Strings(), r.Binds()
+			rows, _, err := DecodeRowBatch(payload, int(ncols))
+			if err == nil && len(rows)*max(int(ncols), 1) > len(payload)+int(ncols) {
+				t.Fatalf("a %d-byte batch decoded to %d rows of %d columns", len(payload), len(rows), ncols)
+			}
+			_ = DecodeErr(payload)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -417,5 +418,87 @@ func TestTransactionRejectsDDLAndNesting(t *testing.T) {
 	}
 	if _, err := db.CreateCollection("other"); err == nil {
 		t.Fatal("CreateCollection inside a transaction did not error")
+	}
+}
+
+// TestTxnCommitHoldsDBLock races the synchronous collection reads, which
+// walk live pages under the database's read lock, against transactions
+// whose COMMIT rewrites those pages. Txn methods take the same lock as
+// DB.Exec, so every answer is a committed prefix: ids 0..k-1 for some k,
+// and a count equal to one such k.
+func TestTxnCommitHoldsDBLock(t *testing.T) {
+	db, err := OpenMemory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const cycles = 100
+	var colls []*Collection
+	for _, m := range []string{AccessMethodRITree, AccessMethodHINT} {
+		c, err := db.CreateCollection("c_"+m, AccessMethod(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		colls = append(colls, c)
+	}
+	done := make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		defer close(errc)
+		q := NewInterval(0, 1000)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			for _, c := range colls {
+				ids, err := c.Intersecting(q)
+				if err != nil {
+					errc <- err
+					return
+				}
+				slices.Sort(ids)
+				for i, id := range ids {
+					if id != int64(i) {
+						errc <- fmt.Errorf("%s: ids %v are not a committed prefix", c.Name(), ids)
+						return
+					}
+				}
+				n, err := c.CountIntersecting(q)
+				if err != nil {
+					errc <- err
+					return
+				}
+				if n < 0 || n > cycles {
+					errc <- fmt.Errorf("%s: count %d is not a committed prefix", c.Name(), n)
+					return
+				}
+			}
+		}
+	}()
+	for i := 0; i < cycles; i++ {
+		txn, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range colls {
+			if _, err := txn.Exec("INSERT INTO "+c.Name()+" VALUES (:lo, :hi, :id)",
+				map[string]interface{}{"lo": 10 + i, "hi": 20 + i, "id": i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range colls {
+		if n, err := c.CountIntersecting(NewInterval(0, 1000)); err != nil || n != cycles {
+			t.Fatalf("%s: final count %d (%v), want %d", c.Name(), n, err, cycles)
+		}
 	}
 }
