@@ -462,9 +462,10 @@ func printHelp() {
 	fmt.Println("  transactions: BEGIN; buffers INSERT/DELETE, reads answer from the BEGIN")
 	fmt.Println("  snapshot; COMMIT; applies them unless another writer changed a touched table")
 	fmt.Println("  first (first committer wins — the COMMIT errors and applies nothing);")
-	fmt.Println("  ROLLBACK; discards. \\begin \\commit \\rollback are shorthands. DDL and")
-	fmt.Println("  CREATE/DROP COLLECTION are rejected inside a transaction. The wal.* and")
-	fmt.Println("  txn.* families in \\metrics trace commits, fsync batching and conflicts.")
+	fmt.Println("  ROLLBACK; discards. \\begin \\commit \\rollback are shorthands. DDL is")
+	fmt.Println("  rejected inside the shell's transaction; DDL from another session on a")
+	fmt.Println("  touched table makes the COMMIT conflict. The wal.* and txn.* families in")
+	fmt.Println("  \\metrics trace commits, fsync batching and conflicts.")
 }
 
 // runRemote is the -connect mode: the whole session runs through the

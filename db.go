@@ -305,19 +305,45 @@ func (db *DB) Query(ctx context.Context, sql string, binds map[string]interface{
 	return db.eng.Query(ctx, sql, binds)
 }
 
-// Begin opens an explicit transaction: SQL reads inside it answer from a
-// snapshot pinned at Begin, SQL writes are buffered, and Commit applies
-// them only if no concurrent writer changed a touched collection or table
-// since Begin (first committer wins — Commit returns ErrTxnConflict
-// otherwise and applies nothing). One transaction may be open per DB at a
-// time; DDL inside it is rejected, and programmatic collection writes
-// (Insert, InsertMany, Delete) remain auto-commit — they are exactly the
-// concurrent writers Commit detects.
+// Session is a private connection to the database. It owns its explicit
+// transaction (SQL BEGIN … COMMIT), which statements on other sessions,
+// DB.Exec included, never join.
+type Session struct {
+	db *DB
+	s  *sqldb.Session
+}
+
+// Session returns a new private session.
+func (db *DB) Session() *Session { return &Session{db: db, s: db.eng.NewSession()} }
+
+// Exec runs one SQL statement on the session, under DB.Exec's lock.
+func (s *Session) Exec(sql string, binds map[string]interface{}) (*Result, error) {
+	s.db.mu.Lock()
+	defer s.db.mu.Unlock()
+	return s.s.Exec(sql, binds)
+}
+
+// Query opens a cursor like DB.Query, on the session's transaction view.
+func (s *Session) Query(ctx context.Context, sql string, binds map[string]interface{}) (*Rows, error) {
+	return s.s.Query(ctx, sql, binds)
+}
+
+// Close rolls back the session's open transaction, if any.
+func (s *Session) Close() error { return s.s.Close() }
+
+// Begin opens an explicit transaction on a private session. SQL reads in
+// it answer from a snapshot pinned at Begin; SQL writes are buffered, and
+// Commit applies them unless a concurrent writer changed a touched table
+// since Begin (first committer wins: Commit returns ErrTxnConflict and
+// applies nothing). Transactions do not exclude each other. DDL inside
+// one is rejected; DDL from elsewhere on a touched table makes Commit
+// conflict. Collection writes (Insert, InsertMany, Delete) auto-commit.
 func (db *DB) Begin() (*Txn, error) {
-	if _, err := db.Exec("BEGIN", nil); err != nil {
+	s := db.Session()
+	if _, err := s.Exec("BEGIN", nil); err != nil {
 		return nil, err
 	}
-	return &Txn{db: db}, nil
+	return &Txn{s: s}, nil
 }
 
 // ErrTxnConflict aborts a Txn.Commit whose touched tables were changed by
@@ -327,30 +353,25 @@ var ErrTxnConflict = sqldb.ErrTxnConflict
 
 // Txn is an open explicit transaction (see DB.Begin).
 type Txn struct {
-	db   *DB
+	s    *Session
 	done bool
 }
 
 // Exec runs one SQL statement inside the transaction: SELECTs read the
-// transaction's snapshot, INSERT/DELETE are buffered until Commit. Like
-// DB.Exec it takes the database lock, because COMMIT changes the pages
-// the synchronous collection reads walk.
+// transaction's snapshot, INSERT/DELETE are buffered until Commit.
 func (t *Txn) Exec(sql string, binds map[string]interface{}) (*Result, error) {
 	if t.done {
 		return nil, fmt.Errorf("ritree: transaction already finished")
 	}
-	return t.db.Exec(sql, binds)
+	return t.s.Exec(sql, binds)
 }
 
 // Commit validates and applies the transaction's buffered writes,
 // returning ErrTxnConflict (wrapped) if a concurrent writer touched the
 // same tables since Begin. The transaction is finished either way.
 func (t *Txn) Commit() error {
-	if t.done {
-		return fmt.Errorf("ritree: transaction already finished")
-	}
+	_, err := t.Exec("COMMIT", nil)
 	t.done = true
-	_, err := t.db.Exec("COMMIT", nil)
 	return err
 }
 
@@ -361,8 +382,7 @@ func (t *Txn) Rollback() error {
 		return nil
 	}
 	t.done = true
-	_, err := t.db.Exec("ROLLBACK", nil)
-	return err
+	return t.s.Close()
 }
 
 // Stats returns the I/O counters of the page store.

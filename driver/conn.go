@@ -225,7 +225,7 @@ func (s *stmt) QueryContext(ctx context.Context, args []sqldriver.NamedValue) (s
 	return s.ps.queryStmt(ctx, binds)
 }
 
-// tx maps sql.Tx onto the engine's explicit transaction.
+// tx maps sql.Tx onto the connection's explicit transaction.
 type tx struct{ c *conn }
 
 func (t *tx) Commit() error {

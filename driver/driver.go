@@ -110,7 +110,7 @@ func (c *Connector) Connect(ctx context.Context) (sqldriver.Conn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &conn{be: &embedded{db: db}}, nil
+		return &conn{be: &embedded{db: db, s: db.Session()}}, nil
 	}
 }
 

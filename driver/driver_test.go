@@ -327,10 +327,9 @@ func TestPreparedReuseAcrossTransactions(t *testing.T) {
 }
 
 // conflictingCommit provokes a first-committer-wins conflict through db
-// and returns the error of its COMMIT. SQL writes join the open
-// transaction, so the conflicting writer is a programmatic collection
-// insert on rdb — exactly the auto-commit path the engine's check
-// detects.
+// and returns the error of its COMMIT. The conflicting writer is a
+// programmatic collection insert on rdb — an auto-commit path the
+// engine's check detects.
 func conflictingCommit(t *testing.T, db *sql.DB, rdb *ritree.DB) error {
 	t.Helper()
 	col, err := rdb.CreateCollection("resv")
@@ -388,6 +387,102 @@ func TestTxnConflictOverWire(t *testing.T) {
 func TestEmbeddedTxnConflict(t *testing.T) {
 	if err := embeddedConflict(t); !errors.Is(err, ritree.ErrTxnConflict) {
 		t.Fatalf("commit error = %v, want ErrTxnConflict", err)
+	}
+}
+
+// TestConnsOwnTransactions: each connection owns its transaction. A
+// statement on one connection never joins another's transaction, any
+// number of connections may hold one at once, and first-committer-wins
+// decides only between transactions that touched the same table.
+func TestConnsOwnTransactions(t *testing.T) {
+	_, tcp := startServer(t)
+	for _, dsn := range []string{"mem://", tcp} {
+		name := dsn
+		if dsn == tcp {
+			name = "tcp://loopback"
+		}
+		t.Run(name, func(t *testing.T) {
+			db := openSQL(t, dsn)
+			mustExecSQL(t, db, "CREATE TABLE x (lower int, upper int, id int)")
+			mustExecSQL(t, db, "CREATE TABLE y (lower int, upper int, id int)")
+			ctx := context.Background()
+			var a, b, c *sql.Conn
+			for _, p := range []**sql.Conn{&a, &b, &c} {
+				conn, err := db.Conn(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { conn.Close() })
+				*p = conn
+			}
+			count := func(table string) int64 {
+				t.Helper()
+				var n int64
+				if err := c.QueryRowContext(ctx, "SELECT COUNT(*) FROM "+table).Scan(&n); err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+			begin := func(conn *sql.Conn) *sql.Tx {
+				t.Helper()
+				tx, err := conn.BeginTx(ctx, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Runs before the conn's Close, which waits for its
+				// open transaction.
+				t.Cleanup(func() { tx.Rollback() })
+				return tx
+			}
+			insert := func(ex interface {
+				ExecContext(context.Context, string, ...interface{}) (sql.Result, error)
+			}, table string, id int64) {
+				t.Helper()
+				if _, err := ex.ExecContext(ctx, "INSERT INTO "+table+" VALUES (:lo, :hi, :id)", id, id+1, id); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			txA := begin(a)
+			insert(b, "x", 1)
+			if n := count("x"); n != 1 {
+				t.Fatalf("B's auto-commit INSERT: a third connection counts %d rows, want 1", n)
+			}
+			if err := txA.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+			if n := count("x"); n != 1 {
+				t.Fatalf("after A's ROLLBACK x holds %d rows, want B's 1", n)
+			}
+
+			txA = begin(a)
+			txB := begin(b)
+			insert(txA, "x", 2)
+			insert(txB, "y", 3)
+			if err := txA.Commit(); err != nil {
+				t.Fatalf("A's COMMIT on x: %v", err)
+			}
+			if err := txB.Commit(); err != nil {
+				t.Fatalf("B's COMMIT on disjoint y: %v", err)
+			}
+			if nx, ny := count("x"), count("y"); nx != 2 || ny != 1 {
+				t.Fatalf("x=%d y=%d rows, want 2 and 1", nx, ny)
+			}
+
+			txA = begin(a)
+			txB = begin(b)
+			insert(txA, "x", 4)
+			insert(txB, "x", 5)
+			if err := txA.Commit(); err != nil {
+				t.Fatalf("first committer on x: %v", err)
+			}
+			if err := txB.Commit(); !errors.Is(err, ritree.ErrTxnConflict) {
+				t.Fatalf("second committer on x = %v, want ErrTxnConflict", err)
+			}
+			if n := count("x"); n != 3 {
+				t.Fatalf("x holds %d rows, want 3", n)
+			}
+		})
 	}
 }
 
@@ -477,7 +572,7 @@ func TestServerMetricsViaRaw(t *testing.T) {
 
 // TestSessionTeardownMidStream kills a raw TCP connection with an open
 // cursor and an open transaction, then asserts the server released the
-// pinned snapshot views and freed the engine's transaction slot.
+// pinned snapshot views and rolled the transaction back.
 func TestSessionTeardownMidStream(t *testing.T) {
 	rdb, dsn := startServer(t)
 	db := openSQL(t, dsn)
@@ -517,21 +612,18 @@ func TestSessionTeardownMidStream(t *testing.T) {
 	if pinnedBefore < 1 {
 		t.Fatalf("expected a pinned view mid-stream, gauge = %d", pinnedBefore)
 	}
+	rollbacks := rdb.Metrics().Counters["txn.rollbacks"]
 	conn.Close() // sever mid-stream: teardown must clean up
 
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		views := rdb.Metrics().Gauges["sql.views.active"]
-		// The transaction slot is free once a new BEGIN succeeds.
-		_, berr := rdb.Exec("BEGIN", nil)
-		if berr == nil {
-			rdb.Exec("ROLLBACK", nil)
-		}
-		if views <= 1 && berr == nil {
+		m := rdb.Metrics()
+		views, rolled := m.Gauges["sql.views.active"], m.Counters["txn.rollbacks"]-rollbacks
+		if views <= 1 && rolled == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("teardown leaked: views=%d beginErr=%v", views, berr)
+			t.Fatalf("teardown leaked: views=%d rollbacks=%d", views, rolled)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

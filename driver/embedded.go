@@ -9,15 +9,16 @@ import (
 	"ritree"
 )
 
-// embedded runs statements directly against a shared in-process DB (the
-// mem:// and file:// DSNs). Engine errors pass through unchanged, so
-// ErrTxnConflict is errors.Is-able without any mapping.
+// embedded runs a connection's statements on its own session of a shared
+// in-process DB (the mem:// and file:// DSNs). Engine errors pass through
+// unchanged, so ErrTxnConflict is errors.Is-able without any mapping.
 type embedded struct {
 	db *ritree.DB
+	s  *ritree.Session
 }
 
 func (e *embedded) query(ctx context.Context, sql string, binds map[string]interface{}) (sqldriver.Rows, error) {
-	rows, err := e.db.Query(ctx, sql, binds)
+	rows, err := e.s.Query(ctx, sql, binds)
 	if err != nil {
 		return nil, err
 	}
@@ -25,7 +26,7 @@ func (e *embedded) query(ctx context.Context, sql string, binds map[string]inter
 }
 
 func (e *embedded) exec(_ context.Context, sql string, binds map[string]interface{}) (int64, string, error) {
-	res, err := e.db.Exec(sql, binds)
+	res, err := e.s.Exec(sql, binds)
 	if err != nil {
 		return 0, "", err
 	}
@@ -45,8 +46,8 @@ func (e *embedded) metrics() (string, error) {
 	return string(js), err
 }
 
-// close is a no-op: the Connector owns the shared DB.
-func (e *embedded) close() error { return nil }
+// close rolls back the connection's transaction (the Connector owns the DB).
+func (e *embedded) close() error { return e.s.Close() }
 
 // embeddedStmt re-submits the statement text per execution.
 type embeddedStmt struct {

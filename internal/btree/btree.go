@@ -110,6 +110,11 @@ func Open(st *pagestore.Store, meta pagestore.PageID) (*Tree, error) {
 		height: int(binary.LittleEndian.Uint32(d[12:16])),
 		count:  int64(binary.LittleEndian.Uint64(d[16:24])),
 	}
+	// A meta page read from disk is untrusted: hold it to what Create
+	// accepts before deriving capacities from it.
+	if t.ncols < 1 || t.ncols > 32 {
+		return nil, fmt.Errorf("btree: meta page %d has %d key columns, want [1,32]", meta, t.ncols)
+	}
 	t.derive()
 	return t, nil
 }

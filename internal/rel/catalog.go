@@ -177,8 +177,12 @@ func setCatNext(d []byte, id pagestore.PageID) {
 
 func (db *DB) loadCatalog() error {
 	var payload []byte
-	pid := db.catRoot
-	for pid != pagestore.InvalidPage {
+	seen := make(map[pagestore.PageID]bool)
+	for pid := db.catRoot; pid != pagestore.InvalidPage; {
+		if seen[pid] {
+			return fmt.Errorf("rel: catalog chain loops at page %d", pid)
+		}
+		seen[pid] = true
 		p, err := db.st.Get(pid)
 		if err != nil {
 			return err

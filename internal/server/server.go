@@ -3,7 +3,7 @@
 // connection. Sessions share the database — its engine serializes
 // statements — but each owns its prepared statements, its open cursors
 // (server-side ritree.Rows, so a client that stops fetching stops the
-// scan), and its claim on the engine's single explicit transaction.
+// scan), and its transaction (a ritree.Session).
 // Teardown is unconditional: however a connection ends — Terminate, EOF,
 // a mid-stream kill — the session closes every open cursor (releasing
 // the pinned snapshot views) and rolls back its in-flight transaction.

@@ -45,6 +45,8 @@ type session struct {
 	conn *countingConn
 	br   *bufio.Reader
 	bw   *bufio.Writer
+	// db runs the connection's statements and owns its transaction.
+	db *ritree.Session
 
 	draining atomic.Bool
 
@@ -52,7 +54,6 @@ type session struct {
 	nextStmt   uint64
 	cursors    map[uint64]*cursor
 	nextCursor uint64
-	txnOpen    bool
 }
 
 func newSession(srv *Server, conn net.Conn) *session {
@@ -62,6 +63,7 @@ func newSession(srv *Server, conn net.Conn) *session {
 		conn:    cc,
 		br:      bufio.NewReader(cc),
 		bw:      bufio.NewWriter(cc),
+		db:      srv.db.Session(),
 		stmts:   make(map[uint64]*prepared),
 		cursors: make(map[uint64]*cursor),
 	}
@@ -252,7 +254,7 @@ func (s *session) dispatch(typ byte, payload []byte) error {
 
 // openCursor runs a streaming SELECT and answers with its RowHeader.
 func (s *session) openCursor(sql string, wireBinds map[string]int64) error {
-	rows, err := s.srv.db.Query(context.Background(), sql, toBinds(wireBinds))
+	rows, err := s.db.Query(context.Background(), sql, toBinds(wireBinds))
 	if err != nil {
 		return s.replyErr(err)
 	}
@@ -299,21 +301,9 @@ func (s *session) fetch(id, max uint64) error {
 	return s.reply(wire.MsgRowBatch, wire.EncodeRowBatch(batch, done))
 }
 
-// exec runs a non-cursor statement and tracks transaction ownership from
-// what the statement did: a BEGIN claims the engine's transaction for
-// this session so teardown knows to roll it back, and any COMMIT or
-// ROLLBACK — a failed COMMIT too, which has already released it — gives
-// it up.
+// exec runs a non-cursor statement.
 func (s *session) exec(sql string, wireBinds map[string]int64) error {
-	res, err := s.srv.db.Exec(sql, toBinds(wireBinds))
-	if res != nil {
-		switch res.Txn {
-		case sqldb.TxnBegun:
-			s.txnOpen = true
-		case sqldb.TxnEnded:
-			s.txnOpen = false
-		}
-	}
+	res, err := s.db.Exec(sql, toBinds(wireBinds))
 	if err != nil {
 		return s.replyErr(err)
 	}
@@ -338,20 +328,15 @@ func (s *session) replyErr(err error) error {
 }
 
 // teardown releases everything the session holds: every open cursor
-// (each pins a snapshot view until closed) and the engine's transaction
-// slot if this session held it. It must run on every exit path — a
-// connection killed mid-stream leaks pinned snapshots otherwise.
+// (each pins a snapshot view until closed) and its transaction. It must
+// run on every exit path — a connection killed mid-stream leaks pinned
+// snapshots otherwise.
 func (s *session) teardown() {
 	for id, cur := range s.cursors {
 		cur.rows.Close()
 		delete(s.cursors, id)
 	}
-	if s.txnOpen {
-		s.txnOpen = false
-		if _, err := s.srv.db.Exec("ROLLBACK", nil); err != nil {
-			s.srv.logf("server: teardown rollback: %v", err)
-		}
-	}
+	s.db.Close()
 	s.conn.Close()
 }
 

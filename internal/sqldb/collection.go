@@ -100,10 +100,6 @@ func (e *Engine) SetIndexNow(name string, now int64) error {
 // same configuration.
 func (e *Engine) CreateCollection(name, method string, params map[string]string) error {
 	e.mu.Lock()
-	if e.txn != nil {
-		e.mu.Unlock()
-		return errTxnOpen
-	}
 	err := e.createCollectionLocked(name, method, params)
 	seq, cerr := e.commitWriteLocked()
 	e.mu.Unlock()
@@ -145,10 +141,6 @@ func (e *Engine) createCollectionLocked(name, method string, params map[string]s
 // DROP TABLE cascade, its access-method index and storage.
 func (e *Engine) DropCollection(name string) error {
 	e.mu.Lock()
-	if e.txn != nil {
-		e.mu.Unlock()
-		return errTxnOpen
-	}
 	err := e.dropCollectionLocked(name)
 	seq, cerr := e.commitWriteLocked()
 	e.mu.Unlock()
@@ -215,10 +207,9 @@ func firstErr(errs ...error) error {
 
 // InsertRow stores row in table with full domain-index maintenance — the
 // programmatic equivalent of INSERT INTO, minus the SQL parse. This is
-// the write path of the unified collection API. It always auto-commits,
-// even while a SQL transaction is open — programmatic writers are exactly
-// the concurrent writers the transaction's first-committer-wins
-// validation detects.
+// the write path of the unified collection API. It always auto-commits —
+// programmatic writers are exactly the concurrent writers a transaction's
+// first-committer-wins validation detects.
 func (e *Engine) InsertRow(table string, row []int64) (rel.RowID, error) {
 	rids, err := e.BulkInsert(table, [][]int64{row})
 	if err != nil {

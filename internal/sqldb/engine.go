@@ -33,42 +33,10 @@ type Result struct {
 	Affected int64
 	// Plan is the execution plan text (EXPLAIN only).
 	Plan string
-	// Txn is what the statement did to the explicit transaction. Exec
-	// reports it beside an error too, so a caller tracking who owns the
-	// transaction never re-parses the statement.
-	Txn TxnEffect
 }
 
-// TxnEffect is what one statement did to the engine's explicit
-// transaction.
-type TxnEffect int8
-
-const (
-	// TxnUnchanged: not BEGIN, COMMIT or ROLLBACK, or a BEGIN that failed.
-	TxnUnchanged TxnEffect = iota
-	// TxnBegun: a BEGIN opened the transaction.
-	TxnBegun
-	// TxnEnded: a COMMIT or ROLLBACK ran, failed ones included — a COMMIT
-	// that fails has already given the transaction up, and one that found
-	// none had nothing to give up.
-	TxnEnded
-)
-
-// txnEffect classifies a statement that ran with outcome err.
-func txnEffect(st Statement, err error) TxnEffect {
-	switch st.(type) {
-	case *BeginStmt:
-		if err == nil {
-			return TxnBegun
-		}
-	case *CommitStmt, *RollbackStmt:
-		return TxnEnded
-	}
-	return TxnUnchanged
-}
-
-// Engine executes SQL statements against a rel.DB. One Engine corresponds
-// to a database session; statements are serialized by an internal mutex.
+// Engine executes SQL statements against a rel.DB. Statements run on a
+// Session (see txn.go) and are serialized by an internal mutex.
 type Engine struct {
 	mu         sync.Mutex
 	db         *rel.DB
@@ -81,9 +49,8 @@ type Engine struct {
 	// releaseView, which runs on reader goroutines as cursors close.
 	viewLk  sync.Mutex
 	curView *execView
-	// txn is the open explicit transaction, nil outside BEGIN…COMMIT.
-	// Guarded by mu.
-	txn *txnState
+	// def is the session Exec and Query run on.
+	def *Session
 
 	// reg is the DB-level metrics registry statement telemetry publishes
 	// into (nil: metrics off). Guarded by mu.
@@ -111,13 +78,15 @@ type Engine struct {
 
 // NewEngine creates an Engine over db.
 func NewEngine(db *rel.DB) *Engine {
-	return &Engine{
+	e := &Engine{
 		db:         db,
 		indexTypes: make(map[string]IndexType),
 		custom:     make(map[string]Index),
 		customByTb: make(map[string][]Index),
 		plans:      newPlanCache(DefaultPlanCacheSize),
 	}
+	e.def = e.NewSession()
+	return e
 }
 
 // DB exposes the underlying relational database.
@@ -146,20 +115,25 @@ func (e *Engine) SetMergeJoinEnabled(on bool) {
 	e.mu.Unlock()
 }
 
+// Exec runs one statement on the engine's default session.
+func (e *Engine) Exec(sql string, binds map[string]interface{}) (*Result, error) {
+	return e.def.Exec(sql, binds)
+}
+
 // Exec parses and executes one statement. binds supplies scalar bind
 // variables (int64 or int) and transient relations (Transient or
 // *Transient). A SELECT is Query drained into the Result. Write statements
-// outside an explicit transaction auto-commit: their pages reach the WAL
-// (group commit) before Exec returns, and the cached snapshot view is
-// invalidated so later readers see them. A statement other than SELECT
-// that parsed returns a Result even when it fails, carrying only Txn.
-func (e *Engine) Exec(sql string, binds map[string]interface{}) (*Result, error) {
+// outside the session's transaction auto-commit: their pages reach the
+// WAL (group commit) before Exec returns, and the cached snapshot view is
+// invalidated so later readers see them.
+func (s *Session) Exec(sql string, binds map[string]interface{}) (*Result, error) {
+	e := s.e
 	st, err := Parse(sql)
 	if err != nil {
 		return nil, err
 	}
 	if sel, ok := st.(*SelectStmt); ok {
-		rows, err := e.querySelect(context.Background(), sel, sql, binds)
+		rows, err := s.querySelect(context.Background(), sel, sql, binds)
 		if err != nil {
 			return nil, err
 		}
@@ -182,15 +156,14 @@ func (e *Engine) Exec(sql string, binds map[string]interface{}) (*Result, error)
 	var res *Result
 	if ex, ok := st.(*ExplainStmt); ok && ex.Analyze {
 		var ps PlanNodeStats
-		res, stats, ps, err = e.explainAnalyze(ex.Query, sql, binds)
+		res, stats, ps, err = e.explainAnalyze(s, ex.Query, sql, binds)
 		plan = func() PlanNodeStats { return ps }
 	} else {
-		res, err = e.execStmt(st, sql, binds)
+		res, err = s.execStmt(st, sql, binds)
 	}
-	txn := txnEffect(st, err)
 	var seq uint64
 	var cerr error
-	if e.txn == nil && stmtWrites(st) {
+	if s.txn == nil && stmtWrites(st) {
 		// Commit even when the statement failed: partially applied DML
 		// (e.g. a DELETE aborting mid-batch after a consistent prefix)
 		// must still land at a committed boundary before mu is released,
@@ -201,18 +174,11 @@ func (e *Engine) Exec(sql string, binds map[string]interface{}) (*Result, error)
 		e.observeStmt(sql, stmtKind(st), len(binds), time.Since(start), stats, plan)
 	}
 	e.mu.Unlock()
-	if err == nil {
-		err = cerr
+	// Group-commit durability wait happens outside mu, so concurrent
+	// statements batch into the same fsync instead of serializing on it.
+	if err = firstErr(err, cerr, e.db.Store().WaitDurable(seq)); err != nil {
+		return nil, err
 	}
-	if err == nil {
-		// Group-commit durability wait happens outside mu, so concurrent
-		// statements batch into the same fsync instead of serializing on it.
-		err = e.db.Store().WaitDurable(seq)
-	}
-	if err != nil {
-		return &Result{Txn: txn}, err
-	}
-	res.Txn = txn
 	return res, nil
 }
 
@@ -246,16 +212,15 @@ func (e *Engine) MustExec(sql string, binds map[string]interface{}) *Result {
 	return r
 }
 
-// errTxnOpen rejects DDL while an explicit transaction is open: catalog
-// changes cannot be buffered or validated by the content-checksum scheme.
-var errTxnOpen = fmt.Errorf("sql: DDL is not allowed inside a transaction (COMMIT or ROLLBACK first)")
-
-func (e *Engine) execStmt(st Statement, sql string, binds map[string]interface{}) (*Result, error) {
-	if e.txn != nil {
+func (s *Session) execStmt(st Statement, sql string, binds map[string]interface{}) (*Result, error) {
+	e := s.e
+	if s.txn != nil {
 		switch st.(type) {
 		case *CreateTableStmt, *CreateIndexStmt, *DropStmt,
 			*CreateCollectionStmt, *DropCollectionStmt:
-			return nil, errTxnOpen
+			// Catalog changes cannot be buffered or validated by the
+			// content-checksum scheme.
+			return nil, fmt.Errorf("sql: DDL is not allowed inside a transaction (COMMIT or ROLLBACK first)")
 		}
 	}
 	// Any DDL changes the catalog that cached plans compiled against;
@@ -267,56 +232,55 @@ func (e *Engine) execStmt(st Statement, sql string, binds map[string]interface{}
 		*CreateCollectionStmt, *DropCollectionStmt:
 		e.bumpPlanEpochLocked()
 	}
-	switch s := st.(type) {
+	switch x := st.(type) {
 	case *BeginStmt:
-		return e.execBegin()
+		return s.begin()
 	case *CommitStmt:
-		return e.execCommit()
+		return s.commit()
 	case *RollbackStmt:
-		return e.execRollback()
+		return s.rollback()
 	case *CreateTableStmt:
-		if _, err := e.db.CreateTable(s.Name, s.Columns); err != nil {
+		if _, err := e.db.CreateTable(x.Name, x.Columns); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
 	case *CreateIndexStmt:
-		if s.IndexType != "" {
-			return e.createCustomIndex(s)
+		if x.IndexType != "" {
+			return e.createCustomIndex(x)
 		}
-		if _, err := e.db.CreateIndex(s.Name, s.Table, s.Columns); err != nil {
+		if _, err := e.db.CreateIndex(x.Name, x.Table, x.Columns); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
 	case *DropStmt:
-		if s.Index {
-			if ci, ok := e.custom[s.Name]; ok {
+		if x.Index {
+			if ci, ok := e.custom[x.Name]; ok {
 				return &Result{}, e.dropCustomIndex(ci)
 			}
-			// A catalog definition that is not attached in this session
-			// (e.g. its attach failed as stale) must still be droppable —
+			// A catalog definition that is not attached (e.g. its attach failed as stale) must still be droppable —
 			// it is the recovery path the attach errors advise.
-			if def, ok := e.db.CustomIndex(s.Name); ok {
+			if def, ok := e.db.CustomIndex(x.Name); ok {
 				return &Result{}, e.dropUnattachedDef(def)
 			}
-			return &Result{}, e.db.DropIndex(s.Name)
+			return &Result{}, e.db.DropIndex(x.Name)
 		}
-		return &Result{}, e.dropTableCascadeLocked(s.Name)
+		return &Result{}, e.dropTableCascadeLocked(x.Name)
 	case *CreateCollectionStmt:
-		return &Result{}, e.createCollectionLocked(s.Name, s.Method, s.Params)
+		return &Result{}, e.createCollectionLocked(x.Name, x.Method, x.Params)
 	case *DropCollectionStmt:
-		return &Result{}, e.dropCollectionLocked(s.Name)
+		return &Result{}, e.dropCollectionLocked(x.Name)
 	case *InsertStmt:
-		if e.txn != nil {
-			return e.txnInsert(s, binds)
+		if s.txn != nil {
+			return s.txnInsert(x, binds)
 		}
-		return e.execInsert(s, binds)
+		return e.execInsert(x, binds)
 	case *DeleteStmt:
-		if e.txn != nil {
-			return e.txnDelete(s, binds)
+		if s.txn != nil {
+			return s.txnDelete(x, binds)
 		}
-		return e.execDelete(s, binds)
+		return e.execDelete(x, binds)
 	case *ExplainStmt: // EXPLAIN ANALYZE runs from Exec
-		plan, err := e.explain(s.Query, binds)
+		plan, err := e.explain(x.Query, binds)
 		if err != nil {
 			return nil, err
 		}
@@ -330,7 +294,7 @@ func (e *Engine) execStmt(st Statement, sql string, binds map[string]interface{}
 // storage alive, and a recreated same-named table would then serve stale
 // results through them. Attached ones first (iterate over a copy —
 // dropCustomIndex mutates customByTb), then catalog definitions this
-// session never attached. Caller holds e.mu.
+// engine never attached. Caller holds e.mu.
 func (e *Engine) dropTableCascadeLocked(name string) error {
 	for _, ci := range append([]Index(nil), e.customByTb[strings.ToLower(name)]...) {
 		if err := e.dropCustomIndex(ci); err != nil {
@@ -534,8 +498,8 @@ func (e *Engine) execDelete(s *DeleteStmt, binds map[string]interface{}) (*Resul
 // plan tree annotated with the measured counters. The query's rows are
 // discarded; the plan text is the result, and the cursor's counters and
 // tree come back for the statement's observation. Caller holds e.mu.
-func (e *Engine) explainAnalyze(s *SelectStmt, sql string, binds map[string]interface{}) (*Result, ExecStats, PlanNodeStats, error) {
-	v, err := e.acquireViewLocked()
+func (e *Engine) explainAnalyze(ss *Session, s *SelectStmt, sql string, binds map[string]interface{}) (*Result, ExecStats, PlanNodeStats, error) {
+	v, err := e.acquireViewLocked(ss)
 	if err != nil {
 		return nil, ExecStats{}, PlanNodeStats{}, err
 	}

@@ -145,13 +145,18 @@ func (r *Rows) Close() error {
 // onClose registers fn to run once when the cursor closes (LIFO).
 func (r *Rows) onClose(fn func()) { r.closers = append(r.closers, fn) }
 
+// Query opens a SELECT cursor on the engine's default session.
+func (e *Engine) Query(ctx context.Context, sql string, binds map[string]interface{}) (*Rows, error) {
+	return e.def.Query(ctx, sql, binds)
+}
+
 // Query parses and executes a SELECT statement, returning a streaming
 // cursor. Non-SELECT statements are rejected — use Exec. The engine's
 // statement lock is held only while planning: the returned cursor reads
 // from a snapshot view pinned at the current committed state (or the
-// open transaction's view), so it never blocks concurrent writers and
+// session's transaction view), so it never blocks concurrent writers and
 // concurrent writers never shift its results.
-func (e *Engine) Query(ctx context.Context, sql string, binds map[string]interface{}) (*Rows, error) {
+func (s *Session) Query(ctx context.Context, sql string, binds map[string]interface{}) (*Rows, error) {
 	st, err := Parse(sql)
 	if err != nil {
 		return nil, err
@@ -160,14 +165,15 @@ func (e *Engine) Query(ctx context.Context, sql string, binds map[string]interfa
 	if !ok {
 		return nil, fmt.Errorf("sql: Query requires a SELECT statement, got %T (use Exec)", st)
 	}
-	return e.querySelect(ctx, sel, sql, binds)
+	return s.querySelect(ctx, sel, sql, binds)
 }
 
 // querySelect opens the cursor of a parsed SELECT — the one SELECT path:
 // Query returns the cursor, Exec drains it.
-func (e *Engine) querySelect(ctx context.Context, sel *SelectStmt, sql string, binds map[string]interface{}) (*Rows, error) {
+func (s *Session) querySelect(ctx context.Context, sel *SelectStmt, sql string, binds map[string]interface{}) (*Rows, error) {
+	e := s.e
 	e.mu.Lock()
-	v, err := e.acquireViewLocked()
+	v, err := e.acquireViewLocked(s)
 	if err != nil {
 		e.mu.Unlock()
 		return nil, err

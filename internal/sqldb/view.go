@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 
 	"ritree/internal/pagestore"
 	"ritree/internal/rel"
@@ -104,20 +105,18 @@ func (e *Engine) newExecViewLocked() (*execView, error) {
 	return &execView{readState: rs, snap: snap, refs: 1}, nil
 }
 
-// acquireViewLocked returns a referenced view for a read statement: the
-// open transaction's pinned view when one is active, else the cached
+// acquireViewLocked returns a referenced view for a read statement on s:
+// the pinned view of s's transaction when one is open, else the cached
 // current view, else a freshly pinned one. Caller holds e.mu (which is
 // why reuse is sound — every write path invalidates the cache under it).
 // Pair with releaseView.
-func (e *Engine) acquireViewLocked() (*execView, error) {
-	if e.txn != nil {
-		e.viewLk.Lock()
-		e.txn.view.refs++
-		e.viewLk.Unlock()
-		return e.txn.view, nil
-	}
+func (e *Engine) acquireViewLocked(s *Session) (*execView, error) {
 	e.viewLk.Lock()
-	if v := e.curView; v != nil {
+	v := e.curView
+	if s.txn != nil {
+		v = s.txn.view
+	}
+	if v != nil {
 		v.refs++
 		e.viewLk.Unlock()
 		return v, nil
@@ -180,20 +179,26 @@ func bindPlan(p *selectPlan, rs *readState) error {
 		if sp.tab == nil {
 			continue
 		}
+		// Plans compile against the live catalog; only a transaction's view
+		// can predate it (DDL from another session since BEGIN).
 		tab, err := rs.db.Table(sp.tab.Name())
 		if err != nil {
 			return err
 		}
+		if !slices.Equal(tab.Schema().Columns, sp.tab.Schema().Columns) {
+			return fmt.Errorf("%w: table %s was recreated", ErrTxnConflict, tab.Name())
+		}
 		sp.tab = tab
 		if sp.ix != nil {
-			if sp.ix, err = rs.db.Index(sp.ix.Name()); err != nil {
-				return err
+			name := sp.ix.Name()
+			if sp.ix, err = rs.db.Index(name); err != nil {
+				return fmt.Errorf("%w: index %s was created", ErrTxnConflict, name)
 			}
 		}
 		if sp.custom != nil {
 			rd, ok := rs.readers[sp.custom]
 			if !ok {
-				return fmt.Errorf("sql: internal: index %s is not bound to this read state", sp.custom.Name())
+				return fmt.Errorf("%w: index %s was created", ErrTxnConflict, sp.custom.Name())
 			}
 			sp.reader = rd
 		}

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -396,13 +399,22 @@ func TestTransactionConflict(t *testing.T) {
 	}
 }
 
+// TestTransactionRejectsDDLAndNesting: DDL and BEGIN inside the
+// transaction's own session are refused. Another Begin is a transaction
+// of its own, and DDL from outside on an untouched table does not disturb
+// the open transaction.
 func TestTransactionRejectsDDLAndNesting(t *testing.T) {
 	db, err := OpenMemory()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if _, err := db.CreateCollection("resv"); err != nil {
+	resv, err := db.CreateCollection("resv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	side, err := db.CreateCollection("side")
+	if err != nil {
 		t.Fatal(err)
 	}
 	txn, err := db.Begin()
@@ -413,11 +425,331 @@ func TestTransactionRejectsDDLAndNesting(t *testing.T) {
 	if _, err := txn.Exec("CREATE TABLE t2 (a, b)", nil); err == nil {
 		t.Fatal("DDL inside a transaction did not error")
 	}
-	if _, err := db.Begin(); err == nil {
-		t.Fatal("nested Begin did not error")
+	if _, err := txn.Exec("BEGIN", nil); err == nil {
+		t.Fatal("BEGIN inside a transaction did not error")
 	}
-	if _, err := db.CreateCollection("other"); err == nil {
-		t.Fatal("CreateCollection inside a transaction did not error")
+	txn2, err := db.Begin()
+	if err != nil {
+		t.Fatalf("second Begin: %v", err)
+	}
+	if _, err := txn2.Exec("INSERT INTO side VALUES (1, 2, 1)", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn2.Commit(); err != nil {
+		t.Fatalf("second transaction's Commit: %v", err)
+	}
+	if _, err := db.CreateCollection("other"); err != nil {
+		t.Fatalf("CreateCollection beside an open transaction: %v", err)
+	}
+	if _, err := txn.Exec("INSERT INTO resv VALUES (3, 4, 2)", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatalf("first transaction's Commit: %v", err)
+	}
+	if resv.Count() != 1 || side.Count() != 1 {
+		t.Fatalf("counts resv=%d side=%d, want 1 and 1", resv.Count(), side.Count())
+	}
+}
+
+// TestCommitConflictsOnRecreatedTable: a table dropped and created again
+// by another session after BEGIN is not the table the transaction wrote
+// to. Both are empty, so only the table's identity tells them apart.
+func TestCommitConflictsOnRecreatedTable(t *testing.T) {
+	for _, ddl := range [][2]string{
+		{"DROP TABLE t", "CREATE TABLE t (lower, upper, id)"},
+		{"DROP COLLECTION t", "CREATE COLLECTION t USING hint"},
+	} {
+		t.Run(ddl[0], func(t *testing.T) {
+			db := openMemoryDB(t)
+			if _, err := db.Exec(ddl[1], nil); err != nil {
+				t.Fatal(err)
+			}
+			s := db.Session()
+			defer s.Close()
+			for _, st := range []string{"BEGIN", "INSERT INTO t VALUES (1, 2, 1)"} {
+				if _, err := s.Exec(st, nil); err != nil {
+					t.Fatalf("%s: %v", st, err)
+				}
+			}
+			for _, st := range ddl {
+				if _, err := db.Exec(st, nil); err != nil {
+					t.Fatalf("%s: %v", st, err)
+				}
+			}
+			if _, err := s.Exec("COMMIT", nil); !errors.Is(err, ErrTxnConflict) {
+				t.Fatalf("COMMIT = %v, want ErrTxnConflict", err)
+			}
+			r, err := db.Exec("SELECT COUNT(*) FROM t", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := r.Rows[0][0]; n != 0 {
+				t.Fatalf("recreated t holds %d rows, want 0", n)
+			}
+		})
+	}
+}
+
+// TestForeignDDLInsideTransaction: a transaction's reads plan against
+// the live catalog but read its BEGIN snapshot. An index another session
+// created since, or a table it recreated, is not in that snapshot, so the
+// read fails with ErrTxnConflict instead of reading the old table
+// through the new plan.
+func TestForeignDDLInsideTransaction(t *testing.T) {
+	db := openMemoryDB(t)
+	for _, st := range []string{"CREATE TABLE t (lower, upper, id)", "INSERT INTO t VALUES (1, 5, 1)"} {
+		if _, err := db.Exec(st, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := db.Session()
+	defer s.Close()
+	if _, err := s.Exec("BEGIN", nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range [][2]string{
+		{"CREATE INDEX t_iv ON t (lower, upper) INDEXTYPE IS hint", "SELECT id FROM t WHERE intersects(lower, upper, 3, 4)"},
+		{"DROP TABLE t", ""},
+		{"CREATE TABLE t (a, b, c, d)", "SELECT * FROM t WHERE d > 0"},
+		{"", "DELETE FROM t WHERE d > 0"},
+	} {
+		if step[0] != "" {
+			if _, err := db.Exec(step[0], nil); err != nil {
+				t.Fatalf("%s: %v", step[0], err)
+			}
+		}
+		if step[1] != "" {
+			if _, err := s.Exec(step[1], nil); !errors.Is(err, ErrTxnConflict) {
+				t.Fatalf("%s after %q = %v, want ErrTxnConflict", step[1], step[0], err)
+			}
+		}
+	}
+}
+
+// TestCommitIsAtomicAcrossTables: an index refusing one table's batch at
+// COMMIT undoes the batches of the tables applied before it. Every table
+// then holds the rows it held before, and every index gives the same
+// answers.
+func TestCommitIsAtomicAcrossTables(t *testing.T) {
+	db := openMemoryDB(t)
+	a, err := db.CreateCollection("a", AccessMethod(AccessMethodRITree))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := db.CreateCollection("b", AccessMethod(AccessMethodHINT))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, iv := range []Interval{NewInterval(10, 20), NewInterval(15, 40), NewInterval(3, 5)} {
+		if err := a.Insert(iv, int64(100+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Insert(NewInterval(7, 9), 200); err != nil {
+		t.Fatal(err)
+	}
+	queries := []Interval{NewInterval(0, 100), NewInterval(1, 2), NewInterval(12, 12), NewInterval(30, 50)}
+	state := func() string {
+		var out strings.Builder
+		for _, c := range []*Collection{a, b} {
+			r, err := db.Exec("SELECT lower, upper, id FROM "+c.Name()+" ORDER BY id", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&out, "%s rows %v count %d;", c.Name(), r.Rows, c.Count())
+			for _, q := range queries {
+				ids, err := c.Intersecting(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				slices.Sort(ids)
+				r, err := db.Exec(fmt.Sprintf("SELECT id FROM %s WHERE intersects(lower, upper, %d, %d) ORDER BY id",
+					c.Name(), q.Lower, q.Upper), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&out, " %v: %v %v;", q, ids, r.Rows)
+			}
+		}
+		return out.String()
+	}
+	before := state()
+
+	txn, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []string{
+		"INSERT INTO a VALUES (1, 2, 1)",
+		"DELETE FROM a WHERE id = 100",
+		fmt.Sprintf("INSERT INTO b VALUES (1, %d, 2)", NowMarker),
+	} {
+		if _, err := txn.Exec(st, nil); err != nil {
+			t.Fatalf("%s: %v", st, err)
+		}
+	}
+	err = txn.Commit()
+	if err == nil || !strings.Contains(err.Error(), "now-relative") {
+		t.Fatalf("Commit = %v, want HINT's refusal of a now-relative row", err)
+	}
+	if after := state(); after != before {
+		t.Fatalf("refused COMMIT changed the database:\nbefore %s\nafter  %s", before, after)
+	}
+	// The database stays writable, by transactions too.
+	txn, err = db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := txn.Exec("INSERT INTO a VALUES (1, 2, 1)", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := a.Count(); n != 4 {
+		t.Fatalf("a holds %d rows after a later commit, want 4", n)
+	}
+}
+
+// TestSessionsOwnTransactions runs three sessions, one goroutine each,
+// through interleaved BEGIN / SELECT / INSERT / DELETE / COMMIT against
+// two collections. Each transaction reads only the tables it writes, and
+// its writes depend on what it read. The committed history must be
+// serial in commit order: replaying it, every transaction read exactly
+// the state its predecessors left, and the replay ends in the database's
+// final state, by the heap and by the index.
+func TestSessionsOwnTransactions(t *testing.T) {
+	db := openMemoryDB(t)
+	colls := map[string]*Collection{}
+	for name, m := range map[string]string{"a": AccessMethodHINT, "b": AccessMethodRITree} {
+		c, err := db.CreateCollection(name, AccessMethod(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		colls[name] = c
+	}
+	type committed struct {
+		reads   map[string][]int64 // ids per table at BEGIN
+		inserts map[string]int64
+		deletes map[string]int64 // absent: the table was empty
+	}
+	const (
+		sessions = 3
+		rounds   = 30
+	)
+	var (
+		commitMu  sync.Mutex // orders the log exactly as COMMITs apply
+		history   []committed
+		conflicts atomic.Int64
+		wg        sync.WaitGroup
+		errs      = make(chan error, sessions)
+	)
+	ids := func(s *Session, table string) ([]int64, error) {
+		r, err := s.Exec("SELECT id FROM "+table+" ORDER BY id", nil)
+		if err != nil {
+			return nil, err
+		}
+		out := []int64{}
+		for _, row := range r.Rows {
+			out = append(out, row[0])
+		}
+		return out, nil
+	}
+	for g := 0; g < sessions; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			s := db.Session()
+			defer s.Close()
+			run := func(k int) error {
+				tables := [][]string{{"a"}, {"b"}, {"a", "b"}}[(g+k)%3]
+				if _, err := s.Exec("BEGIN", nil); err != nil {
+					return err
+				}
+				c := committed{reads: map[string][]int64{}, inserts: map[string]int64{}, deletes: map[string]int64{}}
+				for i, table := range tables {
+					seen, err := ids(s, table)
+					if err != nil {
+						return err
+					}
+					c.reads[table] = seen
+					runtime.Gosched()
+					id := int64(g*10_000 + k*10 + i)
+					if _, err := s.Exec(fmt.Sprintf("INSERT INTO %s VALUES (%d, %d, %d)", table, id%997, id%997+5, id), nil); err != nil {
+						return err
+					}
+					c.inserts[table] = id
+					if len(seen) > 0 {
+						if _, err := s.Exec(fmt.Sprintf("DELETE FROM %s WHERE id = %d", table, seen[0]), nil); err != nil {
+							return err
+						}
+						c.deletes[table] = seen[0]
+					}
+					runtime.Gosched()
+				}
+				commitMu.Lock()
+				defer commitMu.Unlock()
+				_, err := s.Exec("COMMIT", nil)
+				switch {
+				case err == nil:
+					history = append(history, c)
+				case errors.Is(err, ErrTxnConflict):
+					conflicts.Add(1)
+				default:
+					return err
+				}
+				return nil
+			}
+			for k := 0; k < rounds; k++ {
+				if err := run(k); err != nil {
+					errs <- fmt.Errorf("session %d round %d: %w", g, k, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if len(history) == 0 {
+		t.Fatal("no transaction committed")
+	}
+	t.Logf("%d commits, %d conflicts", len(history), conflicts.Load())
+
+	model := map[string]map[int64]bool{"a": {}, "b": {}}
+	sorted := func(set map[int64]bool) []int64 { return slices.Sorted(maps.Keys(set)) }
+	for i, c := range history {
+		for table, seen := range c.reads {
+			if got := sorted(model[table]); !slices.Equal(got, seen) {
+				t.Fatalf("commit %d read %s = %v, but the serial history leaves %v", i, table, seen, got)
+			}
+			model[table][c.inserts[table]] = true
+			if id, ok := c.deletes[table]; ok {
+				delete(model[table], id)
+			}
+		}
+	}
+	s := db.Session()
+	for table, c := range colls {
+		want := sorted(model[table])
+		got, err := ids(s, table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s holds %v, serial history %v", table, got, want)
+		}
+		byIndex, err := c.Intersecting(NewInterval(0, 2000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(byIndex)
+		if !slices.Equal(byIndex, want) {
+			t.Fatalf("%s index answers %v, serial history %v", table, byIndex, want)
+		}
 	}
 }
 
