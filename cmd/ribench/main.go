@@ -25,7 +25,8 @@
 // Every experiment prints a paper-style table; the notes under each table
 // state the shape the paper reports, so the output is self-checking by
 // eye. Absolute numbers differ from the 1998 Oracle/Pentium testbed — the
-// shapes are the reproduction target (see EXPERIMENTS.md).
+// shapes are the reproduction target (see the table notes and README
+// "Performance").
 //
 // -json emits each table as a JSON document whose "methods" array labels
 // every access method with its storage regime (disk-relational vs

@@ -21,23 +21,22 @@ import (
 // the same way: slice-returning methods report ids ascending, and Scan
 // streams without materializing and is the cancellable form.
 //
-// Methods are safe for concurrent use under the owning DB's lock: queries
-// run concurrently with each other, mutations are exclusive. The
-// now-relative intervals of §4.6 (Upper == NowMarker, SetNow) are served
-// when the access method implements them (ritree); other methods reject
-// such rows instead of silently mis-answering.
+// A Collection is a handle to a name: every call resolves the collection
+// by name, so after DROP and CREATE COLLECTION the handle serves the new
+// collection, and while none has the name its reads and deletes fail.
+// Methods are safe for concurrent use. The synchronous reads
+// (IntersectingFunc, Intersecting, CountIntersecting, Count, Now) read the
+// live database under the read side of the engine's statement lock, so
+// they run concurrently with each other and see every commit, including
+// one whose WAL fsync is still in flight; mutations take the write side.
+// The now-relative intervals of §4.6 (Upper == NowMarker, SetNow) are
+// served when the access method implements them (ritree); other methods
+// reject such rows instead of silently mis-answering.
 type Collection struct {
 	db     *DB
 	name   string
 	method string
-	tab    *rel.Table
-	ci     sqldb.Index
 }
-
-// reader binds the access method to the live database for one synchronous
-// read. Caller holds the DB lock (read or write), which keeps writers out
-// for the Reader's life.
-func (c *Collection) reader() (sqldb.Reader, error) { return c.ci.Reader(c.db.rdb) }
 
 // Name returns the collection name.
 func (c *Collection) Name() string { return c.name }
@@ -45,11 +44,15 @@ func (c *Collection) Name() string { return c.name }
 // Method returns the name of the access method serving the collection.
 func (c *Collection) Method() string { return c.method }
 
-// Count returns the number of registered intervals.
+// Count returns the number of registered intervals (0 while no
+// collection has the handle's name).
 func (c *Collection) Count() int64 {
-	c.db.mu.RLock()
-	defer c.db.mu.RUnlock()
-	return c.tab.RowCount()
+	var n int64
+	_ = c.db.eng.ReadCollection(c.name, func(_ sqldb.Reader, tab *rel.Table) error {
+		n = tab.RowCount()
+		return nil
+	})
+	return n
 }
 
 // String summarizes the collection.
@@ -86,9 +89,7 @@ func (c *Collection) Insert(iv Interval, id int64) error {
 	if err := c.checkInsert(iv); err != nil {
 		return err
 	}
-	c.db.mu.Lock()
-	defer c.db.mu.Unlock()
-	_, err := c.db.eng.InsertRow(c.name, []int64{iv.Lower, iv.Upper, id})
+	_, err := c.db.eng.BulkInsert(c.name, [][]int64{{iv.Lower, iv.Upper, id}})
 	return err
 }
 
@@ -118,8 +119,6 @@ func (c *Collection) BulkLoad(ivs []Interval, ids []int64) error {
 	for i, iv := range ivs {
 		rows[i] = []int64{iv.Lower, iv.Upper, ids[i]}
 	}
-	c.db.mu.Lock()
-	defer c.db.mu.Unlock()
 	_, err := c.db.eng.BulkInsert(c.name, rows)
 	return err
 }
@@ -130,7 +129,7 @@ type IntervalRow struct {
 	ID       int64
 }
 
-// InsertMany registers every row in one batch: one engine lock, one heap
+// InsertMany registers every row in one batch: one statement lock, one heap
 // append per row, and one maintenance pass per domain index (Index.Apply
 // — the RI-tree bulk-loads a batch that outgrows the tree, HINT publishes
 // one generation per shard), instead of paying the statement overhead row
@@ -149,8 +148,6 @@ func (c *Collection) InsertMany(rows []IntervalRow) error {
 	for i, r := range rows {
 		raw[i] = []int64{r.Interval.Lower, r.Interval.Upper, r.ID}
 	}
-	c.db.mu.Lock()
-	defer c.db.mu.Unlock()
 	_, err := c.db.eng.BulkInsert(c.name, raw)
 	return err
 }
@@ -162,49 +159,38 @@ func (c *Collection) InsertMany(rows []IntervalRow) error {
 // are the one shape the probe cannot locate (their effective extent is
 // the method's clock, not their stored bounds); those take a heap scan.
 func (c *Collection) Delete(iv Interval, id int64) (bool, error) {
-	c.db.mu.Lock()
-	defer c.db.mu.Unlock()
-	var found rel.RowID
-	ok := false
-	match := func(rid rel.RowID, row []int64) bool {
-		if row[0] == iv.Lower && row[1] == iv.Upper && row[2] == id {
-			found, ok = rid, true
-			return false
+	return c.db.eng.DeleteCollectionRow(c.name, func(rd sqldb.Reader, tab *rel.Table) (sqldb.Entry, bool, error) {
+		victim := sqldb.Entry{Row: []int64{iv.Lower, iv.Upper, id}}
+		found := false
+		match := func(rid rel.RowID, row []int64) bool {
+			if row[0] == iv.Lower && row[1] == iv.Upper && row[2] == id {
+				victim.RID, found = rid, true
+				return false
+			}
+			return true
 		}
-		return true
-	}
-	switch {
-	case iv.Upper == NowMarker:
-		if err := c.tab.Scan(match); err != nil {
-			return false, err
+		var err error
+		switch {
+		case iv.Upper == NowMarker:
+			err = tab.Scan(match)
+		case iv.Valid():
+			err = scanRows(rd, tab, iv, match)
 		}
-	case iv.Valid():
-		rd, err := c.reader()
-		if err != nil {
-			return false, err
-		}
-		if err := c.scanRows(rd, iv, match); err != nil {
-			return false, err
-		}
-	default:
-		return false, nil // invalid interval: never inserted
-	}
-	if !ok {
-		return false, nil
-	}
-	return true, c.db.eng.DeleteRowID(c.name, found)
+		// An invalid interval was never inserted: nothing found.
+		return victim, found, err
+	})
 }
 
 // scanRows streams the base row of every interval the access method
 // reports as intersecting q; return false from fn to stop early. A row id
 // whose row is gone (rel.ErrNoSuchRow) is skipped; any other read failure
 // stops the scan and is returned, so a page that cannot be read is an
-// error and never a shorter answer. Caller holds the DB lock.
-func (c *Collection) scanRows(rd sqldb.Reader, q Interval, fn func(rid rel.RowID, row []int64) bool) error {
+// error and never a shorter answer. Caller holds the statement lock.
+func scanRows(rd sqldb.Reader, tab *rel.Table, q Interval, fn func(rid rel.RowID, row []int64) bool) error {
 	row := make([]int64, 3)
 	var readErr error
 	err := rd.Scan(q, func(rid rel.RowID) bool {
-		if err := c.tab.GetRawInto(rid, row); err != nil {
+		if err := tab.GetRawInto(rid, row); err != nil {
 			if errors.Is(err, rel.ErrNoSuchRow) {
 				return true
 			}
@@ -221,19 +207,16 @@ func (c *Collection) scanRows(rd sqldb.Reader, q Interval, fn func(rid rel.RowID
 
 // IntersectingFunc streams the ids of intervals intersecting q in no
 // particular order; return false from fn to stop early. fn runs under the
-// DB read lock and must not call mutating methods. An inverted q is an
-// error, as it is in SQL.
+// read side of the engine's statement lock and must not call the DB (a
+// waiting writer would deadlock it). An inverted q is an error, as it is
+// in SQL.
 func (c *Collection) IntersectingFunc(q Interval, fn func(id int64) bool) error {
 	if err := sqldb.IntersectsQuery(q); err != nil {
 		return err
 	}
-	c.db.mu.RLock()
-	defer c.db.mu.RUnlock()
-	rd, err := c.reader()
-	if err != nil {
-		return err
-	}
-	return c.scanRows(rd, q, func(_ rel.RowID, row []int64) bool { return fn(row[2]) })
+	return c.db.eng.ReadCollection(c.name, func(rd sqldb.Reader, tab *rel.Table) error {
+		return scanRows(rd, tab, q, func(_ rel.RowID, row []int64) bool { return fn(row[2]) })
+	})
 }
 
 // Intersecting returns the ids of all intervals intersecting q, ascending.
@@ -254,13 +237,12 @@ func (c *Collection) CountIntersecting(q Interval) (int64, error) {
 	if err := sqldb.IntersectsQuery(q); err != nil {
 		return 0, err
 	}
-	c.db.mu.RLock()
-	defer c.db.mu.RUnlock()
-	rd, err := c.reader()
-	if err != nil {
-		return 0, err
-	}
-	return rd.Count(q)
+	var n int64
+	err := c.db.eng.ReadCollection(c.name, func(rd sqldb.Reader, _ *rel.Table) (err error) {
+		n, err = rd.Count(q)
+		return err
+	})
+	return n, err
 }
 
 // Stab returns the ids of all intervals containing the point p, ascending.
@@ -287,21 +269,17 @@ func (c *Collection) Query(r Relation, q Interval) ([]int64, error) {
 // SetNow sets the evaluation time for now-relative intervals (§4.6) on
 // access methods that keep one (ritree); others return an error.
 func (c *Collection) SetNow(now int64) error {
-	c.db.mu.Lock()
-	defer c.db.mu.Unlock()
-	return c.db.eng.SetIndexNow(c.ci.Name(), now)
+	return c.db.eng.SetIndexNow(sqldb.CollectionIndexName(c.name), now)
 }
 
 // Now returns the evaluation time for now-relative intervals, or false if
 // the access method keeps none.
-func (c *Collection) Now() (int64, bool) {
-	c.db.mu.RLock()
-	defer c.db.mu.RUnlock()
-	rd, err := c.reader()
-	if err != nil {
-		return 0, false
-	}
-	return rd.Now()
+func (c *Collection) Now() (now int64, ok bool) {
+	_ = c.db.eng.ReadCollection(c.name, func(rd sqldb.Reader, _ *rel.Table) error {
+		now, ok = rd.Now()
+		return nil
+	})
+	return now, ok
 }
 
 // scanStatement translates a streaming Query into the SQL statement and

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"regexp"
 	"strings"
-	"sync"
 	"time"
 
 	"ritree/internal/hint"
@@ -33,22 +32,20 @@ import (
 // persisted snapshot and replays the heap tail written since), so a
 // database closed with two collections serves both after Open.
 //
-// All methods are safe for concurrent use. Streaming Query cursors (and
-// Collection.Scan) read from pinned page-store snapshots and hold no
-// lock, so an open cursor never blocks a concurrent write; the synchronous
-// collection queries share a read lock and mutations take the write lock.
-// File-backed databases write ahead to a <path>.wal sidecar log and replay
-// it on Open, so a crash between commit and page writeback loses nothing.
+// All methods are safe for concurrent use. The engine's statement lock is
+// the only lock a DB adds: statements and writes hold it exclusively, the
+// synchronous collection reads share it, and callbacks that run under it
+// (IntersectingFunc's fn) must not call the DB. The WAL fsync a write
+// waits for happens outside it, so concurrent writers share fsyncs.
+// Streaming Query cursors (and Collection.Scan) read from pinned
+// page-store snapshots and hold no lock, so an open cursor never blocks a
+// concurrent write. File-backed databases write ahead to a <path>.wal
+// sidecar log and replay it on Open, so a crash between commit and page
+// writeback loses nothing.
 type DB struct {
-	mu    sync.RWMutex
 	store *pagestore.Store
-	rdb   *rel.DB
 	eng   *sqldb.Engine
 	reg   *obs.Registry
-	cols  map[string]*Collection
-	// persistSnaps: Flush/Close write HINT index snapshots before the
-	// page flush (file-backed databases with WithIndexSnapshots on).
-	persistSnaps bool
 }
 
 // Built-in access method names for CreateCollection.
@@ -136,7 +133,9 @@ func newDB(st *pagestore.Store, rdb *rel.DB, cfg *config, reopened, fileBacked b
 	ritcore.RegisterIndexType(eng)
 	hint.RegisterIndexType(eng)
 	hint.RegisterShardedIndexType(eng, 0)
-	eng.SetIndexSnapshotsEnabled(cfg.indexSnapshots)
+	// Flush and Close persist index snapshots only where a reopen can
+	// adopt them.
+	eng.SetIndexSnapshotsEnabled(cfg.indexSnapshots && fileBacked)
 	if reopened {
 		// Re-attach every collection and domain index recorded in the
 		// catalog, so DML maintains them across session boundaries. Failing
@@ -147,11 +146,7 @@ func newDB(st *pagestore.Store, rdb *rel.DB, cfg *config, reopened, fileBacked b
 			return nil, err
 		}
 	}
-	return &DB{
-		store: st, rdb: rdb, eng: eng, reg: reg,
-		cols:         make(map[string]*Collection),
-		persistSnaps: cfg.indexSnapshots && fileBacked,
-	}, nil
+	return &DB{store: st, eng: eng, reg: reg}, nil
 }
 
 // collectionName constrains collection names to SQL identifiers, so a
@@ -202,57 +197,27 @@ func (db *DB) CreateCollection(name string, opts ...CollectionOption) (*Collecti
 	if !collectionName.MatchString(name) {
 		return nil, fmt.Errorf("ritree: collection name %q is not a SQL identifier", name)
 	}
-	name = strings.ToLower(name)
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	if err := db.eng.CreateCollection(name, cc.method, cc.params); err != nil {
 		return nil, err
 	}
-	return db.collectionLocked(name)
+	return db.Collection(name)
 }
 
-// Collection returns a handle to an existing collection.
+// Collection returns a handle to an existing collection. The handle
+// resolves the collection by name on every call: after DROP and CREATE
+// COLLECTION it serves the new collection, and while no collection has
+// the name its reads and deletes fail.
 func (db *DB) Collection(name string) (*Collection, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.collectionLocked(strings.ToLower(name))
-}
-
-// collectionLocked resolves (and caches) the handle. Caller holds db.mu.
-// A cached handle is trusted only while its access-method index is still
-// the one attached to the engine: SQL-level DROP COLLECTION / DROP TABLE
-// (or a drop-and-recreate) invalidates it, and handing it out anyway
-// would route queries through the dropped index.
-func (db *DB) collectionLocked(name string) (*Collection, error) {
-	if c, ok := db.cols[name]; ok {
-		if ci, live := db.eng.CustomIndexByName(sqldb.CollectionIndexName(name)); live && ci == c.ci {
-			return c, nil
-		}
-		delete(db.cols, name)
-	}
+	name = strings.ToLower(name)
 	method, ok := db.eng.CollectionMethod(name)
 	if !ok {
-		return nil, fmt.Errorf("ritree: no collection %q (have %v)", name, db.collectionNames())
+		var names []string
+		for _, info := range db.eng.Collections() {
+			names = append(names, info.Name)
+		}
+		return nil, fmt.Errorf("ritree: no collection %q (have %v)", name, names)
 	}
-	ci, ok := db.eng.CustomIndexByName(sqldb.CollectionIndexName(name))
-	if !ok {
-		return nil, fmt.Errorf("ritree: collection %q is recorded in the catalog but its access method is not attached", name)
-	}
-	tab, err := db.rdb.Table(name)
-	if err != nil {
-		return nil, err
-	}
-	c := &Collection{db: db, name: name, method: method, tab: tab, ci: ci}
-	db.cols[name] = c
-	return c, nil
-}
-
-func (db *DB) collectionNames() []string {
-	var names []string
-	for _, info := range db.eng.Collections() {
-		names = append(names, info.Name)
-	}
-	return names
+	return &Collection{db: db, name: name, method: method}, nil
 }
 
 // Collections lists every collection with its access method, sorted by
@@ -262,16 +227,10 @@ func (db *DB) Collections() []CollectionInfo {
 }
 
 // DropCollection removes the named collection, its rows, and its
-// access-method storage. Outstanding handles to it become invalid.
+// access-method storage. Outstanding handles to it fail until a
+// collection of that name is created again.
 func (db *DB) DropCollection(name string) error {
-	name = strings.ToLower(name)
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.eng.DropCollection(name); err != nil {
-		return err
-	}
-	delete(db.cols, name)
-	return nil
+	return db.eng.DropCollection(name)
 }
 
 // AccessMethods lists the registered access-method (indextype) names,
@@ -286,8 +245,6 @@ func (db *DB) AccessMethods() []string { return db.eng.IndexTypes() }
 // columns (lower, upper, id). SELECT results are fully materialized in
 // the Result; use Query for a streaming cursor.
 func (db *DB) Exec(sql string, binds map[string]interface{}) (*Result, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	return db.eng.Exec(sql, binds)
 }
 
@@ -305,31 +262,14 @@ func (db *DB) Query(ctx context.Context, sql string, binds map[string]interface{
 	return db.eng.Query(ctx, sql, binds)
 }
 
-// Session is a private connection to the database. It owns its explicit
-// transaction (SQL BEGIN … COMMIT), which statements on other sessions,
-// DB.Exec included, never join.
-type Session struct {
-	db *DB
-	s  *sqldb.Session
-}
+// Session is a private connection to the database: Exec, Query and
+// Close. It owns its explicit transaction (SQL BEGIN … COMMIT), which
+// statements on other sessions, DB.Exec included, never join. Close rolls
+// back the session's open transaction, if any.
+type Session = sqldb.Session
 
 // Session returns a new private session.
-func (db *DB) Session() *Session { return &Session{db: db, s: db.eng.NewSession()} }
-
-// Exec runs one SQL statement on the session, under DB.Exec's lock.
-func (s *Session) Exec(sql string, binds map[string]interface{}) (*Result, error) {
-	s.db.mu.Lock()
-	defer s.db.mu.Unlock()
-	return s.s.Exec(sql, binds)
-}
-
-// Query opens a cursor like DB.Query, on the session's transaction view.
-func (s *Session) Query(ctx context.Context, sql string, binds map[string]interface{}) (*Rows, error) {
-	return s.s.Query(ctx, sql, binds)
-}
-
-// Close rolls back the session's open transaction, if any.
-func (s *Session) Close() error { return s.s.Close() }
+func (db *DB) Session() *Session { return db.eng.NewSession() }
 
 // Begin opens an explicit transaction on a private session. SQL reads in
 // it answer from a snapshot pinned at Begin; SQL writes are buffered, and
@@ -451,30 +391,13 @@ func (db *DB) SetCheckpointThreshold(bytes int64) {
 }
 
 // Flush writes all dirty pages to the backing store, persisting index
-// snapshots first on file-backed databases (see WithIndexSnapshots).
-func (db *DB) Flush() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.persistSnaps {
-		if err := db.eng.PersistIndexSnapshots(); err != nil {
-			return err
-		}
-	}
-	return db.rdb.Flush()
-}
+// snapshots first on file-backed databases (see WithIndexSnapshots). It
+// runs between statements, under the engine's statement lock.
+func (db *DB) Flush() error { return db.eng.Flush() }
 
 // Close flushes and closes the database, persisting index snapshots
 // first on file-backed databases (see WithIndexSnapshots). Collection
 // handles are invalid afterwards. Cursors still open when Close runs do
 // not block it and do not panic: their next read fails cleanly and
 // surfaces through Rows.Err.
-func (db *DB) Close() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.persistSnaps {
-		if err := db.eng.PersistIndexSnapshots(); err != nil {
-			return err
-		}
-	}
-	return db.rdb.Close()
-}
+func (db *DB) Close() error { return db.eng.Close() }

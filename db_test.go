@@ -633,6 +633,64 @@ func TestCollectionHandleInvalidatedBySQLDrop(t *testing.T) {
 	}
 }
 
+// TestCollectionHandleFollowsName pins that a Collection is a handle to a
+// name: after DROP and CREATE COLLECTION every call of an old handle
+// reaches the new collection, and while no collection has the name its
+// reads and deletes fail instead of answering empty.
+func TestCollectionHandleFollowsName(t *testing.T) {
+	for _, m := range []string{AccessMethodRITree, AccessMethodHINT} {
+		t.Run(m, func(t *testing.T) {
+			db := openMemoryDB(t)
+			old, err := db.CreateCollection("c", AccessMethod(m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := old.Insert(NewInterval(1, 5), 1); err != nil {
+				t.Fatal(err)
+			}
+			for _, sql := range []string{"DROP COLLECTION c", "CREATE COLLECTION c USING " + m} {
+				if _, err := db.Exec(sql, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			iv, q := NewInterval(10, 20), NewInterval(0, 100)
+			if err := old.Insert(iv, 2); err != nil {
+				t.Fatal(err)
+			}
+			if ids, err := old.Intersecting(q); err != nil || !slices.Equal(ids, []int64{2}) {
+				t.Fatalf("Intersecting = %v, %v; want [2]", ids, err)
+			}
+			if n, err := old.CountIntersecting(q); err != nil || n != 1 {
+				t.Fatalf("CountIntersecting = %d, %v; want 1", n, err)
+			}
+			if n := old.Count(); n != 1 {
+				t.Fatalf("Count = %d, want 1", n)
+			}
+			if ok, err := old.Delete(iv, 2); err != nil || !ok {
+				t.Fatalf("Delete = %v, %v; want true", ok, err)
+			}
+			if n := old.Count(); n != 0 {
+				t.Fatalf("Count after Delete = %d, want 0", n)
+			}
+			if err := old.Insert(iv, 3); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.DropCollection("c"); err != nil {
+				t.Fatal(err)
+			}
+			if err := old.IntersectingFunc(q, func(int64) bool { return true }); err == nil {
+				t.Fatal("IntersectingFunc on a dropped collection returned no error")
+			}
+			if n, err := old.CountIntersecting(q); err == nil {
+				t.Fatalf("CountIntersecting on a dropped collection = %d with no error", n)
+			}
+			if ok, err := old.Delete(iv, 3); err == nil {
+				t.Fatalf("Delete on a dropped collection = %v with no error", ok)
+			}
+		})
+	}
+}
+
 func TestCollectionFarTailQueriesUniform(t *testing.T) {
 	// Queries whose generating region starts beyond ±2^59 must answer
 	// (not error) on every access method, and agree.

@@ -14,7 +14,7 @@ import (
 // Absolute values differ from the 1998 Pentium Pro testbed; the shapes —
 // who wins, by what factor, where curves cross — are the reproduction
 // targets (expectations are spelled out in each table's notes and in
-// EXPERIMENTS.md).
+// README "Performance").
 
 // sampleOf returns up to n intervals, the paper's "representative sample
 // of 1,000 intervals" used to tune the T-index fixed level (§6.1).

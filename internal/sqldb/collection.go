@@ -24,9 +24,9 @@ import (
 // SQL surface: CREATE COLLECTION name [USING method] and
 // DROP COLLECTION name; the collection is then an ordinary table for
 // SELECT/INSERT/DELETE, with INTERSECTS and CONTAINS_POINT served by its
-// access method. The programmatic surface (InsertRow, DeleteRowID,
-// BulkInsert, CustomIndexByName) is what the root ritree package's
-// Collection handle drives.
+// access method. The programmatic surface (BulkInsert, ReadCollection,
+// DeleteCollectionRow) is what the root ritree package's Collection
+// handle drives.
 
 // CollectionColumns is the fixed schema of a collection's base relation.
 var CollectionColumns = []string{"lower", "upper", "id"}
@@ -205,37 +205,59 @@ func firstErr(errs ...error) error {
 	return nil
 }
 
-// InsertRow stores row in table with full domain-index maintenance — the
-// programmatic equivalent of INSERT INTO, minus the SQL parse. This is
-// the write path of the unified collection API. It always auto-commits —
-// programmatic writers are exactly the concurrent writers a transaction's
-// first-committer-wins validation detects.
-func (e *Engine) InsertRow(table string, row []int64) (rel.RowID, error) {
-	rids, err := e.BulkInsert(table, [][]int64{row})
+// ReadCollection binds the named collection's access method to the live
+// database and hands fn its Reader and base table, under the read side of
+// e.mu: writers wait until fn returns, other live readers do not. The
+// name is resolved on every call, so a collection dropped and created
+// again is the new one, and a dropped one is an error. fn must not call
+// the engine.
+func (e *Engine) ReadCollection(name string, fn func(rd Reader, tab *rel.Table) error) error {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	rd, tab, err := e.liveCollectionLocked(name)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	return rids[0], nil
+	return fn(rd, tab)
 }
 
-// DeleteRowID removes the row at rid from table with full domain-index
-// maintenance. Auto-commits like InsertRow.
-func (e *Engine) DeleteRowID(table string, rid rel.RowID) error {
-	e.mu.Lock()
-	tab, err := e.db.Table(table)
-	if err != nil {
-		e.mu.Unlock()
-		return err
+// DeleteCollectionRow deletes from the named collection the row find
+// locates through the live Reader, with full domain-index maintenance,
+// and auto-commits; find and the delete share one hold of e.mu. It
+// reports whether find located a row. find must not call the engine.
+func (e *Engine) DeleteCollectionRow(name string, find func(rd Reader, tab *rel.Table) (Entry, bool, error)) (bool, error) {
+	found, seq, err := func() (bool, uint64, error) {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		rd, tab, err := e.liveCollectionLocked(name)
+		if err != nil {
+			return false, 0, err
+		}
+		victim, found, err := find(rd, tab)
+		if !found || err != nil {
+			return false, 0, err
+		}
+		_, err = e.applyLocked(tab.Name(), nil, []Entry{victim})
+		seq, cerr := e.commitWriteLocked()
+		return true, seq, firstErr(err, cerr)
+	}()
+	return found, firstErr(err, e.db.Store().WaitDurable(seq))
+}
+
+// liveCollectionLocked resolves the named collection and binds its access
+// method to the live database. Caller holds e.mu (either side).
+func (e *Engine) liveCollectionLocked(name string) (Reader, *rel.Table, error) {
+	name = strings.ToLower(name)
+	ci, ok := e.custom[CollectionIndexName(name)]
+	if !ok {
+		return nil, nil, fmt.Errorf("sql: no collection %q", name)
 	}
-	row, err := tab.GetRaw(rid)
+	tab, err := e.db.Table(name)
 	if err != nil {
-		e.mu.Unlock()
-		return err
+		return nil, nil, err
 	}
-	_, err = e.applyLocked(table, nil, []Entry{{RID: rid, Row: row}})
-	seq, cerr := e.commitWriteLocked()
-	e.mu.Unlock()
-	return firstErr(err, cerr, e.db.Store().WaitDurable(seq))
+	rd, err := ci.Reader(e.db)
+	return rd, tab, err
 }
 
 // BulkInsert appends rows to table as one batch (see applyLocked) — the

@@ -92,10 +92,11 @@ func TestEngineProgrammaticRowDML(t *testing.T) {
 	if err := e.CreateCollection("c", "fake", nil); err != nil {
 		t.Fatal(err)
 	}
-	rid, err := e.InsertRow("c", []int64{1, 5, 100})
-	if err != nil {
-		t.Fatal(err)
+	first, err := e.BulkInsert("c", [][]int64{{1, 5, 100}})
+	if err != nil || len(first) != 1 {
+		t.Fatal(first, err)
 	}
+	rid := first[0]
 	ci, ok := e.CustomIndexByName(CollectionIndexName("c"))
 	if !ok {
 		t.Fatal("collection index not attached")
@@ -113,8 +114,12 @@ func TestEngineProgrammaticRowDML(t *testing.T) {
 	if len(rids) != 3 || f.Applies != 2 || f.Len() != 4 {
 		t.Fatalf("bulk: rids=%d applies=%d indexed=%d", len(rids), f.Applies, f.Len())
 	}
-	if err := e.DeleteRowID("c", rid); err != nil {
-		t.Fatal(err)
+	found, err := e.DeleteCollectionRow("c", func(_ Reader, tab *rel.Table) (Entry, bool, error) {
+		row, err := tab.GetRaw(rid)
+		return Entry{RID: rid, Row: row}, err == nil, err
+	})
+	if err != nil || !found {
+		t.Fatal(found, err)
 	}
 	if f.Len() != 3 {
 		t.Fatalf("delete maintenance missed: %d entries", f.Len())

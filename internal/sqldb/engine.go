@@ -36,9 +36,11 @@ type Result struct {
 }
 
 // Engine executes SQL statements against a rel.DB. Statements run on a
-// Session (see txn.go) and are serialized by an internal mutex.
+// Session (see txn.go) and are serialized by mu, the one statement lock:
+// every statement, DDL and write holds its write side, and the live reads
+// of ReadCollection share its read side.
 type Engine struct {
-	mu         sync.Mutex
+	mu         sync.RWMutex
 	db         *rel.DB
 	indexTypes map[string]IndexType
 	custom     map[string]Index   // by index name
@@ -63,8 +65,8 @@ type Engine struct {
 	// reader goroutines without mu since cursors stopped holding it.
 	sqlMet atomic.Pointer[sqlMetrics]
 	// mergeOff disables interval merge join planning (nested loops only):
-	// the benchmark/debug escape hatch. Zero value = merge join enabled.
-	// Guarded by mu.
+	// the nested-loops reference the merge-vs-nested parity tests compare
+	// against. Zero value = merge join enabled. Guarded by mu.
 	mergeOff bool
 	// ixSnapOff disables persisted index snapshots: PersistIndexSnapshots
 	// becomes a no-op and indextypes skip their snapshot fast path on

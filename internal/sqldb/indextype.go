@@ -135,22 +135,36 @@ type Reader interface {
 // snapshot view, exactly like DML, so cached plans stay valid across a
 // persist.
 func (e *Engine) PersistIndexSnapshots() error {
-	if !e.IndexSnapshotsEnabled() {
-		return nil
-	}
+	return e.persistThen(func() error { return nil })
+}
+
+// Flush persists index snapshots (when enabled) and writes every dirty
+// page to the backing store.
+func (e *Engine) Flush() error { return e.persistThen(e.db.Flush) }
+
+// Close persists index snapshots (when enabled), then flushes and closes
+// the database.
+func (e *Engine) Close() error { return e.persistThen(e.db.Close) }
+
+// persistThen runs PersistIndexSnapshots and then finish in one
+// hold of e.mu. A page flush turns whatever is pending into a commit
+// boundary, so it must never run in the middle of a statement.
+func (e *Engine) persistThen(finish func() error) error {
 	e.mu.Lock()
-	var err error
-	for _, ci := range e.custom {
-		if err = ci.Persist(); err != nil {
-			break
+	defer e.mu.Unlock()
+	if e.IndexSnapshotsEnabled() {
+		var err error
+		for _, ci := range e.custom {
+			if err = ci.Persist(); err != nil {
+				break
+			}
+		}
+		seq, cerr := e.commitWriteLocked()
+		if err := firstErr(err, cerr, e.db.Store().WaitDurable(seq)); err != nil {
+			return err
 		}
 	}
-	seq, cerr := e.commitWriteLocked()
-	e.mu.Unlock()
-	if err := firstErr(err, cerr); err != nil {
-		return err
-	}
-	return e.db.Store().WaitDurable(seq)
+	return finish()
 }
 
 // RegisterIndexType makes a user-defined indextype available to

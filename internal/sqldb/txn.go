@@ -26,7 +26,7 @@ import (
 //
 // Scope and limits, deliberately documented rather than hidden:
 //
-//   - Programmatic collection writes (InsertRow, BulkInsert, DeleteRowID)
+//   - Programmatic collection writes (BulkInsert, DeleteCollectionRow)
 //     are auto-commit: exactly the concurrent writers COMMIT detects.
 //   - Reads do not see the transaction's own buffered writes (snapshot
 //     semantics without a private workspace).

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ritree/internal/rel"
+	"ritree/internal/sqldb"
 )
 
 // newRITreeCollection opens an in-memory DB with one ritree collection
@@ -225,7 +226,10 @@ func TestPublicSQLSurface(t *testing.T) {
 		t.Fatalf("Figure 9 rows = %v", res.Rows)
 	}
 	row := make([]int64, 3)
-	if err := c.tab.GetRawInto(rel.RowID(res.Rows[0][0]), row); err != nil || row[2] != 7 {
+	err = db.eng.ReadCollection(c.Name(), func(_ sqldb.Reader, tab *rel.Table) error {
+		return tab.GetRawInto(rel.RowID(res.Rows[0][0]), row)
+	})
+	if err != nil || row[2] != 7 {
 		t.Fatalf("Figure 9 row id %d resolves to %v, %v; want id 7", res.Rows[0][0], row, err)
 	}
 	plan, err := tree.ExplainIntersection(db.eng, q)

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -218,5 +220,103 @@ func TestCheckpointThresholdThroughDB(t *testing.T) {
 	}
 	if len(ids) != 16 {
 		t.Fatalf("query after checkpoints returned %d ids, want 16", len(ids))
+	}
+}
+
+// TestFlushBetweenStatements loops Flush while two sessions INSERT and
+// InsertMany loads the same HINT collection. A page flush seals whatever
+// is pending as a commit boundary, so it must only ever run between
+// statements: after Close and a reopen every acknowledged row is there,
+// and the collection attaches from its persisted snapshot.
+func TestFlushBetweenStatements(t *testing.T) {
+	db, c, path := openSnapshotDB(t, AccessMethodHINT, 10)
+	const perWriter = 60
+	var acked [3][]int64
+	var writers, flusher sync.WaitGroup
+	errc := make(chan error, 4)
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			s := db.Session()
+			defer s.Close()
+			for i := 0; i < perWriter; i++ {
+				id := int64(1000*(w+1) + i)
+				if _, err := s.Exec("INSERT INTO resv VALUES (:lo, :hi, :id)", map[string]interface{}{"lo": id, "hi": id + 5, "id": id}); err != nil {
+					errc <- err
+					return
+				}
+				acked[w] = append(acked[w], id)
+			}
+		}(w)
+	}
+	writers.Add(1)
+	go func() {
+		defer writers.Done()
+		for i := 0; i < perWriter; i += 6 {
+			rows := make([]IntervalRow, 6)
+			for j := range rows {
+				id := int64(3000 + i + j)
+				rows[j] = IntervalRow{NewInterval(id, id+5), id}
+			}
+			if err := c.InsertMany(rows); err != nil {
+				errc <- err
+				return
+			}
+			for _, r := range rows {
+				acked[2] = append(acked[2], r.ID)
+			}
+		}
+	}()
+	stop := make(chan struct{})
+	flusher.Add(1)
+	go func() {
+		defer flusher.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := db.Flush(); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
+	writers.Wait()
+	close(stop)
+	flusher.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rdb, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdb.Close()
+	if v := rdb.Metrics().Counter("index.resv$am.snapshot.loads"); v != 1 {
+		t.Fatalf("snapshot.loads = %d, want 1", v)
+	}
+	rc, err := rdb.Collection("resv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rc.Intersecting(NewInterval(1000, 4000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int64
+	for _, ids := range acked {
+		want = append(want, ids...)
+	}
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("reopened collection holds %d rows in [1000, 4000], want the %d acknowledged ones", len(got), len(want))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -754,10 +755,11 @@ func TestSessionsOwnTransactions(t *testing.T) {
 }
 
 // TestTxnCommitHoldsDBLock races the synchronous collection reads, which
-// walk live pages under the database's read lock, against transactions
-// whose COMMIT rewrites those pages. Txn methods take the same lock as
-// DB.Exec, so every answer is a committed prefix: ids 0..k-1 for some k,
-// and a count equal to one such k.
+// walk live pages under the read side of the engine's statement lock,
+// against transactions whose COMMIT rewrites those pages. Txn statements
+// take the write side of that lock, as DB.Exec does, so every answer is a
+// committed prefix: ids 0..k-1 for some k, and a count equal to one such
+// k.
 func TestTxnCommitHoldsDBLock(t *testing.T) {
 	db, err := OpenMemory()
 	if err != nil {
@@ -832,5 +834,56 @@ func TestTxnCommitHoldsDBLock(t *testing.T) {
 		if n, err := c.CountIntersecting(NewInterval(0, 1000)); err != nil || n != cycles {
 			t.Fatalf("%s: final count %d (%v), want %d", c.Name(), n, err, cycles)
 		}
+	}
+}
+
+// TestConcurrentSessionsShareFsyncs runs auto-commit INSERTs from eight
+// sessions at once on a file-backed database. Each write waits for its
+// WAL fsync outside the statement lock, so writers that commit while a
+// sync is in flight ride the next one: fewer fsyncs than commits.
+func TestConcurrentSessionsShareFsyncs(t *testing.T) {
+	db, err := Open(filepath.Join(t.TempDir(), "fsync.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Exec("CREATE TABLE t (id int, v int)", nil); err != nil {
+		t.Fatal(err)
+	}
+	const sessions, inserts = 8, 100
+	before := db.Metrics()
+	var wg sync.WaitGroup
+	errc := make(chan error, sessions)
+	for w := 0; w < sessions; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := db.Session()
+			defer s.Close()
+			for i := 0; i < inserts; i++ {
+				if _, err := s.Exec("INSERT INTO t VALUES (:id, :v)", map[string]interface{}{"id": w*inserts + i, "v": w}); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	d := db.Metrics().Sub(before)
+	fsyncs, commits := d.Counter("wal.fsyncs"), d.Counter("wal.commits")
+	if commits < sessions*inserts {
+		t.Fatalf("wal.commits = %d, want at least %d", commits, sessions*inserts)
+	}
+	if fsyncs >= commits {
+		t.Fatalf("wal.fsyncs = %d for %d commits: concurrent writers did not share an fsync", fsyncs, commits)
+	}
+	t.Logf("%d fsyncs for %d commits", fsyncs, commits)
+	res, err := db.Exec("SELECT COUNT(*) FROM t", nil)
+	if err != nil || res.Rows[0][0] != sessions*inserts {
+		t.Fatalf("COUNT(*) = %v, %v; want %d", res, err, sessions*inserts)
 	}
 }
