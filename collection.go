@@ -33,16 +33,19 @@ import (
 // served when the access method implements them (ritree); other methods
 // reject such rows instead of silently mis-answering.
 type Collection struct {
-	db     *DB
-	name   string
-	method string
+	db   *DB
+	name string
 }
 
 // Name returns the collection name.
 func (c *Collection) Name() string { return c.name }
 
-// Method returns the name of the access method serving the collection.
-func (c *Collection) Method() string { return c.method }
+// Method returns the name of the access method serving the collection
+// that has the handle's name now, or "" while no collection has it.
+func (c *Collection) Method() string {
+	method, _ := c.db.eng.CollectionMethod(c.name)
+	return method
+}
 
 // Count returns the number of registered intervals (0 while no
 // collection has the handle's name).
@@ -57,7 +60,7 @@ func (c *Collection) Count() int64 {
 
 // String summarizes the collection.
 func (c *Collection) String() string {
-	return fmt.Sprintf("ritree.Collection{%s, method=%s, n=%d}", c.name, c.method, c.Count())
+	return fmt.Sprintf("ritree.Collection{%s, method=%s, n=%d}", c.name, c.Method(), c.Count())
 }
 
 // Metrics returns this collection's access-method counters from the DB's

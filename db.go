@@ -209,15 +209,14 @@ func (db *DB) CreateCollection(name string, opts ...CollectionOption) (*Collecti
 // the name its reads and deletes fail.
 func (db *DB) Collection(name string) (*Collection, error) {
 	name = strings.ToLower(name)
-	method, ok := db.eng.CollectionMethod(name)
-	if !ok {
+	if _, ok := db.eng.CollectionMethod(name); !ok {
 		var names []string
 		for _, info := range db.eng.Collections() {
 			names = append(names, info.Name)
 		}
 		return nil, fmt.Errorf("ritree: no collection %q (have %v)", name, names)
 	}
-	return &Collection{db: db, name: name, method: method}, nil
+	return &Collection{db: db, name: name}, nil
 }
 
 // Collections lists every collection with its access method, sorted by
@@ -262,11 +261,15 @@ func (db *DB) Query(ctx context.Context, sql string, binds map[string]interface{
 	return db.eng.Query(ctx, sql, binds)
 }
 
-// Session is a private connection to the database: Exec, Query and
-// Close. It owns its explicit transaction (SQL BEGIN … COMMIT), which
+// Session is a private connection to the database: Exec, Query, Prepare
+// and Close. It owns its explicit transaction (SQL BEGIN … COMMIT), which
 // statements on other sessions, DB.Exec included, never join. Close rolls
 // back the session's open transaction, if any.
 type Session = sqldb.Session
+
+// Stmt is a statement prepared on a Session (Session.Prepare): parsed
+// once, run with one positional int64 argument per bind name.
+type Stmt = sqldb.Stmt
 
 // Session returns a new private session.
 func (db *DB) Session() *Session { return db.eng.NewSession() }

@@ -691,6 +691,38 @@ func TestCollectionHandleFollowsName(t *testing.T) {
 	}
 }
 
+// TestCollectionMethodFollowsName pins that Method, like every other call
+// of a handle, answers for the collection that has the name now: after
+// DROP and CREATE COLLECTION ... USING hint an old ritree handle reports
+// hint, and while no collection has the name it reports "".
+func TestCollectionMethodFollowsName(t *testing.T) {
+	db := openMemoryDB(t)
+	old, err := db.CreateCollection("c", AccessMethod(AccessMethodRITree))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := old.Method(); m != AccessMethodRITree {
+		t.Fatalf("Method = %q, want %q", m, AccessMethodRITree)
+	}
+	for _, sql := range []string{"DROP COLLECTION c", "CREATE COLLECTION c USING " + AccessMethodHINT} {
+		if _, err := db.Exec(sql, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := old.Method(); m != AccessMethodHINT {
+		t.Fatalf("Method after re-creation = %q, want %q", m, AccessMethodHINT)
+	}
+	if s := old.String(); !strings.Contains(s, "method="+AccessMethodHINT) {
+		t.Fatalf("String after re-creation = %q, want method=%s", s, AccessMethodHINT)
+	}
+	if err := db.DropCollection("c"); err != nil {
+		t.Fatal(err)
+	}
+	if m := old.Method(); m != "" {
+		t.Fatalf("Method of a dropped collection = %q, want \"\"", m)
+	}
+}
+
 func TestCollectionFarTailQueriesUniform(t *testing.T) {
 	// Queries whose generating region starts beyond ±2^59 must answer
 	// (not error) on every access method, and agree.

@@ -5,21 +5,23 @@ import (
 	sqldriver "database/sql/driver"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"ritree/internal/sqldb"
 )
 
 // backend is what a connection runs statements through: the wire client
-// (remote) or a shared in-process DB (embedded). Both surface the same
-// error values — in particular, a conflicting COMMIT satisfies
-// errors.Is(err, ritree.ErrTxnConflict) from either side.
+// (remote) or a shared in-process DB (embedded). Both take a statement's
+// arguments by position and surface the same error values — in
+// particular, a conflicting COMMIT satisfies
+// errors.Is(err, ritree.ErrTxnConflict) from either side. A query of an
+// EXPLAIN answers with its plan as a "plan" text column.
 type backend interface {
-	query(ctx context.Context, sql string, binds map[string]interface{}) (sqldriver.Rows, error)
-	exec(ctx context.Context, sql string, binds map[string]interface{}) (affected int64, plan string, err error)
-	// prepare reserves backend-side statement state: the remote backend
-	// parses server-side and executes by statement ID, the embedded one
-	// re-submits the text (the engine's plan cache keys on it).
+	query(ctx context.Context, sql string, args []int64) (sqldriver.Rows, error)
+	exec(ctx context.Context, sql string, args []int64) (affected int64, err error)
+	// prepare parses the statement on the backend, which keeps the parse
+	// and reports its bind names.
 	prepare(sql string) (preparedStmt, error)
 	ping(ctx context.Context) error
 	metrics() (string, error)
@@ -28,15 +30,18 @@ type backend interface {
 
 // preparedStmt executes one prepared statement.
 type preparedStmt interface {
-	queryStmt(ctx context.Context, binds map[string]interface{}) (sqldriver.Rows, error)
-	execStmt(ctx context.Context, binds map[string]interface{}) (affected int64, plan string, err error)
+	bindNames() []string
+	queryStmt(ctx context.Context, args []int64) (sqldriver.Rows, error)
+	execStmt(ctx context.Context, args []int64) (affected int64, err error)
 	close() error
 }
 
-// conn is one database/sql connection.
+// conn is one database/sql connection. database/sql never uses it from
+// two goroutines at once, so args is a buffer every statement reuses.
 type conn struct {
 	be     backend
 	closed bool
+	args   []int64
 }
 
 var (
@@ -57,67 +62,33 @@ func (c *conn) PrepareContext(ctx context.Context, query string) (sqldriver.Stmt
 	if c.closed {
 		return nil, sqldriver.ErrBadConn
 	}
-	// Bind names come from the lexer so positional args have a stable
-	// order; parsing up front surfaces syntax errors at Prepare time.
-	st, err := sqldb.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	names, err := sqldb.BindNames(query)
-	if err != nil {
-		return nil, err
-	}
 	ps, err := c.be.prepare(query)
 	if err != nil {
 		return nil, err
 	}
-	_, isExplain := st.(*sqldb.ExplainStmt)
-	return &stmt{c: c, ps: ps, bindNames: names, isExplain: isExplain}, nil
+	return &stmt{c: c, ps: ps}, nil
 }
 
 func (c *conn) QueryContext(ctx context.Context, query string, args []sqldriver.NamedValue) (sqldriver.Rows, error) {
 	if c.closed {
 		return nil, sqldriver.ErrBadConn
 	}
-	names, err := sqldb.BindNames(query)
+	vals, err := c.positional(args, nil, query)
 	if err != nil {
 		return nil, err
 	}
-	binds, err := buildBinds(names, args)
-	if err != nil {
-		return nil, err
-	}
-	return c.query(ctx, query, binds)
-}
-
-// query routes one statement: EXPLAIN synthesizes a text result from the
-// exec path, everything else opens a streaming cursor.
-func (c *conn) query(ctx context.Context, query string, binds map[string]interface{}) (sqldriver.Rows, error) {
-	if st, err := sqldb.Parse(query); err == nil {
-		if _, isExplain := st.(*sqldb.ExplainStmt); isExplain {
-			_, plan, err := c.be.exec(ctx, query, binds)
-			if err != nil {
-				return nil, err
-			}
-			return planRows(plan), nil
-		}
-	}
-	return c.be.query(ctx, query, binds)
+	return c.be.query(ctx, query, vals)
 }
 
 func (c *conn) ExecContext(ctx context.Context, query string, args []sqldriver.NamedValue) (sqldriver.Result, error) {
 	if c.closed {
 		return nil, sqldriver.ErrBadConn
 	}
-	names, err := sqldb.BindNames(query)
+	vals, err := c.positional(args, nil, query)
 	if err != nil {
 		return nil, err
 	}
-	binds, err := buildBinds(names, args)
-	if err != nil {
-		return nil, err
-	}
-	affected, _, err := c.be.exec(ctx, query, binds)
+	affected, err := c.be.exec(ctx, query, vals)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +109,7 @@ func (c *conn) BeginTx(ctx context.Context, opts sqldriver.TxOptions) (sqldriver
 	if opts.ReadOnly {
 		return nil, fmt.Errorf("ritree driver: read-only transactions are not supported")
 	}
-	if _, _, err := c.be.exec(ctx, "BEGIN", nil); err != nil {
+	if _, err := c.be.exec(ctx, "BEGIN", nil); err != nil {
 		return nil, err
 	}
 	return &tx{c: c}, nil
@@ -167,16 +138,12 @@ func (c *conn) Close() error {
 	return c.be.close()
 }
 
-// stmt is a prepared statement. The plan work it saves lives in the
-// engine's plan cache (keyed by statement text), so the handle itself
-// only pins the parsed bind-name order — it stays valid across
-// transactions and DDL, re-planning transparently when the cache was
-// invalidated.
+// stmt is a prepared statement: the backend keeps its parse and the
+// engine's plan cache its plan, so it stays valid across transactions
+// and DDL, re-planning transparently when the cache was invalidated.
 type stmt struct {
-	c         *conn
-	ps        preparedStmt
-	bindNames []string
-	isExplain bool
+	c  *conn
+	ps preparedStmt
 }
 
 func (s *stmt) Close() error {
@@ -188,7 +155,7 @@ func (s *stmt) Close() error {
 	return ps.close()
 }
 
-func (s *stmt) NumInput() int { return len(s.bindNames) }
+func (s *stmt) NumInput() int { return len(s.ps.bindNames()) }
 
 func (s *stmt) Exec(args []sqldriver.Value) (sqldriver.Result, error) {
 	return s.ExecContext(context.Background(), namedValues(args))
@@ -199,11 +166,11 @@ func (s *stmt) Query(args []sqldriver.Value) (sqldriver.Rows, error) {
 }
 
 func (s *stmt) ExecContext(ctx context.Context, args []sqldriver.NamedValue) (sqldriver.Result, error) {
-	binds, err := buildBinds(s.bindNames, args)
+	vals, err := s.c.positional(args, s.ps.bindNames(), "")
 	if err != nil {
 		return nil, err
 	}
-	affected, _, err := s.ps.execStmt(ctx, binds)
+	affected, err := s.ps.execStmt(ctx, vals)
 	if err != nil {
 		return nil, err
 	}
@@ -211,30 +178,23 @@ func (s *stmt) ExecContext(ctx context.Context, args []sqldriver.NamedValue) (sq
 }
 
 func (s *stmt) QueryContext(ctx context.Context, args []sqldriver.NamedValue) (sqldriver.Rows, error) {
-	binds, err := buildBinds(s.bindNames, args)
+	vals, err := s.c.positional(args, s.ps.bindNames(), "")
 	if err != nil {
 		return nil, err
 	}
-	if s.isExplain {
-		_, plan, err := s.ps.execStmt(ctx, binds)
-		if err != nil {
-			return nil, err
-		}
-		return planRows(plan), nil
-	}
-	return s.ps.queryStmt(ctx, binds)
+	return s.ps.queryStmt(ctx, vals)
 }
 
 // tx maps sql.Tx onto the connection's explicit transaction.
 type tx struct{ c *conn }
 
 func (t *tx) Commit() error {
-	_, _, err := t.c.be.exec(context.Background(), "COMMIT", nil)
+	_, err := t.c.be.exec(context.Background(), "COMMIT", nil)
 	return err
 }
 
 func (t *tx) Rollback() error {
-	_, _, err := t.c.be.exec(context.Background(), "ROLLBACK", nil)
+	_, err := t.c.be.exec(context.Background(), "ROLLBACK", nil)
 	return err
 }
 
@@ -246,31 +206,55 @@ func (r result) LastInsertId() (int64, error) {
 }
 func (r result) RowsAffected() (int64, error) { return int64(r), nil }
 
-// buildBinds maps driver args onto the engine's named binds: positional
-// args take the statement's distinct bind names in first-appearance
-// order, named args (sql.Named) match directly.
-func buildBinds(bindNames []string, args []sqldriver.NamedValue) (map[string]interface{}, error) {
+// positional orders driver args as the statement's bind values, in the
+// connection's buffer: a positional arg takes its ordinal's place, a
+// named one (sql.Named) the place of its bind name. names are the
+// statement's bind names, or nil for an unprepared statement, whose text
+// query is then lexed for them if a named arg needs them.
+func (c *conn) positional(args []sqldriver.NamedValue, names []string, query string) ([]int64, error) {
 	if len(args) == 0 {
 		return nil, nil
 	}
-	binds := make(map[string]interface{}, len(args))
+	named := slices.ContainsFunc(args, func(a sqldriver.NamedValue) bool { return a.Name != "" })
+	if named && names == nil {
+		var err error
+		if names, err = sqldb.BindNames(query); err != nil {
+			return nil, err
+		}
+	}
+	n := len(args)
+	if named || names != nil {
+		n = len(names)
+	}
+	if len(args) != n {
+		return nil, fmt.Errorf("ritree driver: %d args for %d bind variables", len(args), n)
+	}
+	vals := slices.Grow(c.args[:0], n)[:n]
+	var set []bool
+	if named {
+		set = make([]bool, n)
+	}
 	for _, a := range args {
-		name := strings.ToLower(a.Name)
-		if name == "" {
-			if a.Ordinal < 1 || a.Ordinal > len(bindNames) {
-				return nil, fmt.Errorf("ritree driver: %d args for %d bind variables",
-					len(args), len(bindNames))
+		i := a.Ordinal - 1
+		if a.Name != "" {
+			if i = slices.Index(names, strings.ToLower(a.Name)); i < 0 {
+				return nil, fmt.Errorf("ritree driver: the statement has no bind :%s", strings.ToLower(a.Name))
 			}
-			name = bindNames[a.Ordinal-1]
+		}
+		if set != nil {
+			if set[i] {
+				return nil, fmt.Errorf("ritree driver: bind :%s is given twice", names[i])
+			}
+			set[i] = true
 		}
 		v, ok := a.Value.(int64)
 		if !ok {
-			return nil, fmt.Errorf("ritree driver: bind :%s has unsupported type %T (values are int64)",
-				name, a.Value)
+			return nil, fmt.Errorf("ritree driver: argument %d has unsupported type %T (values are int64)", a.Ordinal, a.Value)
 		}
-		binds[name] = v
+		vals[i] = v
 	}
-	return binds, nil
+	c.args = vals
+	return vals, nil
 }
 
 // namedValues adapts the pre-context Stmt call shape.

@@ -15,9 +15,10 @@
 // available: DDL, DML with binds, the ALLEN_* interval operators,
 // BEGIN/COMMIT/ROLLBACK through sql.Tx (a conflicting commit returns an
 // error satisfying errors.Is(err, ritree.ErrTxnConflict), embedded or
-// remote), and streaming SELECT — rows cross the wire in bounded batches
-// pulled on demand, so sql.Rows.Close after k rows stops the server-side
-// scan after O(k) work.
+// remote), and streaming SELECT — rows cross the wire in bounded batches,
+// the first inside the query's reply, so a small SELECT is one round
+// trip, and sql.Rows.Close stops the server-side scan one batch after
+// the rows read.
 //
 // Values are int64 (the engine's only scalar type); int and int32
 // convert on the way in. Placeholders are the engine's named binds

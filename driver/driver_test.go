@@ -249,6 +249,91 @@ func TestLimitStopsServerScan(t *testing.T) {
 	}
 }
 
+// TestSmallSelectIsOneRoundTrip: the answer to a query carries its first
+// batch, so a prepared SELECT of two rows is one StmtQuery round trip —
+// no Fetch, and no CloseCursor from Rows.Close. A result longer than one
+// batch still streams through Fetch and equals the embedded answer.
+func TestSmallSelectIsOneRoundTrip(t *testing.T) {
+	rdb, dsn := startServer(t)
+	db := openSQL(t, dsn)
+	seed(t, db)
+	count := func(msg string) int64 { return rdb.Metrics().Histograms["server.latency."+msg].Count }
+
+	stmt, err := db.Prepare("SELECT id, lower FROM iv WHERE id >= :a AND id < :b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stmt.Close()
+	queries, fetches, closes := count("stmt_query"), count("fetch"), count("close_cursor")
+	for i := int64(0); i < 100; i++ {
+		rows, err := stmt.Query(i, i+2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := collect(t, rows); len(got) != 2 || got[0][0] != i || got[1][0] != i+1 {
+			t.Fatalf("ids [%d, %d): rows %v", i, i+2, got)
+		}
+	}
+	if d := count("stmt_query") - queries; d != 100 {
+		t.Fatalf("100 executions sent %d StmtQuery frames", d)
+	}
+	if d := count("fetch") - fetches; d != 0 {
+		t.Fatalf("2-row results took %d Fetch round trips", d)
+	}
+	if d := count("close_cursor") - closes; d != 0 {
+		t.Fatalf("finished results sent %d CloseCursor frames", d)
+	}
+
+	// 40 × 40 = 1600 rows: more than three batches.
+	const long = "SELECT a.id, b.id FROM iv a, iv b WHERE a.id < 40 AND b.id < 40 ORDER BY 1, 2"
+	fetches = count("fetch")
+	rows, err := db.Query(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotWire := collect(t, rows)
+	if d := count("fetch") - fetches; d < 3 {
+		t.Fatalf("a %d-row result took %d Fetch round trips", len(gotWire), d)
+	}
+	erows, err := rdb.Query(context.Background(), long, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotEmb [][]int64
+	for erows.Next() {
+		gotEmb = append(gotEmb, append([]int64(nil), erows.Row()...))
+	}
+	if err := erows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(gotWire) != 1600 || fmt.Sprint(gotWire) != fmt.Sprint(gotEmb) {
+		t.Fatalf("long result: wire %d rows, embedded %d rows, equal %v",
+			len(gotWire), len(gotEmb), fmt.Sprint(gotWire) == fmt.Sprint(gotEmb))
+	}
+
+	// A fault inside the first batch belongs to the cursor, as it does
+	// embedded: Query succeeds, Err reports it, the connection stays.
+	conn, err := db.Conn(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	rows, err = conn.QueryContext(context.Background(), "SELECT id, 10 / (id - 3) FROM iv WHERE id < 6 ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rows.Next() {
+	}
+	if err := rows.Err(); err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("Err = %v, want division by zero", err)
+	}
+	rows.Close()
+	var n int64
+	if err := conn.QueryRowContext(context.Background(), "SELECT count(*) FROM iv").Scan(&n); err != nil || n != 200 {
+		t.Fatalf("after the fault: count = %d, %v", n, err)
+	}
+}
+
 // TestCancellationReleasesCursor cancels a streaming query mid-stream
 // and asserts the server-side cursor — and with it the pinned snapshot
 // view — is released (sql.views.active drains to <= 1: the engine keeps
@@ -599,10 +684,14 @@ func TestSessionTeardownMidStream(t *testing.T) {
 		return rtyp, rp
 	}
 	send(wire.MsgHello, wire.AppendUvarint(nil, wire.ProtoVersion))
-	send(wire.MsgExec, wire.AppendBinds(wire.AppendString(nil, "BEGIN"), nil))
+	send(wire.MsgExec, wire.AppendArgs(wire.AppendString(nil, "BEGIN"), nil))
 	b := wire.AppendString(nil, "SELECT id FROM iv")
-	b = wire.AppendBinds(b, nil)
+	b = wire.AppendUvarint(b, 4) // a first batch of 4 rows leaves the cursor open
+	b = wire.AppendArgs(b, nil)
 	send(wire.MsgQuery, b)
+	if typ, _, err := wire.ReadFrame(br); err != nil || typ != wire.MsgRowBatch {
+		t.Fatalf("first batch: %#x, %v", typ, err)
+	}
 	// One bounded fetch so the cursor is genuinely mid-stream.
 	fb := wire.AppendUvarint(nil, 1)
 	fb = wire.AppendUvarint(fb, 4)

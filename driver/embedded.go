@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"ritree"
+	"ritree/internal/sqldb"
 )
 
 // embedded runs a connection's statements on its own session of a shared
@@ -17,26 +18,28 @@ type embedded struct {
 	s  *ritree.Session
 }
 
-func (e *embedded) query(ctx context.Context, sql string, binds map[string]interface{}) (sqldriver.Rows, error) {
-	rows, err := e.s.Query(ctx, sql, binds)
+func (e *embedded) query(ctx context.Context, sql string, args []int64) (sqldriver.Rows, error) {
+	st, err := e.s.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
-	return &embeddedRows{rows: rows}, nil
+	return embeddedStmt{st}.queryStmt(ctx, args)
 }
 
-func (e *embedded) exec(_ context.Context, sql string, binds map[string]interface{}) (int64, string, error) {
-	res, err := e.s.Exec(sql, binds)
+func (e *embedded) exec(ctx context.Context, sql string, args []int64) (int64, error) {
+	st, err := e.s.Prepare(sql)
 	if err != nil {
-		return 0, "", err
+		return 0, err
 	}
-	return res.Affected, res.Plan, nil
+	return embeddedStmt{st}.execStmt(ctx, args)
 }
 
-// prepare keeps no embedded-side state beyond the text: the engine's
-// plan cache keys on it, so re-submitting is the prepared fast path.
 func (e *embedded) prepare(sql string) (preparedStmt, error) {
-	return &embeddedStmt{be: e, sql: sql}, nil
+	st, err := e.s.Prepare(sql)
+	if err != nil {
+		return nil, err
+	}
+	return embeddedStmt{st}, nil
 }
 
 func (e *embedded) ping(context.Context) error { return nil }
@@ -49,21 +52,35 @@ func (e *embedded) metrics() (string, error) {
 // close rolls back the connection's transaction (the Connector owns the DB).
 func (e *embedded) close() error { return e.s.Close() }
 
-// embeddedStmt re-submits the statement text per execution.
-type embeddedStmt struct {
-	be  *embedded
-	sql string
+// embeddedStmt is a statement prepared on the connection's session.
+type embeddedStmt struct{ st *sqldb.Stmt }
+
+func (s embeddedStmt) bindNames() []string { return s.st.BindNames() }
+
+func (s embeddedStmt) queryStmt(ctx context.Context, args []int64) (sqldriver.Rows, error) {
+	if s.st.Explain() {
+		res, err := s.st.Exec(args)
+		if err != nil {
+			return nil, err
+		}
+		return planRows(res.Plan), nil
+	}
+	rows, err := s.st.Query(ctx, args)
+	if err != nil {
+		return nil, err
+	}
+	return &embeddedRows{rows: rows}, nil
 }
 
-func (s *embeddedStmt) queryStmt(ctx context.Context, binds map[string]interface{}) (sqldriver.Rows, error) {
-	return s.be.query(ctx, s.sql, binds)
+func (s embeddedStmt) execStmt(_ context.Context, args []int64) (int64, error) {
+	res, err := s.st.Exec(args)
+	if err != nil {
+		return 0, err
+	}
+	return res.Affected, nil
 }
 
-func (s *embeddedStmt) execStmt(ctx context.Context, binds map[string]interface{}) (int64, string, error) {
-	return s.be.exec(ctx, s.sql, binds)
-}
-
-func (s *embeddedStmt) close() error { return nil }
+func (s embeddedStmt) close() error { return nil }
 
 // embeddedRows adapts the engine's streaming cursor.
 type embeddedRows struct {

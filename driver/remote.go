@@ -13,9 +13,10 @@ import (
 	"ritree/internal/wire"
 )
 
-// fetchBatch is how many rows a remote cursor pulls per Fetch round
-// trip: large enough to amortize the round trip, small enough that a
-// LIMIT-k client stops the server-side scan after O(k) leaf rows.
+// fetchBatch is how many rows a query's first reply, and every Fetch
+// after it, carries: large enough that most SELECTs end in the first
+// reply, one round trip in all, and small enough that a LIMIT-k client
+// stops the server-side scan after O(k) leaf rows.
 const fetchBatch = 512
 
 // remote is the wire-protocol client backend behind a tcp:// DSN. The
@@ -28,6 +29,9 @@ type remote struct {
 	br     *bufio.Reader
 	bw     *bufio.Writer
 	broken bool
+	// req is the request payload buffer, reused under mu: WriteFrame
+	// copies it into bw.
+	req []byte
 }
 
 // dialRemote connects and performs the Hello handshake.
@@ -38,7 +42,7 @@ func dialRemote(ctx context.Context, addr string) (*remote, error) {
 		return nil, err
 	}
 	r := &remote{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
-	typ, payload, err := r.roundTrip(wire.MsgHello, wire.AppendUvarint(nil, wire.ProtoVersion))
+	typ, _, err := r.roundTrip(wire.MsgHello, wire.AppendUvarint(nil, wire.ProtoVersion))
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -47,7 +51,6 @@ func dialRemote(ctx context.Context, addr string) (*remote, error) {
 		conn.Close()
 		return nil, fmt.Errorf("ritree driver: unexpected handshake response %#x", typ)
 	}
-	_ = payload
 	return r, nil
 }
 
@@ -73,15 +76,20 @@ func (r *remote) roundTripLocked(typ byte, payload []byte) (byte, []byte, error)
 		r.broken = true
 		return 0, nil, err
 	}
-	rtyp, rpayload, err := wire.ReadFrame(r.br)
+	return r.readLocked()
+}
+
+// readLocked reads one response frame. Caller holds mu.
+func (r *remote) readLocked() (byte, []byte, error) {
+	typ, payload, err := wire.ReadFrame(r.br)
 	if err != nil {
 		r.broken = true
 		return 0, nil, err
 	}
-	if rtyp == wire.MsgErr {
-		return 0, nil, mapWireErr(wire.DecodeErr(rpayload))
+	if typ == wire.MsgErr {
+		return 0, nil, mapWireErr(wire.DecodeErr(payload))
 	}
-	return rtyp, rpayload, nil
+	return typ, payload, nil
 }
 
 // mapWireErr reconstructs sentinel errors from protocol codes.
@@ -100,61 +108,71 @@ type conflictError struct{ msg string }
 func (e conflictError) Error() string { return e.msg }
 func (e conflictError) Unwrap() error { return ritree.ErrTxnConflict }
 
-func toWireBinds(binds map[string]interface{}) map[string]int64 {
-	if len(binds) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(binds))
-	for k, v := range binds {
-		out[k] = v.(int64) // buildBinds admitted int64 only
-	}
-	return out
+func (r *remote) query(_ context.Context, sql string, args []int64) (sqldriver.Rows, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	b := wire.AppendString(r.req[:0], sql)
+	b = wire.AppendUvarint(b, fetchBatch)
+	r.req = wire.AppendArgs(b, args)
+	return r.openCursorLocked(wire.MsgQuery)
 }
 
-func (r *remote) query(ctx context.Context, sql string, binds map[string]interface{}) (sqldriver.Rows, error) {
-	b := wire.AppendString(nil, sql)
-	b = wire.AppendBinds(b, toWireBinds(binds))
-	return r.openCursor(wire.MsgQuery, b)
-}
-
-// openCursor sends a Query/StmtQuery and wraps the resulting RowHeader.
-func (r *remote) openCursor(typ byte, payload []byte) (sqldriver.Rows, error) {
-	rtyp, rp, err := r.roundTrip(typ, payload)
+// openCursorLocked sends the Query or StmtQuery in r.req and reads its
+// answer: the RowHeader and the first RowBatch, or an EXPLAIN's plan.
+// Caller holds mu.
+func (r *remote) openCursorLocked(typ byte) (sqldriver.Rows, error) {
+	rtyp, rp, err := r.roundTripLocked(typ, r.req)
 	if err != nil {
 		return nil, err
 	}
-	if rtyp != wire.MsgRowHeader {
+	switch rtyp {
+	case wire.MsgExecOK:
+		_, plan, err := decodeExecOK(rp)
+		if err != nil {
+			return nil, err
+		}
+		return planRows(plan), nil
+	case wire.MsgRowHeader:
+	default:
 		return nil, fmt.Errorf("ritree driver: unexpected response %#x to query", rtyp)
 	}
 	rd := wire.NewReader(rp)
-	cursorID := rd.Uvarint()
-	cols := rd.Strings()
+	rr := &remoteRows{r: r, cursorID: rd.Uvarint(), cols: rd.Strings()}
 	if rd.Err() != nil {
+		r.broken = true // the first batch is still unread
 		return nil, rd.Err()
 	}
-	return &remoteRows{r: r, cursorID: cursorID, cols: cols}, nil
+	// An error in the first batch belongs to the cursor, as it would
+	// after a Fetch: Next reports it.
+	rr.take(r.readLocked())
+	return rr, nil
 }
 
-func (r *remote) exec(_ context.Context, sql string, binds map[string]interface{}) (int64, string, error) {
-	b := wire.AppendString(nil, sql)
-	b = wire.AppendBinds(b, toWireBinds(binds))
-	return r.decodeExecOK(r.roundTrip(wire.MsgExec, b))
+func (r *remote) exec(_ context.Context, sql string, args []int64) (int64, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.req = wire.AppendArgs(wire.AppendString(r.req[:0], sql), args)
+	return r.execLocked(wire.MsgExec)
 }
 
-func (r *remote) decodeExecOK(typ byte, payload []byte, err error) (int64, string, error) {
+// execLocked sends the Exec or StmtExec in r.req. Caller holds mu.
+func (r *remote) execLocked(typ byte) (int64, error) {
+	rtyp, rp, err := r.roundTripLocked(typ, r.req)
 	if err != nil {
-		return 0, "", err
+		return 0, err
 	}
-	if typ != wire.MsgExecOK {
-		return 0, "", fmt.Errorf("ritree driver: unexpected response %#x to exec", typ)
+	if rtyp != wire.MsgExecOK {
+		return 0, fmt.Errorf("ritree driver: unexpected response %#x to exec", rtyp)
 	}
+	affected, _, err := decodeExecOK(rp)
+	return affected, err
+}
+
+func decodeExecOK(payload []byte) (affected int64, plan string, err error) {
 	rd := wire.NewReader(payload)
-	affected := rd.Varint()
-	plan := rd.String()
-	if rd.Err() != nil {
-		return 0, "", rd.Err()
-	}
-	return affected, plan, nil
+	affected = rd.Varint()
+	plan = rd.String()
+	return affected, plan, rd.Err()
 }
 
 // prepare parses server-side; execution then travels by statement ID.
@@ -167,12 +185,11 @@ func (r *remote) prepare(sql string) (preparedStmt, error) {
 		return nil, fmt.Errorf("ritree driver: unexpected response %#x to parse", typ)
 	}
 	rd := wire.NewReader(payload)
-	id := rd.Uvarint()
-	rd.Strings() // server's bind-name view; the conn derives its own
+	st := &remoteStmt{r: r, id: rd.Uvarint(), names: rd.Strings()}
 	if rd.Err() != nil {
 		return nil, rd.Err()
 	}
-	return &remoteStmt{r: r, id: id}, nil
+	return st, nil
 }
 
 func (r *remote) ping(context.Context) error {
@@ -213,20 +230,29 @@ func (r *remote) close() error {
 
 // remoteStmt executes by server-side statement ID.
 type remoteStmt struct {
-	r  *remote
-	id uint64
+	r     *remote
+	id    uint64
+	names []string
 }
 
-func (s *remoteStmt) queryStmt(ctx context.Context, binds map[string]interface{}) (sqldriver.Rows, error) {
-	b := wire.AppendUvarint(nil, s.id)
-	b = wire.AppendBinds(b, toWireBinds(binds))
-	return s.r.openCursor(wire.MsgStmtQuery, b)
+func (s *remoteStmt) bindNames() []string { return s.names }
+
+func (s *remoteStmt) queryStmt(_ context.Context, args []int64) (sqldriver.Rows, error) {
+	r := s.r
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	b := wire.AppendUvarint(r.req[:0], s.id)
+	b = wire.AppendUvarint(b, fetchBatch)
+	r.req = wire.AppendArgs(b, args)
+	return r.openCursorLocked(wire.MsgStmtQuery)
 }
 
-func (s *remoteStmt) execStmt(_ context.Context, binds map[string]interface{}) (int64, string, error) {
-	b := wire.AppendUvarint(nil, s.id)
-	b = wire.AppendBinds(b, toWireBinds(binds))
-	return s.r.decodeExecOK(s.r.roundTrip(wire.MsgStmtExec, b))
+func (s *remoteStmt) execStmt(_ context.Context, args []int64) (int64, error) {
+	r := s.r
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.req = wire.AppendArgs(wire.AppendUvarint(r.req[:0], s.id), args)
+	return r.execLocked(wire.MsgStmtExec)
 }
 
 func (s *remoteStmt) close() error {
@@ -243,28 +269,36 @@ func (s *remoteStmt) close() error {
 	return nil
 }
 
-// remoteRows streams a server-side cursor in Fetch-sized batches.
+// remoteRows streams a server-side cursor: the batch that came with the
+// query's answer, then Fetch-sized batches.
 type remoteRows struct {
 	r        *remote
 	cursorID uint64
 	cols     []string
-	buf      [][]int64
-	pos      int
-	done     bool
+	// vals holds the current batch's nrows rows, values row after row;
+	// pos is the next row to hand out.
+	vals       []int64
+	nrows, pos int
+	done       bool  // the server has closed the cursor
+	err        error // what ended the stream early
 }
 
 func (rr *remoteRows) Columns() []string { return rr.cols }
 
 func (rr *remoteRows) Next(dest []sqldriver.Value) error {
-	for rr.pos >= len(rr.buf) {
+	for rr.pos >= rr.nrows {
 		if rr.done {
+			if rr.err != nil {
+				return rr.err
+			}
 			return io.EOF
 		}
 		if err := rr.fetch(); err != nil {
 			return err
 		}
 	}
-	for i, v := range rr.buf[rr.pos] {
+	ncols := len(rr.cols)
+	for i, v := range rr.vals[rr.pos*ncols : (rr.pos+1)*ncols] {
 		dest[i] = v
 	}
 	rr.pos++
@@ -272,29 +306,34 @@ func (rr *remoteRows) Next(dest []sqldriver.Value) error {
 }
 
 func (rr *remoteRows) fetch() error {
-	b := wire.AppendUvarint(nil, rr.cursorID)
-	b = wire.AppendUvarint(b, fetchBatch)
-	typ, payload, err := rr.r.roundTrip(wire.MsgFetch, b)
+	r := rr.r
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	b := wire.AppendUvarint(r.req[:0], rr.cursorID)
+	r.req = wire.AppendUvarint(b, fetchBatch)
+	return rr.take(r.roundTripLocked(wire.MsgFetch, r.req))
+}
+
+// take installs the answer to a query or a Fetch: the next batch, or the
+// error that ended the stream — after which the server holds no cursor.
+func (rr *remoteRows) take(typ byte, payload []byte, err error) error {
+	if err == nil && typ != wire.MsgRowBatch {
+		err = fmt.Errorf("ritree driver: unexpected response %#x, want a row batch", typ)
+	}
+	if err == nil {
+		rr.vals, rr.nrows, rr.done, err = wire.DecodeRows(payload, len(rr.cols), rr.vals)
+	}
+	rr.pos = 0
 	if err != nil {
-		rr.done = true
-		return err
+		rr.nrows, rr.done, rr.err = 0, true, err
 	}
-	if typ != wire.MsgRowBatch {
-		rr.done = true
-		return fmt.Errorf("ritree driver: unexpected response %#x to fetch", typ)
-	}
-	rows, done, err := wire.DecodeRowBatch(payload, len(rr.cols))
-	if err != nil {
-		rr.done = true
-		return err
-	}
-	rr.buf, rr.pos, rr.done = rows, 0, done
-	return nil
+	return err
 }
 
 // Close releases the server-side cursor (and with it the pinned
 // snapshot) unless the stream already finished — the final batch closes
-// it server-side.
+// it server-side, so a result that fit in one batch closes with no round
+// trip.
 func (rr *remoteRows) Close() error {
 	if rr.done {
 		return nil

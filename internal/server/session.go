@@ -16,26 +16,11 @@ import (
 )
 
 // maxFetch caps one RowBatch regardless of what the client asks for, so
-// a hostile Fetch(max=1<<60) cannot make the server materialize an
-// unbounded batch. Streaming still covers arbitrary results — the client
-// just fetches again.
+// a hostile first-batch count or Fetch(max=1<<60) cannot make the server
+// materialize an unbounded batch; a count of 0 asks for the cap.
+// Streaming still covers arbitrary results — the client just fetches
+// again.
 const maxFetch = 8192
-
-// prepared is a server-side prepared statement: the SQL text plus its
-// bind names in first-appearance order (the driver binds positionally).
-// No plan is pinned here — the engine's plan cache keys on the text, so
-// repeated execution hits the cached plan without the session holding
-// storage handles across DDL.
-type prepared struct {
-	sql       string
-	bindNames []string
-}
-
-// cursor is one open server-side result stream.
-type cursor struct {
-	rows  *ritree.Rows
-	ncols int
-}
 
 // session is the per-connection state machine. All fields are owned by
 // the session goroutine except draining, which drain() flips from the
@@ -50,10 +35,19 @@ type session struct {
 
 	draining atomic.Bool
 
-	stmts      map[uint64]*prepared
+	// stmts holds the connection's prepared statements: each keeps its
+	// parse and takes its plan from the engine's plan cache, so it holds
+	// no storage handle across DDL.
+	stmts      map[uint64]*sqldb.Stmt
 	nextStmt   uint64
-	cursors    map[uint64]*cursor
+	cursors    map[uint64]*ritree.Rows
 	nextCursor uint64
+
+	// Buffers reused by every request: the decoded arguments, the reply
+	// payload, and the encoded rows of a batch (reply copies the payload
+	// into bw, so a buffer is free again once reply returns).
+	args      []int64
+	out, rows []byte
 }
 
 func newSession(srv *Server, conn net.Conn) *session {
@@ -64,8 +58,8 @@ func newSession(srv *Server, conn net.Conn) *session {
 		br:      bufio.NewReader(cc),
 		bw:      bufio.NewWriter(cc),
 		db:      srv.db.Session(),
-		stmts:   make(map[uint64]*prepared),
-		cursors: make(map[uint64]*cursor),
+		stmts:   make(map[uint64]*sqldb.Stmt),
+		cursors: make(map[uint64]*ritree.Rows),
 	}
 }
 
@@ -80,8 +74,8 @@ func (s *session) drain() {
 // kill severs the connection outright.
 func (s *session) kill() { s.conn.Close() }
 
-// run is the session loop: strict lockstep — read one request, write one
-// response, flush. It returns when the client terminates, the connection
+// run is the session loop: strict lockstep — read one request, write its
+// reply (one frame, or a query's header and first batch), flush. It returns when the client terminates, the connection
 // dies, or drain was requested; teardown always runs.
 func (s *session) run() {
 	defer s.teardown()
@@ -155,63 +149,63 @@ func (s *session) dispatch(typ byte, payload []byte) error {
 		return s.reply(wire.MsgPong, nil)
 
 	case wire.MsgQuery:
-		sql := r.String()
-		binds := r.Binds()
-		if r.Err() != nil {
+		sql, first := r.String(), r.Uvarint()
+		if s.args = r.Args(s.args); r.Err() != nil {
 			return r.Err()
 		}
-		return s.openCursor(sql, binds)
+		st, err := s.db.Prepare(sql)
+		if err != nil {
+			return s.replyErr(err)
+		}
+		return s.query(st, first)
 
 	case wire.MsgExec:
 		sql := r.String()
-		binds := r.Binds()
-		if r.Err() != nil {
+		if s.args = r.Args(s.args); r.Err() != nil {
 			return r.Err()
 		}
-		return s.exec(sql, binds)
+		st, err := s.db.Prepare(sql)
+		if err != nil {
+			return s.replyErr(err)
+		}
+		return s.exec(st)
 
 	case wire.MsgParse:
 		sql := r.String()
 		if r.Err() != nil {
 			return r.Err()
 		}
-		if _, err := sqldb.Parse(sql); err != nil {
-			return s.replyErr(err)
-		}
-		names, err := sqldb.BindNames(sql)
+		st, err := s.db.Prepare(sql)
 		if err != nil {
 			return s.replyErr(err)
 		}
 		s.nextStmt++
-		id := s.nextStmt
-		s.stmts[id] = &prepared{sql: sql, bindNames: names}
-		b := wire.AppendUvarint(nil, id)
-		b = wire.AppendStrings(b, names)
+		s.stmts[s.nextStmt] = st
+		b := wire.AppendUvarint(s.out[:0], s.nextStmt)
+		b = wire.AppendStrings(b, st.BindNames())
 		return s.reply(wire.MsgParseOK, b)
 
 	case wire.MsgStmtQuery:
-		id := r.Uvarint()
-		binds := r.Binds()
-		if r.Err() != nil {
+		id, first := r.Uvarint(), r.Uvarint()
+		if s.args = r.Args(s.args); r.Err() != nil {
 			return r.Err()
 		}
 		st, ok := s.stmts[id]
 		if !ok {
 			return s.replyErr(errProtocol("unknown statement %d", id))
 		}
-		return s.openCursor(st.sql, binds)
+		return s.query(st, first)
 
 	case wire.MsgStmtExec:
 		id := r.Uvarint()
-		binds := r.Binds()
-		if r.Err() != nil {
+		if s.args = r.Args(s.args); r.Err() != nil {
 			return r.Err()
 		}
 		st, ok := s.stmts[id]
 		if !ok {
 			return s.replyErr(errProtocol("unknown statement %d", id))
 		}
-		return s.exec(st.sql, binds)
+		return s.exec(st)
 
 	case wire.MsgFetch:
 		id := r.Uvarint()
@@ -226,8 +220,8 @@ func (s *session) dispatch(typ byte, payload []byte) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		if cur, ok := s.cursors[id]; ok {
-			cur.rows.Close()
+		if rows, ok := s.cursors[id]; ok {
+			rows.Close()
 			delete(s.cursors, id)
 		}
 		return s.reply(wire.MsgOK, nil)
@@ -252,62 +246,83 @@ func (s *session) dispatch(typ byte, payload []byte) error {
 	}
 }
 
-// openCursor runs a streaming SELECT and answers with its RowHeader.
-func (s *session) openCursor(sql string, wireBinds map[string]int64) error {
-	rows, err := s.db.Query(context.Background(), sql, toBinds(wireBinds))
+// query runs a SELECT with the request's arguments and answers with its
+// RowHeader and its first batch of up to first rows. An EXPLAIN is
+// answered as by Exec, with its plan text.
+func (s *session) query(st *sqldb.Stmt, first uint64) error {
+	if st.Explain() {
+		return s.exec(st)
+	}
+	rows, err := st.Query(context.Background(), s.args)
 	if err != nil {
 		return s.replyErr(err)
 	}
-	cols := rows.Columns()
 	s.nextCursor++
-	id := s.nextCursor
-	s.cursors[id] = &cursor{rows: rows, ncols: len(cols)}
-	b := wire.AppendUvarint(nil, id)
-	b = wire.AppendStrings(b, cols)
-	return s.reply(wire.MsgRowHeader, b)
+	b := wire.AppendUvarint(s.out[:0], s.nextCursor)
+	b = wire.AppendStrings(b, rows.Columns())
+	if err := s.reply(wire.MsgRowHeader, b); err != nil {
+		rows.Close()
+		return err
+	}
+	done, err := s.batch(rows, first)
+	if !done {
+		s.cursors[s.nextCursor] = rows
+	}
+	return err
 }
 
-// fetch pulls up to max rows from a cursor. The final batch (done=true)
-// closes the cursor server-side; a client abandoning the stream early
-// sends CloseCursor instead.
+// fetch answers a Fetch with the cursor's next batch of up to max rows.
+// The final batch (done=true) closes the cursor server-side; a client
+// abandoning the stream early sends CloseCursor instead.
 func (s *session) fetch(id, max uint64) error {
-	cur, ok := s.cursors[id]
+	rows, ok := s.cursors[id]
 	if !ok {
 		return s.replyErr(errProtocol("unknown cursor %d", id))
 	}
+	done, err := s.batch(rows, max)
+	if done {
+		delete(s.cursors, id)
+	}
+	return err
+}
+
+// batch writes the cursor's next RowBatch of up to max rows, each row
+// encoded straight from the cursor's row buffer, and reports whether the
+// cursor is finished and closed. A cursor that fails is closed and
+// answered with MsgErr.
+func (s *session) batch(rows *ritree.Rows, max uint64) (done bool, err error) {
 	if max == 0 || max > maxFetch {
 		max = maxFetch
 	}
-	batch := make([][]int64, 0, 64)
-	done := false
-	for uint64(len(batch)) < max {
-		if !cur.rows.Next() {
+	body := s.rows[:0]
+	n := 0
+	for uint64(n) < max {
+		if !rows.Next() {
 			done = true
 			break
 		}
-		row := cur.rows.Row() // buffer is reused by the next step: copy
-		cp := make([]int64, len(row))
-		copy(cp, row)
-		batch = append(batch, cp)
+		body = wire.AppendRow(body, rows.Row())
+		n++
 	}
+	s.rows = body
 	if done {
-		err := cur.rows.Err()
-		cur.rows.Close()
-		delete(s.cursors, id)
+		err := rows.Err()
+		rows.Close()
 		if err != nil {
-			return s.replyErr(err)
+			return true, s.replyErr(err)
 		}
 	}
-	return s.reply(wire.MsgRowBatch, wire.EncodeRowBatch(batch, done))
+	s.out = wire.AppendRowBatch(s.out[:0], done, n, body)
+	return done, s.reply(wire.MsgRowBatch, s.out)
 }
 
-// exec runs a non-cursor statement.
-func (s *session) exec(sql string, wireBinds map[string]int64) error {
-	res, err := s.db.Exec(sql, toBinds(wireBinds))
+// exec runs a statement with the request's arguments.
+func (s *session) exec(st *sqldb.Stmt) error {
+	res, err := st.Exec(s.args)
 	if err != nil {
 		return s.replyErr(err)
 	}
-	b := wire.AppendVarint(nil, res.Affected)
+	b := wire.AppendVarint(s.out[:0], res.Affected)
 	b = wire.AppendString(b, res.Plan)
 	return s.reply(wire.MsgExecOK, b)
 }
@@ -332,22 +347,10 @@ func (s *session) replyErr(err error) error {
 // run on every exit path — a connection killed mid-stream leaks pinned
 // snapshots otherwise.
 func (s *session) teardown() {
-	for id, cur := range s.cursors {
-		cur.rows.Close()
+	for id, rows := range s.cursors {
+		rows.Close()
 		delete(s.cursors, id)
 	}
 	s.db.Close()
 	s.conn.Close()
-}
-
-// toBinds widens wire binds to the engine's bind map.
-func toBinds(in map[string]int64) map[string]interface{} {
-	if len(in) == 0 {
-		return nil
-	}
-	out := make(map[string]interface{}, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
 }

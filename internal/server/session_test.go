@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"errors"
 	"net"
 	"slices"
 	"strings"
@@ -54,7 +55,7 @@ func (c *testClient) roundTrip(typ byte, payload []byte) (byte, []byte) {
 // exec runs one statement, returning the server's error if it sent one.
 func (c *testClient) exec(sql string) error {
 	c.t.Helper()
-	typ, payload := c.roundTrip(wire.MsgExec, wire.AppendBinds(wire.AppendString(nil, sql), nil))
+	typ, payload := c.roundTrip(wire.MsgExec, wire.AppendArgs(wire.AppendString(nil, sql), nil))
 	switch typ {
 	case wire.MsgExecOK:
 		return nil
@@ -116,4 +117,34 @@ func TestFailedCommitReleasesTransaction(t *testing.T) {
 		t.Fatalf("ids after B's COMMIT = %v, want [2 3]", ids)
 	}
 	b.disconnect()
+}
+
+// TestV1HelloRefused: a client of protocol version 1, which bound by name
+// and fetched every batch in a round trip of its own, is refused at the
+// handshake with the version error, and the session ends.
+func TestV1HelloRefused(t *testing.T) {
+	db, err := ritree.OpenMemory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	srv := New(db, Options{Logf: t.Logf})
+	cli, srvSide := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		newSession(srv, srvSide).run()
+		close(done)
+	}()
+	c := &testClient{t: t, conn: cli, br: bufio.NewReader(cli), bw: bufio.NewWriter(cli), done: done}
+	typ, payload := c.roundTrip(wire.MsgHello, wire.AppendUvarint(nil, 1))
+	if typ != wire.MsgErr {
+		t.Fatalf("v1 Hello answered %#x, want MsgErr", typ)
+	}
+	var we *wire.WireError
+	if err := wire.DecodeErr(payload); !errors.As(err, &we) ||
+		we.Code != wire.CodeProtocol || we.Msg != "unsupported protocol version" {
+		t.Fatalf("v1 Hello refused with %#v", err)
+	}
+	<-done
+	cli.Close()
 }

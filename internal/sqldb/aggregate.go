@@ -255,7 +255,7 @@ func newAggState(plan *selectPlan, call *CallExpr) (*aggState, error) {
 // (plan.count: a merge join without post filters counts its sweep, a lone
 // domain-index source without filters calls Reader.Count). The plan holds
 // only templates and plan-time decisions, so the plan cache keeps it.
-func (e *Engine) planAggregate(s *SelectStmt, binds map[string]interface{}) (*selectPlan, error) {
+func (e *Engine) planAggregate(s *SelectStmt, binds bindVals) (*selectPlan, error) {
 	plan, err := e.planSelect(&SelectStmt{
 		Items: []SelectItem{{Star: true}},
 		From:  s.From,

@@ -129,13 +129,19 @@ func (e *Engine) Exec(sql string, binds map[string]interface{}) (*Result, error)
 // WAL (group commit) before Exec returns, and the cached snapshot view is
 // invalidated so later readers see them.
 func (s *Session) Exec(sql string, binds map[string]interface{}) (*Result, error) {
-	e := s.e
-	st, err := Parse(sql)
+	st, err := s.parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	if sel, ok := st.(*SelectStmt); ok {
-		rows, err := s.querySelect(context.Background(), sel, sql, binds)
+	return st.exec(st.mapBinds(binds))
+}
+
+// exec runs a parsed statement: a SELECT is its cursor drained, anything
+// else runs under the statement lock.
+func (stmt *Stmt) exec(binds bindVals) (*Result, error) {
+	s, e, st, sql := stmt.s, stmt.s.e, stmt.st, stmt.sql
+	if _, ok := st.(*SelectStmt); ok {
+		rows, err := stmt.query(context.Background(), binds)
 		if err != nil {
 			return nil, err
 		}
@@ -156,6 +162,7 @@ func (s *Session) Exec(sql string, binds map[string]interface{}) (*Result, error
 	var stats ExecStats
 	var plan func() PlanNodeStats
 	var res *Result
+	var err error
 	if ex, ok := st.(*ExplainStmt); ok && ex.Analyze {
 		var ps PlanNodeStats
 		res, stats, ps, err = e.explainAnalyze(s, ex.Query, sql, binds)
@@ -173,7 +180,7 @@ func (s *Session) Exec(sql string, binds map[string]interface{}) (*Result, error
 		seq, cerr = e.commitWriteLocked()
 	}
 	if err == nil {
-		e.observeStmt(sql, stmtKind(st), len(binds), time.Since(start), stats, plan)
+		e.observeStmt(sql, stmtKind(st), len(binds.names), time.Since(start), stats, plan)
 	}
 	e.mu.Unlock()
 	// Group-commit durability wait happens outside mu, so concurrent
@@ -214,7 +221,7 @@ func (e *Engine) MustExec(sql string, binds map[string]interface{}) *Result {
 	return r
 }
 
-func (s *Session) execStmt(st Statement, sql string, binds map[string]interface{}) (*Result, error) {
+func (s *Session) execStmt(st Statement, sql string, binds bindVals) (*Result, error) {
 	e := s.e
 	if s.txn != nil {
 		switch st.(type) {
@@ -313,39 +320,7 @@ func (e *Engine) dropTableCascadeLocked(name string) error {
 	return e.db.DropTable(name)
 }
 
-// bindScalar resolves a scalar bind value.
-func bindScalar(binds map[string]interface{}, name string) (int64, error) {
-	v, ok := binds[name]
-	if !ok {
-		return 0, fmt.Errorf("sql: missing bind :%s", name)
-	}
-	switch x := v.(type) {
-	case int64:
-		return x, nil
-	case int:
-		return int64(x), nil
-	case int32:
-		return int64(x), nil
-	}
-	return 0, fmt.Errorf("sql: bind :%s has unsupported type %T (want integer)", name, v)
-}
-
-// bindCollection resolves a collection bind value.
-func bindCollection(binds map[string]interface{}, name string) (*Transient, error) {
-	v, ok := binds[name]
-	if !ok {
-		return nil, fmt.Errorf("sql: missing collection bind :%s", name)
-	}
-	switch x := v.(type) {
-	case *Transient:
-		return x, nil
-	case Transient:
-		return &x, nil
-	}
-	return nil, fmt.Errorf("sql: bind :%s has type %T, want Transient", name, v)
-}
-
-func (e *Engine) execInsert(s *InsertStmt, binds map[string]interface{}) (*Result, error) {
+func (e *Engine) execInsert(s *InsertStmt, binds bindVals) (*Result, error) {
 	row, err := e.insertValues(s, binds)
 	if err != nil {
 		return nil, err
@@ -357,7 +332,7 @@ func (e *Engine) execInsert(s *InsertStmt, binds map[string]interface{}) (*Resul
 }
 
 // insertValues evaluates an INSERT's value list against the table schema.
-func (e *Engine) insertValues(s *InsertStmt, binds map[string]interface{}) ([]int64, error) {
+func (e *Engine) insertValues(s *InsertStmt, binds bindVals) ([]int64, error) {
 	tab, err := e.db.Table(s.Table)
 	if err != nil {
 		return nil, err
@@ -456,7 +431,7 @@ func withUndo(err, undoErr error) error {
 // The clause is planned like a single-table SELECT so deletes can use
 // index range scans (Figure 5's single-statement delete). Caller holds
 // e.mu.
-func (e *Engine) victimsLocked(s *DeleteStmt, binds map[string]interface{}, rs *readState) ([]Entry, error) {
+func (e *Engine) victimsLocked(s *DeleteStmt, binds bindVals, rs *readState) ([]Entry, error) {
 	sel := &SelectStmt{
 		Items: []SelectItem{{Star: true}},
 		From:  []TableRef{{Name: s.Table}},
@@ -478,7 +453,7 @@ func (e *Engine) victimsLocked(s *DeleteStmt, binds map[string]interface{}, rs *
 	return victims, err
 }
 
-func (e *Engine) execDelete(s *DeleteStmt, binds map[string]interface{}) (*Result, error) {
+func (e *Engine) execDelete(s *DeleteStmt, binds bindVals) (*Result, error) {
 	// The victim scan reads live, under e.mu: the index Readers are bound
 	// to the live database, the same call a view makes with its shadow.
 	rs := newReadState(e.db)
@@ -500,7 +475,7 @@ func (e *Engine) execDelete(s *DeleteStmt, binds map[string]interface{}) (*Resul
 // plan tree annotated with the measured counters. The query's rows are
 // discarded; the plan text is the result, and the cursor's counters and
 // tree come back for the statement's observation. Caller holds e.mu.
-func (e *Engine) explainAnalyze(ss *Session, s *SelectStmt, sql string, binds map[string]interface{}) (*Result, ExecStats, PlanNodeStats, error) {
+func (e *Engine) explainAnalyze(ss *Session, s *SelectStmt, sql string, binds bindVals) (*Result, ExecStats, PlanNodeStats, error) {
 	v, err := e.acquireViewLocked(ss)
 	if err != nil {
 		return nil, ExecStats{}, PlanNodeStats{}, err

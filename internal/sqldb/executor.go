@@ -423,7 +423,7 @@ func (n *indexCountNode) Count(ec *execCtx) (int64, error) {
 // newBlockNode builds the pipeline of one block plan: its join under the
 // aggregation sink or the projection. fill fills the env's bind tail from
 // binds; EXPLAIN, which never opens the pipeline, does not.
-func newBlockNode(plan *selectPlan, binds map[string]interface{}, fill bool) (rowNode, error) {
+func newBlockNode(plan *selectPlan, binds bindVals, fill bool) (rowNode, error) {
 	join, env, _ := newJoinOverPlan(plan)
 	if fill {
 		if err := plan.fillBinds(env, binds); err != nil {
@@ -732,7 +732,7 @@ func (n *limitNode) Row() []int64 { return n.in.Row() }
 // emit for each joined row. DELETE uses it to collect victims; SELECT
 // streams through the Rows cursor instead. Runtime faults in compiled
 // expressions surface as errors.
-func drainPlan(plan *selectPlan, binds map[string]interface{}, emit func(env []int64, rids []rel.RowID) bool) (err error) {
+func drainPlan(plan *selectPlan, binds bindVals, emit func(env []int64, rids []rel.RowID) bool) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if re, ok := r.(sqlRuntimeError); ok {

@@ -11,6 +11,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"unicode"
 )
@@ -136,21 +137,32 @@ func isIdentPart(r rune) bool {
 }
 
 // BindNames returns the distinct :name bind variables of src in order of
-// first appearance (lower-cased, without the colon). The database/sql
-// driver uses this to map positional arguments onto the engine's
-// named-bind API.
+// first appearance (lower-cased, without the colon): the positions of a
+// prepared statement's arguments. The database/sql driver uses it to
+// place sql.Named arguments.
 func BindNames(src string) ([]string, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	seen := make(map[string]bool)
+	return bindNames(toks), nil
+}
+
+func bindNames(toks []token) []string {
+	n := 0
 	for _, tk := range toks {
-		if tk.kind == tkBind && !seen[tk.text] {
-			seen[tk.text] = true
+		if tk.kind == tkBind {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	names := make([]string, 0, n)
+	for _, tk := range toks {
+		if tk.kind == tkBind && !slices.Contains(names, tk.text) {
 			names = append(names, tk.text)
 		}
 	}
-	return names, nil
+	return names
 }

@@ -13,20 +13,27 @@ type parser struct {
 
 // Parse parses one SQL statement (a trailing semicolon is allowed).
 func Parse(src string) (Statement, error) {
+	st, _, err := parse(src)
+	return st, err
+}
+
+// parse parses one statement and returns its bind names as BindNames
+// would, from the same token stream.
+func parse(src string) (Statement, []string, error) {
 	toks, err := lex(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p := &parser{toks: toks}
 	st, err := p.statement()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p.accept(tkSymbol, ";")
 	if !p.at(tkEOF, "") {
-		return nil, p.errf("trailing input starting at %q", p.cur().text)
+		return nil, nil, p.errf("trailing input starting at %q", p.cur().text)
 	}
-	return st, nil
+	return st, bindNames(toks), nil
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }

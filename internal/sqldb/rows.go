@@ -157,28 +157,28 @@ func (e *Engine) Query(ctx context.Context, sql string, binds map[string]interfa
 // session's transaction view), so it never blocks concurrent writers and
 // concurrent writers never shift its results.
 func (s *Session) Query(ctx context.Context, sql string, binds map[string]interface{}) (*Rows, error) {
-	st, err := Parse(sql)
+	st, err := s.parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sql: Query requires a SELECT statement, got %T (use Exec)", st)
-	}
-	return s.querySelect(ctx, sel, sql, binds)
+	return st.query(ctx, st.mapBinds(binds))
 }
 
-// querySelect opens the cursor of a parsed SELECT — the one SELECT path:
-// Query returns the cursor, Exec drains it.
-func (s *Session) querySelect(ctx context.Context, sel *SelectStmt, sql string, binds map[string]interface{}) (*Rows, error) {
-	e := s.e
+// query opens the statement's cursor: the one SELECT path, under Query
+// and under Exec, which drains it.
+func (st *Stmt) query(ctx context.Context, b bindVals) (*Rows, error) {
+	sel, ok := st.st.(*SelectStmt)
+	if !ok {
+		return nil, fmt.Errorf("sql: Query requires a SELECT statement, got %T (use Exec)", st.st)
+	}
+	s, e, sql := st.s, st.s.e, st.sql
 	e.mu.Lock()
 	v, err := e.acquireViewLocked(s)
 	if err != nil {
 		e.mu.Unlock()
 		return nil, err
 	}
-	rows, err := e.buildRowsLocked(ctx, sel, sql, binds, v)
+	rows, err := e.buildRowsLocked(ctx, sel, sql, b, v)
 	if err != nil {
 		e.mu.Unlock()
 		e.releaseView(v)
@@ -188,7 +188,7 @@ func (s *Session) querySelect(ctx context.Context, sel *SelectStmt, sql string, 
 	// Statement telemetry spans Query to Close. Closers run LIFO, so the
 	// observation fires before the view reference above is dropped.
 	start := time.Now()
-	nbinds := len(binds)
+	nbinds := len(b.names)
 	rows.onClose(func() {
 		e.observeStmt(sql, "select", nbinds, time.Since(start), rows.Stats(), rows.PlanStats)
 	})
@@ -206,7 +206,7 @@ func (s *Session) querySelect(ctx context.Context, sel *SelectStmt, sql string, 
 // their compiled per-block plans across executions, always through a
 // clone — bindPlan mutates storage handles in place, so the cached
 // template must stay pristine.
-func (e *Engine) buildRowsLocked(ctx context.Context, s *SelectStmt, sqlText string, binds map[string]interface{}, v *execView) (*Rows, error) {
+func (e *Engine) buildRowsLocked(ctx context.Context, s *SelectStmt, sqlText string, binds bindVals, v *execView) (*Rows, error) {
 	var cached []*selectPlan
 	cacheHit := false
 	cacheKey := ""
@@ -314,7 +314,7 @@ func (e *Engine) buildRowsLocked(ctx context.Context, s *SelectStmt, sqlText str
 // explain renders the Figure 10-style execution plan of a SELECT: the
 // node tree of the very pipeline a cursor would run, built unbound and
 // never opened — EXPLAIN ANALYZE's tree without its counters.
-func (e *Engine) explain(s *SelectStmt, binds map[string]interface{}) (string, error) {
+func (e *Engine) explain(s *SelectStmt, binds bindVals) (string, error) {
 	rows, err := e.buildRowsLocked(context.Background(), s, "", binds, nil)
 	if err != nil {
 		return "", err

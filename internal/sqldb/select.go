@@ -151,9 +151,9 @@ func (p *selectPlan) envLen() int { return p.envSize + p.tailLen() }
 // bindPlan resolved, into env's bind tail. Planning no longer consumes
 // scalar binds, so a missing or mistyped bind surfaces here — when the
 // plan is instantiated.
-func (p *selectPlan) fillBinds(env []int64, binds map[string]interface{}) error {
+func (p *selectPlan) fillBinds(env []int64, binds bindVals) error {
 	for name, slot := range p.bindSlots {
-		v, err := bindScalar(binds, name)
+		v, err := binds.scalar(name)
 		if err != nil {
 			return err
 		}
@@ -172,7 +172,7 @@ type conjunct struct {
 }
 
 // planSelect compiles one SELECT block against the current binds.
-func (e *Engine) planSelect(s *SelectStmt, binds map[string]interface{}) (*selectPlan, error) {
+func (e *Engine) planSelect(s *SelectStmt, binds bindVals) (*selectPlan, error) {
 	if len(s.From) == 0 {
 		return nil, fmt.Errorf("sql: SELECT requires a FROM clause")
 	}
@@ -181,7 +181,7 @@ func (e *Engine) planSelect(s *SelectStmt, binds map[string]interface{}) (*selec
 	for _, ref := range s.From {
 		sp := &srcPlan{ref: ref, base: p.envSize}
 		if ref.Collection != "" {
-			coll, err := bindCollection(binds, ref.Collection)
+			coll, err := binds.relation(ref.Collection)
 			if err != nil {
 				return nil, err
 			}
@@ -915,12 +915,12 @@ func indexCountLine(sp *srcPlan) string {
 
 // evalConst evaluates an expression that may reference only literals and
 // bind variables (INSERT value lists).
-func evalConst(ex Expr, binds map[string]interface{}) (int64, error) {
+func evalConst(ex Expr, binds bindVals) (int64, error) {
 	switch x := ex.(type) {
 	case *NumberExpr:
 		return x.Value, nil
 	case *BindExpr:
-		return bindScalar(binds, x.Name)
+		return binds.scalar(x.Name)
 	case *UnaryExpr:
 		v, err := evalConst(x.X, binds)
 		if err != nil {

@@ -99,6 +99,7 @@ type sqlMetrics struct {
 	sweepPairs, sweepSortRows                                  *obs.Counter
 	joinLatency, sweepActivePeak                               *obs.Histogram
 	planHits, planMisses, planEvictions                        *obs.Counter
+	parses                                                     *obs.Counter
 	viewsPinned, viewsReleased                                 *obs.Counter
 	viewsActive                                                *obs.Gauge
 	stmt                                                       map[string]*obs.Counter
@@ -131,6 +132,9 @@ func newSQLMetrics(reg *obs.Registry) *sqlMetrics {
 		planHits:        reg.Counter("sql.plancache.hits"),
 		planMisses:      reg.Counter("sql.plancache.misses"),
 		planEvictions:   reg.Counter("sql.plancache.evictions"),
+		// parses counts statement texts parsed: one per Prepare and per
+		// text-path statement, none per execution of a prepared one.
+		parses: reg.Counter("sql.parses"),
 		// Snapshot-view lifecycle: active is the leak detector — every
 		// pinned view must eventually be released, so a drained engine
 		// (no cursors, no transaction, cache invalidated) reads 0 or 1

@@ -190,7 +190,7 @@ func (s *Session) rollback() (*Result, error) {
 
 // txnInsert buffers an INSERT: schema-validated now, index-validated when
 // COMMIT applies it. Caller holds e.mu with s.txn open.
-func (s *Session) txnInsert(x *InsertStmt, binds map[string]interface{}) (*Result, error) {
+func (s *Session) txnInsert(x *InsertStmt, binds bindVals) (*Result, error) {
 	row, err := s.e.insertValues(x, binds)
 	if err != nil {
 		return nil, err
@@ -203,7 +203,7 @@ func (s *Session) txnInsert(x *InsertStmt, binds map[string]interface{}) (*Resul
 // txnDelete buffers a DELETE: the WHERE clause is evaluated against the
 // transaction's snapshot view, so the victim set is repeatable. Caller
 // holds e.mu with s.txn open.
-func (s *Session) txnDelete(x *DeleteStmt, binds map[string]interface{}) (*Result, error) {
+func (s *Session) txnDelete(x *DeleteStmt, binds bindVals) (*Result, error) {
 	victims, err := s.e.victimsLocked(x, binds, &s.txn.view.readState)
 	if err != nil {
 		return nil, err

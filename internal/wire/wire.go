@@ -1,18 +1,21 @@
 // Package wire is the binary protocol shared by cmd/riserver and the
 // database/sql driver. A connection is a strict lockstep sequence: the
-// client writes one request frame, the server answers with exactly one
-// response frame. Row results stream through a server-side cursor — the
-// response to Query/StmtQuery is only a RowHeader naming the cursor; the
-// client then issues Fetch requests for bounded row batches, so a client
-// that stops fetching (LIMIT k, early Rows.Close) stops the server-side
-// scan after O(k) work, exactly like an embedded cursor.
+// client writes one request frame, the server answers it in one flush.
+// Every answer is one frame except a successful query's: a RowHeader
+// naming the cursor, then the first RowBatch of at most the row count the
+// request asked for. A batch that ends the result closes the cursor, so a
+// small SELECT is one round trip. A longer result stays open server-side
+// and the client pulls bounded batches with Fetch, so a client that stops
+// fetching (LIMIT k, early Rows.Close) stops the server-side scan after
+// O(k) work, exactly like an embedded cursor.
 //
 // Framing: every frame is [uvarint length][1 byte type][payload], where
 // length counts the type byte plus the payload. Integers inside payloads
 // are varints (signed values zig-zag encoded); strings are
-// uvarint-length-prefixed UTF-8; binds travel as a count followed by
-// (name, value) pairs. All row values are int64 — the SQL engine's only
-// scalar type.
+// uvarint-length-prefixed UTF-8; arguments travel as a count followed by
+// one signed varint per bind variable, in the statement's bind-name
+// order (first appearance in the text). All row values are int64 — the
+// SQL engine's only scalar type.
 package wire
 
 import (
@@ -22,11 +25,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // ProtoVersion is the protocol revision sent in Hello and echoed in
-// HelloOK. A server refuses clients with a different major version.
-const ProtoVersion = 1
+// HelloOK. A server refuses clients with a different version. Version 2
+// carries positional arguments and answers a query with its first batch.
+const ProtoVersion = 2
 
 // MaxFrame bounds a single frame (64 MiB): a decoder rejects anything
 // larger rather than allocating unboundedly on a corrupt length prefix.
@@ -37,11 +42,11 @@ const MaxFrame = 1 << 26
 // the other's set) but makes captures easy to read.
 const (
 	MsgHello       byte = 0x01 // uvarint protoVersion
-	MsgQuery       byte = 0x02 // string sql, binds
-	MsgExec        byte = 0x03 // string sql, binds
+	MsgQuery       byte = 0x02 // string sql, uvarint firstBatch, args
+	MsgExec        byte = 0x03 // string sql, args
 	MsgParse       byte = 0x04 // string sql
-	MsgStmtQuery   byte = 0x05 // uvarint stmtID, binds
-	MsgStmtExec    byte = 0x06 // uvarint stmtID, binds
+	MsgStmtQuery   byte = 0x05 // uvarint stmtID, uvarint firstBatch, args
+	MsgStmtExec    byte = 0x06 // uvarint stmtID, args
 	MsgFetch       byte = 0x07 // uvarint cursorID, uvarint max
 	MsgCloseCursor byte = 0x08 // uvarint cursorID
 	MsgCloseStmt   byte = 0x09 // uvarint stmtID
@@ -77,10 +82,14 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	if len(payload)+1 > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [binary.MaxVarintLen64 + 1]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(payload)+1))
-	hdr[n] = typ
-	if _, err := w.Write(hdr[:n+1]); err != nil {
+	// A buffered writer (bufio.Writer, bytes.Buffer) lends its free space
+	// for the header, which then costs no allocation.
+	var hdr []byte
+	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		hdr = ab.AvailableBuffer()
+	}
+	hdr = binary.AppendUvarint(hdr, uint64(len(payload)+1))
+	if _, err := w.Write(append(hdr, typ)); err != nil {
 		return err
 	}
 	if len(payload) > 0 {
@@ -148,12 +157,10 @@ func AppendStrings(b []byte, ss []string) []byte {
 	return b
 }
 
-// AppendBinds appends a bind map as a counted list of (name, int64)
-// pairs. Iteration order is irrelevant to the receiver.
-func AppendBinds(b []byte, binds map[string]int64) []byte {
-	b = AppendUvarint(b, uint64(len(binds)))
-	for name, v := range binds {
-		b = AppendString(b, name)
+// AppendArgs appends positional arguments: a count, then each value.
+func AppendArgs(b []byte, args []int64) []byte {
+	b = AppendUvarint(b, uint64(len(args)))
+	for _, v := range args {
 		b = AppendVarint(b, v)
 	}
 	return b
@@ -256,49 +263,53 @@ func (r *Reader) Strings() []string {
 	return ss
 }
 
-// Binds reads a bind map (nil when empty).
-func (r *Reader) Binds() map[string]int64 {
+// Args reads positional arguments, appending them to dst[:0] (nil when
+// there are none and dst is nil).
+func (r *Reader) Args(dst []int64) []int64 {
+	dst = dst[:0]
 	n := r.Uvarint()
 	if r.err != nil || n == 0 {
-		return nil
+		return dst
 	}
-	if n > uint64(len(r.buf))/2 { // each pair costs >= 2 bytes
+	if n > uint64(len(r.buf)) { // each value costs >= 1 byte
 		r.fail()
-		return nil
+		return dst
 	}
-	m := make(map[string]int64, n)
 	for i := uint64(0); i < n; i++ {
-		name := r.String()
-		m[name] = r.Varint()
+		dst = append(dst, r.Varint())
 	}
 	if r.err != nil {
-		return nil
+		return dst[:0]
 	}
-	return m
+	return dst
 }
 
-// EncodeRowBatch builds a RowBatch payload: done flag, row count, then
-// each row's values as varints. ncols is fixed by the preceding
-// RowHeader, so rows carry no per-row length.
-func EncodeRowBatch(rows [][]int64, done bool) []byte {
-	b := make([]byte, 0, 2+len(rows)*8)
+// AppendRow appends one row's values as varints: the body of a RowBatch.
+// ncols is fixed by the preceding RowHeader, so rows carry no per-row
+// length.
+func AppendRow(b []byte, row []int64) []byte {
+	for _, v := range row {
+		b = AppendVarint(b, v)
+	}
+	return b
+}
+
+// AppendRowBatch appends a RowBatch payload: the done flag, the row
+// count, then rows, nrows rows as AppendRow encoded them.
+func AppendRowBatch(b []byte, done bool, nrows int, rows []byte) []byte {
 	if done {
 		b = append(b, 1)
 	} else {
 		b = append(b, 0)
 	}
-	b = AppendUvarint(b, uint64(len(rows)))
-	for _, row := range rows {
-		for _, v := range row {
-			b = AppendVarint(b, v)
-		}
-	}
-	return b
+	b = AppendUvarint(b, uint64(nrows))
+	return append(b, rows...)
 }
 
-// DecodeRowBatch parses a RowBatch payload; ncols comes from the
+// DecodeRows parses a RowBatch payload into dst[:0], row after row, so a
+// reader can reuse one buffer for every batch; ncols comes from the
 // cursor's RowHeader.
-func DecodeRowBatch(payload []byte, ncols int) (rows [][]int64, done bool, err error) {
+func DecodeRows(payload []byte, ncols int, dst []int64) (vals []int64, nrows int, done bool, err error) {
 	r := NewReader(payload)
 	done = r.Byte() == 1
 	n := r.Uvarint()
@@ -307,20 +318,16 @@ func DecodeRowBatch(payload []byte, ncols int) (rows [][]int64, done bool, err e
 		r.fail()
 	}
 	if r.err != nil {
-		return nil, false, r.err
+		return dst[:0], 0, false, r.err
 	}
-	rows = make([][]int64, 0, n)
-	for i := uint64(0); i < n; i++ {
-		row := make([]int64, ncols)
-		for c := 0; c < ncols; c++ {
-			row[c] = r.Varint()
-		}
-		rows = append(rows, row)
+	vals = slices.Grow(dst[:0], int(n)*ncols)
+	for i := uint64(0); i < n*uint64(ncols); i++ {
+		vals = append(vals, r.Varint())
 	}
 	if r.err != nil {
-		return nil, false, r.err
+		return dst[:0], 0, false, r.err
 	}
-	return rows, done, nil
+	return vals, int(n), done, nil
 }
 
 // WireError is a server-reported error with its protocol code, so the

@@ -35,7 +35,7 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	b = AppendUvarint(b, 1<<40)
 	b = AppendString(b, "héllo")
 	b = AppendStrings(b, []string{"a", "b", "c"})
-	b = AppendBinds(b, map[string]int64{"k": -7, "v": 9})
+	b = AppendArgs(b, []int64{-7, 9})
 
 	r := NewReader(b)
 	if v := r.Varint(); v != -12345 {
@@ -50,9 +50,9 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	if ss := r.Strings(); !reflect.DeepEqual(ss, []string{"a", "b", "c"}) {
 		t.Fatalf("strings = %v", ss)
 	}
-	binds := r.Binds()
-	if binds["k"] != -7 || binds["v"] != 9 || len(binds) != 2 {
-		t.Fatalf("binds = %v", binds)
+	args := r.Args(nil)
+	if !reflect.DeepEqual(args, []int64{-7, 9}) {
+		t.Fatalf("args = %v", args)
 	}
 	if r.Err() != nil {
 		t.Fatal(r.Err())
@@ -84,6 +84,10 @@ func TestTruncatedPayloads(t *testing.T) {
 	b := AppendUvarint(nil, 1<<40)
 	if ss := NewReader(b).Strings(); ss != nil {
 		t.Fatal("corrupt string count decoded")
+	}
+	r := NewReader(b)
+	if n := allocated(func() { _ = r.Args(nil) }); n > 1<<10 || r.Err() == nil {
+		t.Fatalf("corrupt argument count decoded (err %v, %d bytes allocated)", r.Err(), n)
 	}
 	if _, _, err := DecodeRowBatch(append([]byte{0}, AppendUvarint(nil, 1<<40)...), 2); err == nil {
 		t.Fatal("corrupt row count decoded")
@@ -148,9 +152,15 @@ func FuzzWireFrame(f *testing.F) {
 		}
 		return b.Bytes()
 	}
-	binds := AppendBinds(nil, map[string]int64{"k": -7, "v": 9})
+	args := AppendArgs(nil, []int64{-7, 9})
 	f.Add(frame(MsgHello, AppendUvarint(nil, ProtoVersion)), uint8(0))
-	f.Add(frame(MsgQuery, append(AppendString(nil, "SELECT 1"), binds...)), uint8(0))
+	f.Add(frame(MsgQuery, append(AppendUvarint(AppendString(nil, "SELECT 1"), 512), args...)), uint8(0))
+	f.Add(frame(MsgStmtQuery, append(AppendUvarint(AppendUvarint(nil, 7), 512), args...)), uint8(0))
+	f.Add(frame(MsgStmtExec, append(AppendUvarint(nil, 7), args...)), uint8(0))
+	// A query's answer: the RowHeader and the first RowBatch in one read.
+	f.Add(append(frame(MsgRowHeader, AppendStrings(AppendUvarint(nil, 1), []string{"id", "lower"})),
+		frame(MsgRowBatch, EncodeRowBatch([][]int64{{4, 10}, {9, 1 << 40}}, true))...), uint8(2))
+	f.Add(frame(MsgStmtExec, append(AppendUvarint(nil, 7), AppendUvarint(nil, 1<<40)...)), uint8(0))
 	f.Add(frame(MsgParseOK, AppendStrings(AppendUvarint(nil, 42), []string{"a", "b", "c"})), uint8(0))
 	f.Add(frame(MsgRowBatch, EncodeRowBatch([][]int64{{1, -2, 3}, {1 << 40, 0, -1}}, true)), uint8(3))
 	f.Add(frame(MsgErr, EncodeErr(CodeTxnConflict, "conflict: table t changed")), uint8(0))
@@ -168,7 +178,10 @@ func FuzzWireFrame(f *testing.F) {
 			}
 			r := NewReader(payload)
 			_, _, _, _ = r.Uvarint(), r.Varint(), r.Byte(), r.String()
-			_, _ = r.Strings(), r.Binds()
+			_, _ = r.Strings(), r.Args(nil)
+			if args := NewReader(payload).Args(nil); len(args) > len(payload) {
+				t.Fatalf("a %d-byte payload decoded to %d arguments", len(payload), len(args))
+			}
 			rows, _, err := DecodeRowBatch(payload, int(ncols))
 			if err == nil && len(rows)*max(int(ncols), 1) > len(payload)+int(ncols) {
 				t.Fatalf("a %d-byte batch decoded to %d rows of %d columns", len(payload), len(rows), ncols)
@@ -176,4 +189,26 @@ func FuzzWireFrame(f *testing.F) {
 			_ = DecodeErr(payload)
 		}
 	})
+}
+
+// EncodeRowBatch builds the RowBatch payload of rows.
+func EncodeRowBatch(rows [][]int64, done bool) []byte {
+	var body []byte
+	for _, row := range rows {
+		body = AppendRow(body, row)
+	}
+	return AppendRowBatch(nil, done, len(rows), body)
+}
+
+// DecodeRowBatch parses a RowBatch payload into one slice per row.
+func DecodeRowBatch(payload []byte, ncols int) (rows [][]int64, done bool, err error) {
+	vals, n, done, err := DecodeRows(payload, ncols, nil)
+	if err != nil {
+		return nil, false, err
+	}
+	rows = make([][]int64, n)
+	for i := range rows {
+		rows[i] = vals[i*ncols : (i+1)*ncols]
+	}
+	return rows, done, nil
 }
