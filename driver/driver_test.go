@@ -256,14 +256,31 @@ func TestLimitStopsServerScan(t *testing.T) {
 func TestSmallSelectIsOneRoundTrip(t *testing.T) {
 	rdb, dsn := startServer(t)
 	db := openSQL(t, dsn)
+	db.SetMaxOpenConns(1) // one session: it observes its requests in order
 	seed(t, db)
 	count := func(msg string) int64 { return rdb.Metrics().Histograms["server.latency."+msg].Count }
+	// settle waits until the session has observed every request sent so
+	// far: it records a request's latency after flushing the reply, so a
+	// count can trail the client by one until a later request lands.
+	settle := func() {
+		t.Helper()
+		pings := count("ping")
+		if err := db.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(2 * time.Second); count("ping") == pings; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the server never observed a Ping")
+			}
+		}
+	}
 
 	stmt, err := db.Prepare("SELECT id, lower FROM iv WHERE id >= :a AND id < :b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stmt.Close()
+	settle()
 	queries, fetches, closes := count("stmt_query"), count("fetch"), count("close_cursor")
 	for i := int64(0); i < 100; i++ {
 		rows, err := stmt.Query(i, i+2)
@@ -274,6 +291,7 @@ func TestSmallSelectIsOneRoundTrip(t *testing.T) {
 			t.Fatalf("ids [%d, %d): rows %v", i, i+2, got)
 		}
 	}
+	settle()
 	if d := count("stmt_query") - queries; d != 100 {
 		t.Fatalf("100 executions sent %d StmtQuery frames", d)
 	}
@@ -292,6 +310,7 @@ func TestSmallSelectIsOneRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	gotWire := collect(t, rows)
+	settle()
 	if d := count("fetch") - fetches; d < 3 {
 		t.Fatalf("a %d-row result took %d Fetch round trips", len(gotWire), d)
 	}

@@ -181,9 +181,8 @@ func (s *session) dispatch(typ byte, payload []byte) error {
 		}
 		s.nextStmt++
 		s.stmts[s.nextStmt] = st
-		b := wire.AppendUvarint(s.out[:0], s.nextStmt)
-		b = wire.AppendStrings(b, st.BindNames())
-		return s.reply(wire.MsgParseOK, b)
+		s.out = wire.AppendStrings(wire.AppendUvarint(s.out[:0], s.nextStmt), st.BindNames())
+		return s.reply(wire.MsgParseOK, s.out)
 
 	case wire.MsgStmtQuery:
 		id, first := r.Uvarint(), r.Uvarint()
@@ -258,9 +257,8 @@ func (s *session) query(st *sqldb.Stmt, first uint64) error {
 		return s.replyErr(err)
 	}
 	s.nextCursor++
-	b := wire.AppendUvarint(s.out[:0], s.nextCursor)
-	b = wire.AppendStrings(b, rows.Columns())
-	if err := s.reply(wire.MsgRowHeader, b); err != nil {
+	s.out = wire.AppendStrings(wire.AppendUvarint(s.out[:0], s.nextCursor), rows.Columns())
+	if err := s.reply(wire.MsgRowHeader, s.out); err != nil {
 		rows.Close()
 		return err
 	}
@@ -322,9 +320,8 @@ func (s *session) exec(st *sqldb.Stmt) error {
 	if err != nil {
 		return s.replyErr(err)
 	}
-	b := wire.AppendVarint(s.out[:0], res.Affected)
-	b = wire.AppendString(b, res.Plan)
-	return s.reply(wire.MsgExecOK, b)
+	s.out = wire.AppendString(wire.AppendVarint(s.out[:0], res.Affected), res.Plan)
+	return s.reply(wire.MsgExecOK, s.out)
 }
 
 // reply buffers one response frame (the run loop flushes).

@@ -3,8 +3,10 @@
 // client writes one request frame, the server answers it in one flush.
 // Every answer is one frame except a successful query's: a RowHeader
 // naming the cursor, then the first RowBatch of at most the row count the
-// request asked for. A batch that ends the result closes the cursor, so a
-// small SELECT is one round trip. A longer result stays open server-side
+// request asked for (MsgErr in its place if the cursor fails). A batch
+// that ends the result closes the cursor, so a small SELECT is one round
+// trip. A query of an EXPLAIN is answered with ExecOK and its plan text,
+// as Exec would answer it. A longer result stays open server-side
 // and the client pulls bounded batches with Fetch, so a client that stops
 // fetching (LIMIT k, early Rows.Close) stops the server-side scan after
 // O(k) work, exactly like an embedded cursor.
