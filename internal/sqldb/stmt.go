@@ -43,7 +43,8 @@ func (s *Session) parse(sql string) (Stmt, error) {
 }
 
 // BindNames returns the statement's bind names; the i-th argument of
-// Query and Exec is the value of the i-th name.
+// Query and Exec is the value of the i-th name. The slice is shared:
+// do not modify it.
 func (st *Stmt) BindNames() []string { return st.names }
 
 // Explain reports whether the statement is an EXPLAIN, whose result is
