@@ -72,6 +72,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -168,6 +169,10 @@ func main() {
 		}
 	}
 
+	// One session runs every statement, so a transaction spans them.
+	sess := eng.NewSession()
+	defer sess.Close()
+
 	fmt.Println("risql — SQL shell over the RI-tree reproduction engine")
 	fmt.Println(`type SQL ending with ';', or \tables \collections \begin \commit \rollback \stats \metrics \slow \reset \help \q`)
 
@@ -221,7 +226,7 @@ func main() {
 				// Passthrough to the SQL transaction statements, for
 				// symmetry with other shells; BEGIN; / COMMIT; /
 				// ROLLBACK; typed as SQL work identically.
-				runStatement(eng, strings.ToUpper(cmd[1:])+";")
+				runStatement(os.Stdout, sess, strings.ToUpper(cmd[1:])+";")
 			case `\metrics`:
 				printMetrics(reg)
 			case `\slow`:
@@ -248,7 +253,7 @@ func main() {
 			buf.Reset()
 			buf.WriteString(rest)
 			if !blankSQL(strings.TrimSuffix(stmt, ";")) {
-				runStatement(eng, stmt)
+				runStatement(os.Stdout, sess, stmt)
 			}
 		}
 		if blankSQL(buf.String()) {
@@ -323,54 +328,59 @@ func blankSQL(s string) bool {
 	return true
 }
 
-func runStatement(eng *sqldb.Engine, stmt string) {
-	// SELECTs stream through the cursor: each row prints as the pipeline
-	// produces it, so a long scan shows progress immediately and a LIMIT
-	// stops the underlying index scan early.
-	if st, err := sqldb.Parse(stmt); err == nil {
-		if _, isSelect := st.(*sqldb.SelectStmt); isSelect {
-			rows, err := eng.Query(context.Background(), stmt, nil)
-			if err != nil {
-				fmt.Println("error:", err)
-				return
-			}
-			defer rows.Close()
-			for i, c := range rows.Columns() {
-				if i > 0 {
-					fmt.Print("  ")
-				}
-				fmt.Printf("%-12s", c)
-			}
-			fmt.Println()
-			n := 0
-			for rows.Next() {
-				for i, v := range rows.Row() {
-					if i > 0 {
-						fmt.Print("  ")
-					}
-					fmt.Printf("%-12d", v)
-				}
-				fmt.Println()
-				n++
-			}
-			if err := rows.Err(); err != nil {
-				fmt.Println("error:", err)
-				return
-			}
-			fmt.Printf("(%d rows)\n", n)
+// runStatement prepares stmt on sess — its one parse — and runs it,
+// printing to w. SELECTs stream through the cursor: each row prints as
+// the pipeline produces it, so a long scan shows progress immediately and
+// a LIMIT stops the underlying index scan early. Every statement runs on
+// sess, so BEGIN … COMMIT spans the statements between them.
+func runStatement(w io.Writer, sess *sqldb.Session, stmt string) {
+	st, err := sess.Prepare(stmt)
+	if err != nil {
+		fmt.Fprintln(w, "error:", err)
+		return
+	}
+	if st.Select() {
+		rows, err := st.Query(context.Background(), nil)
+		if err != nil {
+			fmt.Fprintln(w, "error:", err)
 			return
 		}
+		defer rows.Close()
+		for i, c := range rows.Columns() {
+			if i > 0 {
+				fmt.Fprint(w, "  ")
+			}
+			fmt.Fprintf(w, "%-12s", c)
+		}
+		fmt.Fprintln(w)
+		n := 0
+		for rows.Next() {
+			for i, v := range rows.Row() {
+				if i > 0 {
+					fmt.Fprint(w, "  ")
+				}
+				fmt.Fprintf(w, "%-12d", v)
+			}
+			fmt.Fprintln(w)
+			n++
+		}
+		if err := rows.Err(); err != nil {
+			fmt.Fprintln(w, "error:", err)
+			return
+		}
+		fmt.Fprintf(w, "(%d rows)\n", n)
+		return
 	}
-	res, err := eng.Exec(stmt, nil)
+	res, err := st.Exec(nil)
 	if err != nil {
-		fmt.Println("error:", err)
+		fmt.Fprintln(w, "error:", err)
 		return
 	}
 	switch {
 	case res.Plan != "":
-		fmt.Print(res.Plan)
+		fmt.Fprint(w, res.Plan)
 	default:
-		fmt.Printf("ok (%d rows affected)\n", res.Affected)
+		fmt.Fprintf(w, "ok (%d rows affected)\n", res.Affected)
 	}
 }
 

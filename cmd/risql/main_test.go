@@ -1,6 +1,14 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"ritree/internal/obs"
+	"ritree/internal/pagestore"
+	"ritree/internal/rel"
+	"ritree/internal/sqldb"
+)
 
 func TestSplitStatement(t *testing.T) {
 	cases := []struct {
@@ -34,6 +42,43 @@ func TestBlankSQL(t *testing.T) {
 	for _, s := range []string{"SELECT", " x -- note\n", "/* open", "1;"} {
 		if blankSQL(s) {
 			t.Errorf("blankSQL(%q) = true, want false", s)
+		}
+	}
+}
+
+// TestRunStatement runs DDL, an INSERT, a BEGIN … COMMIT pair, a SELECT,
+// a SELECT that fails mid-stream and an EXPLAIN through runStatement on
+// one session, checking what each prints and that each parses its text
+// exactly once.
+func TestRunStatement(t *testing.T) {
+	db, err := rel.CreateDB(pagestore.NewMem(pagestore.Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sqldb.NewEngine(db)
+	reg := obs.NewRegistry()
+	eng.SetMetricsRegistry(reg)
+	sess := eng.NewSession()
+	defer sess.Close()
+	for _, c := range []struct{ stmt, out string }{
+		{"CREATE TABLE t (id int, lo int, hi int);", "ok (0 rows affected)\n"},
+		{"INSERT INTO t VALUES (1, 10, 20);", "ok (1 rows affected)\n"},
+		{"BEGIN;", "ok (0 rows affected)\n"},
+		{"INSERT INTO t VALUES (2, 30, 40);", "ok (1 rows affected)\n"},
+		{"COMMIT;", "ok (1 rows affected)\n"},
+		{"SELECT id, lo FROM t WHERE lo >= 0;",
+			"id            lo          \n1             10          \n2             30          \n(2 rows)\n"},
+		{"SELECT id FROM t WHERE id = 1 / 0;", "id          \nerror: sql: division by zero\n"},
+		{"EXPLAIN SELECT id FROM t;", "SELECT STATEMENT\n  TABLE ACCESS FULL T\n"},
+	} {
+		before := reg.Snapshot().Counters["sql.parses"]
+		var out strings.Builder
+		runStatement(&out, sess, c.stmt)
+		if out.String() != c.out {
+			t.Errorf("%s printed %q, want %q", c.stmt, out.String(), c.out)
+		}
+		if n := reg.Snapshot().Counters["sql.parses"] - before; n != 1 {
+			t.Errorf("%s parsed %d times, want 1", c.stmt, n)
 		}
 	}
 }

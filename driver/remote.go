@@ -26,7 +26,7 @@ const fetchBatch = 512
 type remote struct {
 	mu     sync.Mutex
 	conn   net.Conn
-	br     *bufio.Reader
+	fr     *wire.FrameReader
 	bw     *bufio.Writer
 	broken bool
 	// req is the request payload buffer, reused under mu: WriteFrame
@@ -41,7 +41,7 @@ func dialRemote(ctx context.Context, addr string) (*remote, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &remote{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
+	r := &remote{conn: conn, fr: wire.NewFrameReader(conn), bw: bufio.NewWriter(conn)}
 	typ, _, err := r.roundTrip(wire.MsgHello, wire.AppendUvarint(nil, wire.ProtoVersion))
 	if err != nil {
 		conn.Close()
@@ -81,7 +81,7 @@ func (r *remote) roundTripLocked(typ byte, payload []byte) (byte, []byte, error)
 
 // readLocked reads one response frame. Caller holds mu.
 func (r *remote) readLocked() (byte, []byte, error) {
-	typ, payload, err := wire.ReadFrame(r.br)
+	typ, payload, err := r.fr.ReadFrame()
 	if err != nil {
 		r.broken = true
 		return 0, nil, err

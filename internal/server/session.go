@@ -28,7 +28,7 @@ const maxFetch = 8192
 type session struct {
 	srv  *Server
 	conn *countingConn
-	br   *bufio.Reader
+	fr   *wire.FrameReader
 	bw   *bufio.Writer
 	// db runs the connection's statements and owns its transaction.
 	db *ritree.Session
@@ -55,7 +55,7 @@ func newSession(srv *Server, conn net.Conn) *session {
 	return &session{
 		srv:     srv,
 		conn:    cc,
-		br:      bufio.NewReader(cc),
+		fr:      wire.NewFrameReader(cc),
 		bw:      bufio.NewWriter(cc),
 		db:      srv.db.Session(),
 		stmts:   make(map[uint64]*sqldb.Stmt),
@@ -86,7 +86,7 @@ func (s *session) run() {
 		return
 	}
 	for !s.draining.Load() {
-		typ, payload, err := wire.ReadFrame(s.br)
+		typ, payload, err := s.fr.ReadFrame()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !s.draining.Load() {
 				s.srv.logf("server: %s read: %v", s.conn.RemoteAddr(), err)
@@ -111,7 +111,7 @@ func (s *session) run() {
 
 // handshake requires the first frame to be a version-compatible Hello.
 func (s *session) handshake() error {
-	typ, payload, err := wire.ReadFrame(s.br)
+	typ, payload, err := s.fr.ReadFrame()
 	if err != nil {
 		return err
 	}

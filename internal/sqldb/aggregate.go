@@ -96,136 +96,107 @@ type groupState struct {
 	aggs []aggState
 }
 
-// aggNode is the aggregation sink — a pipeline breaker: Open drains the
-// source join (which streams, so filters and index scans still do their
-// per-row work lazily underneath), folding every row into the
-// accumulators of its group, found by the encoded GROUP BY key values.
-// Next emits one row per group in first-appearance order, which is
-// deterministic without an ORDER BY. With zero keys there is exactly one
-// group, and it emits its row even over empty input. Under a counting
-// plan the join's Count replaces the drain.
+// aggNode is the aggregation sink — a pipeline breaker: a run drains the
+// source join (which still does its filters and index scans row by row
+// underneath), folding every row into the accumulators of its group,
+// found by the encoded GROUP BY key values, and then emits one row per
+// group in first-appearance order, which is deterministic without an
+// ORDER BY. With zero keys there is exactly one group, and it emits its
+// row even over empty input. Under a counting plan the join's count
+// replaces the drain.
 type aggNode struct {
-	join    joinExec
-	counter counterExec // non-nil: the lone COUNT(*) is the join's Count
-	env     []int64
+	join    operator
+	counter counter // non-nil instead of join: the lone COUNT(*) is the join's count
 	keys    []evalFn
 	items   []aggItem
-	groups  map[string]*groupState
-	order   []*groupState
-	out     []int64
-	pos     int
 	ns      *nodeStats
-}
-
-// counterExec is a join that reports how many rows it would emit without
-// emitting them: the counting merge join and the index-only count.
-type counterExec interface {
-	joinExec
-	Count(ec *execCtx) (int64, error)
 }
 
 func (n *aggNode) statsNode() *nodeStats { return n.ns }
 
-// newGroup appends a group with fresh accumulators copied from the item
-// templates.
-func (n *aggNode) newGroup(keys []int64) *groupState {
-	g := &groupState{keys: keys, aggs: make([]aggState, len(n.items))}
-	for i, it := range n.items {
-		if it.agg != nil {
-			g.aggs[i] = aggState{name: it.agg.name, arg: it.agg.arg}
+func (n *aggNode) run(ec *execCtx, emit rowFn) error {
+	emit, done := ec.clock(n.ns, emit)
+	defer done()
+	var order []*groupState
+	// newGroup appends a group with fresh accumulators copied from the
+	// item templates.
+	newGroup := func(keys []int64) *groupState {
+		g := &groupState{keys: keys, aggs: make([]aggState, len(n.items))}
+		for i, it := range n.items {
+			if it.agg != nil {
+				g.aggs[i] = aggState{name: it.agg.name, arg: it.agg.arg}
+			}
 		}
-	}
-	n.order = append(n.order, g)
-	return g
-}
-
-func (n *aggNode) Open(ec *execCtx) error {
-	if start := ec.startTimer(); !start.IsZero() {
-		defer n.ns.timeFrom(start)
-	}
-	n.groups, n.order, n.pos = nil, nil, 0
-	if len(n.keys) == 0 {
-		n.newGroup(nil)
-	} else {
-		n.groups = make(map[string]*groupState)
-	}
-	if err := n.join.Open(ec); err != nil {
-		return err
+		order = append(order, g)
+		return g
 	}
 	var drained int64
-	if n.counter != nil {
-		c, err := n.counter.Count(ec)
-		if err != nil {
-			return err
-		}
-		drained, n.order[0].aggs[0].count = c, c
-	} else {
+	var err error
+	switch {
+	case n.counter != nil:
+		drained, err = n.counter.count(ec)
+		newGroup(nil).aggs[0].count = drained
+	case len(n.keys) == 0:
+		g := newGroup(nil)
+		err = n.join.run(ec, func(env []int64) bool {
+			drained++
+			g.add(n.items, env)
+			return true
+		})
+	default:
+		groups := make(map[string]*groupState)
 		var key []byte // reused encoding buffer (see distinctNode)
 		vals := make([]int64, len(n.keys))
-		for {
-			ok, err := n.join.Next(ec)
+		err = n.join.run(ec, func(env []int64) bool {
+			drained++
+			key = key[:0]
+			for i, f := range n.keys {
+				vals[i] = f(env)
+				key = appendKey(key, vals[i])
+			}
+			g, ok := groups[string(key)]
+			if !ok {
+				g = newGroup(append([]int64(nil), vals...))
+				groups[string(key)] = g
+			}
+			g.add(n.items, env)
+			return true
+		})
+	}
+	if err != nil {
+		return err
+	}
+	// The drained rows are the sink's materialization cost.
+	n.ns.addSpill(drained)
+	out := make([]int64, len(n.items))
+	for _, g := range order {
+		for i, it := range n.items {
+			if it.agg == nil {
+				out[i] = g.keys[it.key]
+				continue
+			}
+			v, err := g.aggs[i].result()
 			if err != nil {
 				return err
 			}
-			if !ok {
-				break
-			}
-			drained++
-			var g *groupState
-			if len(n.keys) == 0 {
-				g = n.order[0]
-			} else {
-				key = key[:0]
-				for i, f := range n.keys {
-					vals[i] = f(n.env)
-					key = appendKey(key, vals[i])
-				}
-				if g, ok = n.groups[string(key)]; !ok {
-					g = n.newGroup(append([]int64(nil), vals...))
-					n.groups[string(key)] = g
-				}
-			}
-			for i, it := range n.items {
-				if it.agg != nil {
-					g.aggs[i].add(n.env)
-				}
-			}
+			out[i] = v
+		}
+		n.ns.addRowsOut(1)
+		if !emit(out) {
+			return nil
 		}
 	}
-	_ = n.join.Close()
-	// The drained rows are the sink's materialization cost.
-	n.ns.addSpill(drained)
-	n.out = make([]int64, len(n.items))
 	return nil
 }
 
-func (n *aggNode) Next(ec *execCtx) (bool, error) {
-	if n.pos >= len(n.order) {
-		return false, nil
-	}
-	g := n.order[n.pos]
-	n.pos++
-	for i, it := range n.items {
-		if it.agg == nil {
-			n.out[i] = g.keys[it.key]
-			continue
+// add folds one joined row into the group's accumulators.
+func (g *groupState) add(items []aggItem, env []int64) {
+	for i, it := range items {
+		if it.agg != nil {
+			g.aggs[i].add(env)
 		}
-		v, err := g.aggs[i].result()
-		if err != nil {
-			return false, err
-		}
-		n.out[i] = v
 	}
-	n.ns.addRowsOut(1)
-	return true, nil
 }
-
-func (n *aggNode) Close() error {
-	n.groups, n.order = nil, nil
-	return n.join.Close()
-}
-
-func (n *aggNode) Row() []int64 { return n.out }
 
 // newAggState compiles one aggregate call item into its template.
 func newAggState(plan *selectPlan, call *CallExpr) (*aggState, error) {

@@ -145,12 +145,10 @@ func (stmt *Stmt) exec(binds bindVals) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		defer rows.Close()
 		res := &Result{Cols: rows.Columns()}
-		for rows.Next() {
-			res.Rows = append(res.Rows, append([]int64(nil), rows.Row()...))
-		}
-		if err := rows.Err(); err != nil {
+		if err := rows.drain(func(row []int64) {
+			res.Rows = append(res.Rows, append([]int64(nil), row...))
+		}); err != nil {
 			return nil, err
 		}
 		return res, nil
@@ -429,9 +427,11 @@ func withUndo(err, undoErr error) error {
 // victimsLocked resolves a DELETE's WHERE clause against rs — the live
 // database for an auto-commit DELETE, the transaction's view inside one.
 // The clause is planned like a single-table SELECT so deletes can use
-// index range scans (Figure 5's single-statement delete). Caller holds
+// index range scans (Figure 5's single-statement delete), and its join
+// runs to completion on the calling goroutine. A runtime fault in the
+// clause fails the statement before anything is deleted. Caller holds
 // e.mu.
-func (e *Engine) victimsLocked(s *DeleteStmt, binds bindVals, rs *readState) ([]Entry, error) {
+func (e *Engine) victimsLocked(s *DeleteStmt, binds bindVals, rs *readState) (victims []Entry, err error) {
 	sel := &SelectStmt{
 		Items: []SelectItem{{Star: true}},
 		From:  []TableRef{{Name: s.Table}},
@@ -444,9 +444,13 @@ func (e *Engine) victimsLocked(s *DeleteStmt, binds bindVals, rs *readState) ([]
 	if err := bindPlan(plan, rs); err != nil {
 		return nil, err
 	}
+	join, env, rids := newJoinOverPlan(plan)
+	if err := plan.fillBinds(env, binds); err != nil {
+		return nil, err
+	}
 	width := len(plan.sources[0].cols)
-	var victims []Entry
-	err = drainPlan(plan, binds, func(env []int64, rids []rel.RowID) bool {
+	defer recoverRuntime(&err)
+	err = join.(operator).run(&execCtx{ctx: context.Background()}, func(env []int64) bool {
 		victims = append(victims, Entry{RID: rids[0], Row: append([]int64(nil), env[:width]...)})
 		return true
 	})
@@ -486,10 +490,7 @@ func (e *Engine) explainAnalyze(ss *Session, s *SelectStmt, sql string, binds bi
 		return nil, ExecStats{}, PlanNodeStats{}, err
 	}
 	rows.ec.timed = true
-	defer rows.Close()
-	for rows.Next() {
-	}
-	if err := rows.Err(); err != nil {
+	if err := rows.drain(func([]int64) {}); err != nil {
 		return nil, ExecStats{}, PlanNodeStats{}, err
 	}
 	ps := rows.PlanStats()

@@ -155,10 +155,10 @@ const (
 type mjMatch func(sLo, sHi, bLo, bHi int64) bool
 
 // mergeJoinNode executes a selectPlan with a non-nil mergeSpec. It is a
-// pipeline breaker on both inputs: Open drains and orders the two sides,
-// Next sweeps lazily — the active sets advance only as pairs are pulled,
-// so a LIMIT or early Close stops mid-sweep. Under a counting plan
-// (selectPlan.count) the consumer calls Count instead of Next.
+// pipeline breaker on both inputs: a run drains and orders the two sides,
+// then sweeps, pushing each pair as the sweep finds it, so a LIMIT or an
+// early Close stops mid-sweep. Under a counting plan (selectPlan.count)
+// the consumer calls count instead of run.
 type mergeJoinNode struct {
 	p    *selectPlan
 	m    *mergeSpec
@@ -176,26 +176,25 @@ type mergeJoinNode struct {
 	activeL, activeR gaplessSet
 	li, ri           int // next start event per side
 	le, re           int // next end event per side (index into byHi)
+	prefixLen        int // the BEFORE/AFTER prefix of the opposite side
 	peak             int64
 
-	// Current emission scan: a started row paired lazily against a stable
-	// snapshot of the opposite active set (events advance only after the
-	// scan drains, so the dense arrays cannot move under it) or against a
-	// byHi prefix in the BEFORE/AFTER modes.
-	scanning  bool
-	scanOnR   bool // scanning the active/prefix right set (fixed left row)
-	fixed     int32
-	scanPos   int
-	scanLen   int
-	prefixLen int
+	ns *nodeStats
+}
 
-	opened bool
-	done   bool
-	ns     *nodeStats
+// mjScan is one emission scan of the sweep: a started row (fixed) paired
+// against a stable snapshot of the first n rows of the opposite active
+// set — events advance only after the scan is done, so the dense arrays
+// cannot move under it — or against a byHi prefix of n rows in the
+// BEFORE/AFTER modes. onR marks a scan of the right side (fixed left row).
+type mjScan struct {
+	fixed int32
+	onR   bool
+	n     int
 }
 
 // newMergeJoinNode builds the merge-join pipeline of a compiled plan.
-// The caller fills the bind tail before Open: drainSide evaluates
+// The caller fills the bind tail before a run: drainSide evaluates
 // per-side filters against n.env before the sweep starts.
 func newMergeJoinNode(p *selectPlan) (*mergeJoinNode, []int64, []rel.RowID) {
 	n := &mergeJoinNode{
@@ -223,7 +222,7 @@ func newMergeJoinNode(p *selectPlan) (*mergeJoinNode, []int64, []rel.RowID) {
 // domain index — bounds only when the join counts and the side has no
 // filter of its own — or an explicit sort over the source's ordinary
 // access path. It shows the planned feed until a drain falls back to the
-// sort; that fact survives Close, so EXPLAIN ANALYZE renders what ran.
+// sort; that fact outlives the run, so EXPLAIN ANALYZE renders what ran.
 func (s *mjSide) feedLine(count bool) string {
 	if s.sp.custom != nil && !s.unordered.Load() {
 		return orderedFeedLine(s.sp.custom, count && len(s.sp.filters) == 0)
@@ -300,11 +299,9 @@ func (n *mergeJoinNode) configure() {
 
 func (n *mergeJoinNode) statsNode() *nodeStats { return n.ns }
 
-func (n *mergeJoinNode) Open(ec *execCtx) error {
-	if start := ec.startTimer(); !start.IsZero() {
-		defer n.ns.timeFrom(start)
-	}
-	n.reset()
+// open drains and orders both sides and readies the sweep; reset, which
+// every run defers, releases what it built.
+func (n *mergeJoinNode) open(ec *execCtx) error {
 	n.left.unordered.Store(false)
 	n.right.unordered.Store(false)
 	if err := n.drainSide(ec, &n.left, true); err != nil {
@@ -327,7 +324,6 @@ func (n *mergeJoinNode) Open(ec *execCtx) error {
 	if n.emitL {
 		n.activeR.init(n.right.n)
 	}
-	n.opened = true
 	return nil
 }
 
@@ -337,7 +333,6 @@ func (n *mergeJoinNode) reset() {
 	n.activeL, n.activeR = gaplessSet{}, gaplessSet{}
 	n.li, n.ri, n.le, n.re = 0, 0, 0, 0
 	n.peak, n.prefixLen = 0, 0
-	n.scanning, n.done, n.opened = false, false, false
 }
 
 // drainSide materializes one input in ascending lower-bound order:
@@ -494,44 +489,86 @@ func (n *mergeJoinNode) notePeak() {
 	}
 }
 
-func (n *mergeJoinNode) Next(ec *execCtx) (bool, error) {
-	if start := ec.startTimer(); !start.IsZero() {
-		defer n.ns.timeFrom(start)
-	}
-	if n.done || !n.opened {
-		return false, nil
+func (n *mergeJoinNode) run(ec *execCtx, emit rowFn) error {
+	emit, done := ec.clock(n.ns, emit)
+	defer done()
+	defer n.reset()
+	if err := n.open(ec); err != nil {
+		return err
 	}
 	for {
 		if err := ctxErr(ec.ctx); err != nil {
-			return false, err
+			return err
 		}
-		if n.scanning {
-			l, r, ok := n.nextPair()
-			if !ok {
-				n.scanning = false
-			} else {
-				n.ns.addPairs(1)
-				n.bindPair(l, r)
-				pass := true
-				for _, f := range n.m.post {
-					if f(n.env) == 0 {
-						pass = false
-						break
-					}
-				}
-				if pass {
-					n.ns.addRowsOut(1)
-					return true, nil
-				}
-				n.ns.addResidual(1)
-				continue
-			}
+		sc, ok := n.advance()
+		if !ok {
+			return nil
 		}
-		if !n.advance() {
-			n.done = true
-			return false, nil
+		if more, err := n.emitScan(ec, sc, emit); !more || err != nil {
+			return err
 		}
 	}
+}
+
+// emitScan pushes the matching pairs of one emission scan, reporting
+// whether the sweep goes on.
+func (n *mergeJoinNode) emitScan(ec *execCtx, sc mjScan, emit rowFn) (bool, error) {
+	switch n.mode {
+	case modeBefore:
+		for _, l := range n.left.byHi[:sc.n] {
+			if more, err := n.emitPair(ec, l, sc.fixed, emit); !more || err != nil {
+				return more, err
+			}
+		}
+	case modeAfter:
+		for _, r := range n.right.byHi[:sc.n] {
+			if more, err := n.emitPair(ec, sc.fixed, r, emit); !more || err != nil {
+				return more, err
+			}
+		}
+	default:
+		if sc.onR {
+			sLo, sHi := n.left.lo[sc.fixed], n.left.hi[sc.fixed]
+			for i := range sc.n {
+				if n.matchL != nil && !n.matchL(sLo, sHi, n.activeR.lo[i], n.activeR.hi[i]) {
+					continue
+				}
+				if more, err := n.emitPair(ec, sc.fixed, n.activeR.row[i], emit); !more || err != nil {
+					return more, err
+				}
+			}
+			break
+		}
+		bLo, bHi := n.right.lo[sc.fixed], n.right.hi[sc.fixed]
+		for i := range sc.n {
+			if n.matchR != nil && !n.matchR(n.activeL.lo[i], n.activeL.hi[i], bLo, bHi) {
+				continue
+			}
+			if more, err := n.emitPair(ec, n.activeL.row[i], sc.fixed, emit); !more || err != nil {
+				return more, err
+			}
+		}
+	}
+	return true, nil
+}
+
+// emitPair binds the pair (l, r), runs the join's post filters and pushes
+// a passing pair, reporting whether the sweep goes on. The context is
+// polled at every pair.
+func (n *mergeJoinNode) emitPair(ec *execCtx, l, r int32, emit rowFn) (bool, error) {
+	if err := ctxErr(ec.ctx); err != nil {
+		return false, err
+	}
+	n.ns.addPairs(1)
+	n.bindPair(l, r)
+	for _, f := range n.m.post {
+		if f(n.env) == 0 {
+			n.ns.addResidual(1)
+			return true, nil
+		}
+	}
+	n.ns.addRowsOut(1)
+	return emit(n.env), nil
 }
 
 // bindPair lands a pair's rows in the shared env/rids, exactly as the
@@ -544,44 +581,47 @@ func (n *mergeJoinNode) bindPair(l, r int32) {
 	n.rids[n.m.right] = n.right.rids[r]
 }
 
-// Count runs the whole sweep of an opened counting join and returns its
-// pair count without emitting a pair: each emission scan adds its length
-// when every scanned partner matches (INTERSECTS, the BEFORE/AFTER
-// prefixes), else the hits of the relation's match in a tight loop. No
-// pair is bound and no post filter runs — a counting plan has none. The
-// sweep counters keep their meaning: SweepPairs is the count.
-func (n *mergeJoinNode) Count(ec *execCtx) (int64, error) {
-	if start := ec.startTimer(); !start.IsZero() {
-		defer n.ns.timeFrom(start)
-	}
-	if n.done || !n.opened {
-		return 0, nil
+// count runs the whole sweep of a counting join and returns its pair
+// count without emitting a pair: each emission scan adds its length when
+// every scanned partner matches (INTERSECTS, the BEFORE/AFTER prefixes),
+// else the hits of the relation's match in a tight loop. No pair is bound
+// and no post filter runs — a counting plan has none. The sweep counters
+// keep their meaning: SweepPairs is the count.
+func (n *mergeJoinNode) count(ec *execCtx) (int64, error) {
+	_, done := ec.clock(n.ns, nil)
+	defer done()
+	defer n.reset()
+	if err := n.open(ec); err != nil {
+		return 0, err
 	}
 	var total int64
-	for scans := 0; n.advance(); scans++ {
+	for scans := 0; ; scans++ {
+		sc, ok := n.advance()
+		if !ok {
+			break
+		}
 		if scans&1023 == 0 {
 			if err := ctxErr(ec.ctx); err != nil {
 				return 0, err
 			}
 		}
-		total += n.countScan()
+		total += n.countScan(sc)
 	}
-	n.scanning, n.done = false, true
 	n.ns.addPairs(total)
 	n.ns.addRowsOut(total)
 	return total, nil
 }
 
-// countScan counts the pairs of the emission scan advance just started:
-// what nextPair would yield one at a time.
-func (n *mergeJoinNode) countScan() int64 {
+// countScan counts the pairs of one emission scan: what emitScan would
+// push one at a time.
+func (n *mergeJoinNode) countScan(sc mjScan) int64 {
 	if n.mode != modeSweep || !n.m.op.exact {
-		return int64(n.scanLen)
+		return int64(sc.n)
 	}
 	var c int64
-	if n.scanOnR {
-		sLo, sHi := n.left.lo[n.fixed], n.left.hi[n.fixed]
-		lo, hi := n.activeR.lo[:n.scanLen], n.activeR.hi[:n.scanLen]
+	if sc.onR {
+		sLo, sHi := n.left.lo[sc.fixed], n.left.hi[sc.fixed]
+		lo, hi := n.activeR.lo[:sc.n], n.activeR.hi[:sc.n]
 		for i := range lo {
 			if n.matchL(sLo, sHi, lo[i], hi[i]) {
 				c++
@@ -589,8 +629,8 @@ func (n *mergeJoinNode) countScan() int64 {
 		}
 		return c
 	}
-	bLo, bHi := n.right.lo[n.fixed], n.right.hi[n.fixed]
-	lo, hi := n.activeL.lo[:n.scanLen], n.activeL.hi[:n.scanLen]
+	bLo, bHi := n.right.lo[sc.fixed], n.right.hi[sc.fixed]
+	lo, hi := n.activeL.lo[:sc.n], n.activeL.hi[:sc.n]
 	for i := range lo {
 		if n.matchR(lo[i], hi[i], bLo, bHi) {
 			c++
@@ -599,54 +639,12 @@ func (n *mergeJoinNode) countScan() int64 {
 	return c
 }
 
-// nextPair lazily yields the next matching pair of the current scan.
-func (n *mergeJoinNode) nextPair() (int32, int32, bool) {
-	switch n.mode {
-	case modeBefore:
-		if n.scanPos < n.scanLen {
-			l := n.left.byHi[n.scanPos]
-			n.scanPos++
-			return l, n.fixed, true
-		}
-		return 0, 0, false
-	case modeAfter:
-		if n.scanPos < n.scanLen {
-			r := n.right.byHi[n.scanPos]
-			n.scanPos++
-			return n.fixed, r, true
-		}
-		return 0, 0, false
-	}
-	if n.scanOnR {
-		s := n.fixed
-		sLo, sHi := n.left.lo[s], n.left.hi[s]
-		for n.scanPos < n.scanLen {
-			i := n.scanPos
-			n.scanPos++
-			if n.matchL == nil || n.matchL(sLo, sHi, n.activeR.lo[i], n.activeR.hi[i]) {
-				return s, n.activeR.row[i], true
-			}
-		}
-		return 0, 0, false
-	}
-	b := n.fixed
-	bLo, bHi := n.right.lo[b], n.right.hi[b]
-	for n.scanPos < n.scanLen {
-		i := n.scanPos
-		n.scanPos++
-		if n.matchR == nil || n.matchR(n.activeL.lo[i], n.activeL.hi[i], bLo, bHi) {
-			return n.activeL.row[i], b, true
-		}
-	}
-	return 0, 0, false
-}
-
-// advance processes sweep events until an emission scan starts (true) or
-// the sweep completes (false). Event order at equal values: starts before
+// advance processes sweep events until an emission scan starts (ok) or
+// the sweep completes (!ok). Event order at equal values: starts before
 // ends (touching intervals are co-active in the closed model), left
 // starts before right starts (so equal-lower pairs emit exactly once, at
 // the right start).
-func (n *mergeJoinNode) advance() bool {
+func (n *mergeJoinNode) advance() (mjScan, bool) {
 	switch n.mode {
 	case modeBefore:
 		return n.advanceBefore()
@@ -656,7 +654,7 @@ func (n *mergeJoinNode) advance() bool {
 	L, R := &n.left, &n.right
 	for {
 		if (!n.emitR || n.ri >= R.n) && (!n.emitL || n.li >= L.n) {
-			return false
+			return mjScan{}, false
 		}
 		const (
 			evLS = iota
@@ -700,9 +698,7 @@ func (n *mergeJoinNode) advance() bool {
 				n.notePeak()
 			}
 			if n.emitL && n.activeR.size() > 0 {
-				n.scanning, n.scanOnR = true, true
-				n.fixed, n.scanPos, n.scanLen = r, 0, n.activeR.size()
-				return true
+				return mjScan{fixed: r, onR: true, n: n.activeR.size()}, true
 			}
 		case evRS:
 			r := int32(n.ri)
@@ -712,9 +708,7 @@ func (n *mergeJoinNode) advance() bool {
 				n.notePeak()
 			}
 			if n.emitR && n.activeL.size() > 0 {
-				n.scanning, n.scanOnR = true, false
-				n.fixed, n.scanPos, n.scanLen = r, 0, n.activeL.size()
-				return true
+				return mjScan{fixed: r, n: n.activeL.size()}, true
 			}
 		case evLE:
 			n.activeL.remove(L.byHi[n.le])
@@ -723,7 +717,7 @@ func (n *mergeJoinNode) advance() bool {
 			n.activeR.remove(R.byHi[n.re])
 			n.re++
 		case evNone:
-			return false
+			return mjScan{}, false
 		}
 	}
 }
@@ -731,7 +725,7 @@ func (n *mergeJoinNode) advance() bool {
 // advanceBefore pairs each right row with the prefix of left rows (in
 // upper-bound order) that end strictly before it starts: BEFORE in
 // O(n + output), no active set.
-func (n *mergeJoinNode) advanceBefore() bool {
+func (n *mergeJoinNode) advanceBefore() (mjScan, bool) {
 	L, R := &n.left, &n.right
 	for n.ri < R.n {
 		b := int32(n.ri)
@@ -740,17 +734,15 @@ func (n *mergeJoinNode) advanceBefore() bool {
 			n.prefixLen++
 		}
 		if n.prefixLen > 0 {
-			n.scanning, n.scanOnR = true, false
-			n.fixed, n.scanPos, n.scanLen = b, 0, n.prefixLen
-			return true
+			return mjScan{fixed: b, n: n.prefixLen}, true
 		}
 	}
-	return false
+	return mjScan{}, false
 }
 
 // advanceAfter is the mirror: each left row against the prefix of right
 // rows ending strictly before it starts.
-func (n *mergeJoinNode) advanceAfter() bool {
+func (n *mergeJoinNode) advanceAfter() (mjScan, bool) {
 	L, R := &n.left, &n.right
 	for n.li < L.n {
 		s := int32(n.li)
@@ -759,16 +751,8 @@ func (n *mergeJoinNode) advanceAfter() bool {
 			n.prefixLen++
 		}
 		if n.prefixLen > 0 {
-			n.scanning, n.scanOnR = true, true
-			n.fixed, n.scanPos, n.scanLen = s, 0, n.prefixLen
-			return true
+			return mjScan{fixed: s, onR: true, n: n.prefixLen}, true
 		}
 	}
-	return false
-}
-
-func (n *mergeJoinNode) Close() error {
-	n.reset()
-	n.done = true
-	return nil
+	return mjScan{}, false
 }

@@ -3,13 +3,15 @@ package sqldb
 import (
 	"context"
 	"fmt"
+	"iter"
 	"time"
 )
 
-// Rows is a streaming SELECT cursor: rows are produced one at a time by
-// the volcano pipeline, so the underlying access-method scans advance
-// only as far as the consumer pulls. The usage contract mirrors
-// database/sql:
+// Rows is a streaming SELECT cursor, and the one place the executor is
+// pulled: the pipeline's operators push rows (executor.go), and the
+// cursor runs its root inside one coroutine (iter.Pull), started by the
+// first Next, so the underlying access-method scans advance only as far
+// as the consumer pulls. The usage contract mirrors database/sql:
 //
 //	rows, err := eng.Query(ctx, "SELECT id FROM iv WHERE intersects(lower, upper, :a, :b) LIMIT 10", binds)
 //	if err != nil { ... }
@@ -26,14 +28,18 @@ import (
 // Close (it is idempotent; Next auto-closes on exhaustion and error) —
 // an open cursor pins its snapshot's pre-image retention. A cancelled
 // ctx surfaces as Err() after Next returns false, including mid-scan:
-// the pipeline polls the context at every leaf row and abandoning the
-// cursor stops the suspended access-method scan.
+// the pipeline polls the context at every leaf row, and Close ends the
+// suspended scan.
 type Rows struct {
-	root   rowNode
-	ec     *execCtx
-	cols   []string
-	err    error
-	opened bool
+	root operator
+	ec   *execCtx
+	cols []string
+	row  []int64
+	err  error
+	// next and stop drive the coroutine the root runs in; nil until the
+	// first Next.
+	next   func() ([]int64, bool)
+	stop   func()
 	closed bool
 	// planRoot is the root of the per-operator stats tree: the one set of
 	// counters behind Stats and PlanStats.
@@ -57,47 +63,45 @@ func (r *Rows) Next() bool {
 	if r.closed || r.err != nil {
 		return false
 	}
-	ok, err := r.step()
-	if err != nil {
-		r.err = err
-		_ = r.Close()
-		return false
+	if r.next == nil {
+		r.next, r.stop = iter.Pull(r.run)
 	}
+	row, ok := r.next()
 	if !ok {
 		_ = r.Close()
 		return false
 	}
+	r.row = row
 	return true
 }
 
-// step opens the pipeline lazily and advances it, converting runtime
-// faults in compiled expressions (division by zero, inverted Allen query
-// bounds from join columns) into errors.
-func (r *Rows) step() (ok bool, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if re, isRE := rec.(sqlRuntimeError); isRE {
-				ok, err = false, re
-				return
-			}
-			panic(rec)
-		}
-	}()
-	if !r.opened {
-		r.opened = true
-		if err := ctxErr(r.ec.ctx); err != nil {
-			return false, err
-		}
-		if err := r.root.Open(r.ec); err != nil {
-			return false, err
-		}
+// run pushes the pipeline's rows into emit, recording in r.err what
+// ended the run. A runtime fault of a compiled expression surfaces here.
+func (r *Rows) run(emit func([]int64) bool) {
+	defer recoverRuntime(&r.err)
+	if r.err = ctxErr(r.ec.ctx); r.err == nil {
+		r.err = r.root.run(r.ec, emit)
 	}
-	return r.root.Next(r.ec)
+}
+
+// drain runs the whole pipeline on the calling goroutine, with no
+// coroutine, handing each row to fn, and closes the cursor: the path of
+// the statements that consume every row (Exec of a SELECT, EXPLAIN
+// ANALYZE).
+func (r *Rows) drain(fn func(row []int64)) error {
+	if !r.closed && r.next == nil {
+		r.run(func(row []int64) bool {
+			fn(row)
+			return true
+		})
+	}
+	_ = r.Close()
+	return r.err
 }
 
 // Row returns the current output row. It is valid only after a true
 // Next and until the following Next or Close; copy it to retain it.
-func (r *Rows) Row() []int64 { return r.root.Row() }
+func (r *Rows) Row() []int64 { return r.row }
 
 // Scan copies the current row into dest, one pointer per column.
 func (r *Rows) Scan(dest ...*int64) error {
@@ -125,21 +129,20 @@ func (r *Rows) Stats() ExecStats { return r.planRoot.execStats() }
 // the statement ran as EXPLAIN ANALYZE; the counters are always live.
 func (r *Rows) PlanStats() PlanNodeStats { return snapshotNode(r.planRoot) }
 
-// Close stops the pipeline — terminating any suspended access-method
-// scans — and releases the locks the cursor holds. Idempotent.
+// Close stops the pipeline — ending the suspended access-method scans —
+// and releases the locks the cursor holds. Idempotent.
 func (r *Rows) Close() error {
 	if r.closed {
 		return nil
 	}
 	r.closed = true
-	err := r.root.Close()
+	if r.stop != nil {
+		r.stop()
+	}
 	for i := len(r.closers) - 1; i >= 0; i-- {
 		r.closers[i]()
 	}
-	if err != nil && r.err == nil {
-		r.err = err
-	}
-	return err
+	return nil
 }
 
 // onClose registers fn to run once when the cursor closes (LIFO).
@@ -222,7 +225,7 @@ func (e *Engine) buildRowsLocked(ctx context.Context, s *SelectStmt, sqlText str
 		}
 	}
 	var templates []*selectPlan
-	var branches []rowNode
+	var branches []operator
 	var cols []string
 	for blk, i := s, 0; blk != nil; blk, i = blk.Union, i+1 {
 		// One block's executable plan: a clone of the cached template on a
@@ -324,6 +327,6 @@ func (e *Engine) explain(s *SelectStmt, binds bindVals) (string, error) {
 
 // statsOver builds a stats record labelled label whose child is in's
 // record.
-func statsOver(label string, in rowNode) *nodeStats {
+func statsOver(label string, in operator) *nodeStats {
 	return &nodeStats{label: label, children: []*nodeStats{in.statsNode()}}
 }

@@ -176,24 +176,6 @@ func (n *nodeStats) fold(st *ExecStats) {
 	}
 }
 
-// timeFrom adds the wall time since start; start is the zero Time when
-// the execution is not timed, making this a cheap no-op.
-func (n *nodeStats) timeFrom(start time.Time) {
-	if n == nil || start.IsZero() {
-		return
-	}
-	n.elapsed.Add(time.Since(start).Nanoseconds())
-}
-
-// startTimer returns now under EXPLAIN ANALYZE and the zero Time
-// otherwise, so untimed executions never call time.Now.
-func (ec *execCtx) startTimer() time.Time {
-	if ec.timed {
-		return time.Now()
-	}
-	return time.Time{}
-}
-
 // PlanNodeStats is one operator's snapshot in an executed plan tree —
 // the value form of nodeStats, returned by Rows.PlanStats and rendered
 // by EXPLAIN ANALYZE.

@@ -54,6 +54,13 @@ func (st *Stmt) Explain() bool {
 	return ok
 }
 
+// Select reports whether the statement is a SELECT, whose result is a
+// cursor (Query) rather than a Result.
+func (st *Stmt) Select() bool {
+	_, ok := st.st.(*SelectStmt)
+	return ok
+}
+
 // Query opens a cursor over the statement, which must be a SELECT, with
 // args as its bind values by position.
 func (st *Stmt) Query(ctx context.Context, args []int64) (*Rows, error) {

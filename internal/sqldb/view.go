@@ -172,7 +172,7 @@ func (e *Engine) invalidateViewLocked() {
 // bindPlan points a freshly compiled (or cloned) plan at one relational
 // state: its tables and B+-tree indexes, the Reader of each source's
 // domain index, and each source's now-clock. The executor reads every
-// handle through the plan at Open time, so a plan bound to a view never
+// handle through the plan when it runs, so a plan bound to a view never
 // touches live storage.
 func bindPlan(p *selectPlan, rs *readState) error {
 	for _, sp := range p.sources {

@@ -22,7 +22,6 @@ package wire
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -102,32 +101,63 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return nil
 }
 
-// ReadFrame reads one frame. The returned payload is freshly allocated.
-// Past the first 64 KiB the buffer grows as bytes arrive, so a corrupt or
-// hostile length prefix costs what the peer actually sent, not MaxFrame.
+// ReadFrame reads one frame into a freshly allocated payload.
 func ReadFrame(r *bufio.Reader) (typ byte, payload []byte, err error) {
+	typ, payload, _, err = readFrame(r, nil)
+	return typ, payload, err
+}
+
+// FrameReader reads a connection's frames into one payload buffer it
+// owns and reuses, so reading a frame allocates nothing once the buffer
+// has grown to the connection's frame size. A payload is valid until the
+// next ReadFrame; a reader copies out what it keeps.
+type FrameReader struct {
+	br  *bufio.Reader
+	buf []byte
+}
+
+// maxKeptFrame is the largest buffer a FrameReader keeps between frames:
+// one huge frame does not pin its size for the life of the connection.
+const maxKeptFrame = 1 << 20
+
+// NewFrameReader reads frames from r through a bufio.Reader.
+func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{br: bufio.NewReader(r)} }
+
+// ReadFrame reads the next frame into the reader's buffer.
+func (fr *FrameReader) ReadFrame() (typ byte, payload []byte, err error) {
+	if cap(fr.buf) > maxKeptFrame {
+		fr.buf = nil
+	}
+	typ, payload, fr.buf, err = readFrame(fr.br, fr.buf)
+	return typ, payload, err
+}
+
+// readFrame reads one frame into buf's storage, returning the type, the
+// payload and the possibly grown buffer. The buffer grows as bytes
+// arrive, at most 64 KiB ahead of them, so a corrupt or hostile length
+// prefix costs what the peer actually sent, not MaxFrame.
+func readFrame(r *bufio.Reader, buf []byte) (byte, []byte, []byte, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, buf, err
 	}
 	if n == 0 || n > MaxFrame {
-		return 0, nil, ErrFrameTooLarge
+		return 0, nil, buf, ErrFrameTooLarge
 	}
-	buf := make([]byte, min(n, 64<<10))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
-	}
-	if rest := int64(n) - int64(len(buf)); rest > 0 {
-		b := bytes.NewBuffer(buf)
-		if _, err := io.CopyN(b, r, rest); err != nil {
-			if err == io.EOF {
+	buf = buf[:0]
+	for len(buf) < int(n) {
+		chunk := min(int(n)-len(buf), 64<<10)
+		buf = slices.Grow(buf, chunk)
+		got, err := io.ReadFull(r, buf[len(buf):len(buf)+chunk])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			if err == io.EOF && len(buf) > 0 {
 				err = io.ErrUnexpectedEOF
 			}
-			return 0, nil, err
+			return 0, nil, buf, err
 		}
-		buf = b.Bytes()
 	}
-	return buf[0], buf[1:], nil
+	return buf[0], buf[1:], buf, nil
 }
 
 // Append helpers build payloads without an encoder object.

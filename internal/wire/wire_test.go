@@ -133,6 +133,36 @@ func TestHostileLengthsAllocateLittle(t *testing.T) {
 	}
 }
 
+// TestFrameReaderReusesPayload: a FrameReader reads 1,000 small frames
+// with no allocation after the first, and each payload is the frame's.
+func TestFrameReaderReusesPayload(t *testing.T) {
+	var stream bytes.Buffer
+	const frames = 1002 // the first, AllocsPerRun's warm-up, then 1,000
+	var payloads [frames][]byte
+	for i := range payloads {
+		payloads[i] = AppendArgs(AppendUvarint(AppendUvarint(nil, uint64(i%7)), 512), []int64{int64(i), -int64(i)})
+		if err := WriteFrame(&stream, MsgStmtQuery, payloads[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := NewFrameReader(&stream)
+	i := 0
+	read := func() {
+		typ, got, err := fr.ReadFrame()
+		if err != nil || typ != MsgStmtQuery || !bytes.Equal(got, payloads[i]) {
+			t.Fatalf("frame %d: typ=%#x payload=%v err=%v", i, typ, got, err)
+		}
+		i++
+	}
+	read()
+	if n := testing.AllocsPerRun(1000, read); n != 0 {
+		t.Fatalf("%.2f allocations per frame after the first, want 0", n)
+	}
+	if _, _, err := fr.ReadFrame(); err != io.EOF {
+		t.Fatalf("after %d frames: err = %v, want EOF", i, err)
+	}
+}
+
 func TestFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write(AppendUvarint(nil, MaxFrame+1))

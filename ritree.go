@@ -79,7 +79,7 @@ type IOStats = pagestore.Stats
 type Result = sqldb.Result
 
 // Rows is a streaming SELECT cursor (see DB.Query): Next/Scan/Err/Close
-// in the database/sql style, over the same volcano pipeline Exec drains.
+// in the database/sql style, over the same push pipeline Exec drains.
 type Rows = sqldb.Rows
 
 // ExecStats counts the work one cursor performed (Rows.Stats); LeafRows
